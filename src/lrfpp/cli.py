@@ -327,20 +327,38 @@ def _constants_cells(exp: ConstantsExperiment):
 
 
 def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict]:
+    """One row per grid cell.
+
+    Each Monte Carlo cell draws from its own stream, seeded by the cell's
+    index in the grid.  ``converged`` is False for a quadrature cell that ran
+    out of its evaluation budget (a warning goes to stderr) and empty for Monte
+    Carlo cells; ``effective_samples`` is filled for Monte Carlo cells only.
+    """
     rows = []
-    for d, p, alpha, method in _constants_cells(exp):
+    for cell, (d, p, alpha, method) in enumerate(_constants_cells(exp)):
+        converged: Optional[bool] = True
+        ess: Optional[float] = None
         if method == "quadrature":
             res = constants.limit_constant_quadrature(
                 constants.ConstantQuery(d, p, alpha, "quadrature", exp.tolerance)
             )
-            value, err = res.value, res.error
+            value, err, converged = res.value, res.error, res.converged
+            if not converged:
+                print(
+                    f"warning: {exp.label}: quadrature at d={d}, p={p}, alpha={alpha} "
+                    f"did not converge after {res.evaluations} evaluations "
+                    f"(error estimate {err!r}, tolerance {exp.tolerance!r})",
+                    file=sys.stderr,
+                )
         elif method == "closed-p-infinity":
             value, err = constants.limit_constant_max_norm(d, alpha), 0.0
         elif method == "hypergeometric-d2":
             value, err = constants.limit_constant_planar(p, alpha), 0.0
         else:
-            mc = constants.limit_constant_gamma_mc(d, p, alpha, exp.samples, seed)
-            value, err = mc.value, mc.std_error
+            mc = constants.limit_constant_gamma_mc(
+                d, p, alpha, exp.samples, _experiment_seed(seed, cell)
+            )
+            value, err, converged, ess = mc.value, mc.std_error, None, mc.effective_samples
         rows.append(
             {
                 "d": d,
@@ -349,6 +367,8 @@ def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict
                 "method": method,
                 "value": value,
                 "error_estimate": err,
+                "converged": converged,
+                "effective_samples": ess,
             }
         )
     return rows
@@ -357,11 +377,15 @@ def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict
 _COLUMNS = {
     "quantity": ["n", "alpha", "quantity", "scaled_mean", "se", "q05", "q25", "q50", "q75", "q95"],
     "tau": ["n", "alpha", "k", "ks_stat", "ks_pvalue", "mean_centered", "se_centered", "scaled_tau_mean"],
-    "constants": ["d", "p", "alpha", "method", "value", "error_estimate"],
+    "constants": [
+        "d", "p", "alpha", "method", "value", "error_estimate", "converged", "effective_samples"
+    ],
 }
 
 
 def _format_cell(val) -> str:
+    if val is None:
+        return ""
     if isinstance(val, float):
         return repr(val)
     return str(val)

@@ -1,12 +1,32 @@
 """The simulator core: exact exploration birth process plus an edge oracle.
 
-``run_exploration`` grows a cluster one vertex at a time.  With j vertices
-discovered the next birth happens after an Exp(total) waiting time, where
-``total`` is the aggregate attraction weight of all undiscovered sites, and
-the newborn is z with probability W(z)/total.  By memorylessness of the
-exponential edge weights this reproduces, exactly in distribution, the order
-and times at which first-passage percolation discovers the torus from the
-source.
+``run_exploration`` grows a cluster one vertex at a time.  With a set D of j
+vertices discovered, the next birth happens after an Exp(rate_j) waiting time,
+where rate_j = sum over v in D and z not in D of norm(z - v)**-alpha, and the
+newborn is z with probability W_D(z)/rate_j, where W_D(z) is the attraction
+of z to D.  By memorylessness of the exponential edge weights this
+reproduces, exactly in distribution, the order and times at which
+first-passage percolation discovers the torus from the source.
+
+The default sampler finds the newborn by thinning (Lewis & Shedler 1979).
+Every discovered vertex emits at the same total rate R_n = total_rate(cfg),
+so a proposal is a uniform discovered parent plus an offset u drawn with
+probability norm(u)**-alpha / R_n; it is rejected when its target is already
+discovered, and the first accepted target has the newborn law exactly.  The
+waiting time is drawn once per birth at the exact rate_j; the holding time
+and the newborn are independent, so this equals in law the sum of Exp(j R_n)
+waits over the proposals.  The run keeps no per-site field, only the
+discovered list and a one-byte mask.
+rate_j follows exactly from rate_{j+1} = rate_j + R_n - 2 W_D(z), with W_D(z)
+gathered over the j discovered sites, so a birth costs O(j) and a proposal
+O(1); the expected number of proposals per birth is j * R_n / rate_j, near 1
+until most of the torus is discovered.
+
+``selection="scan"`` is the reference path: a ``WeightField`` holds W_D(z)
+for every site, updated in O(n) per birth, and the newborn is found by a
+cumulative scan.  Both paths record rate_j before every birth, assert the
+deterministic rate sandwich on it, and re-sum it periodically; they agree in
+distribution.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E`` lazily through a counter-based hash, and the
@@ -18,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +55,10 @@ ALL_PAIRS_CAP = 1024
 
 #: Relative float slack allowed on the hard rate-sandwich assertion.
 SANDWICH_RTOL = 1e-9
+
+#: Waiting times, parent uniforms and offsets drawn per refill by the
+#: thinning sampler.
+THINNING_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -70,9 +95,11 @@ class StopRule:
 class ExplorationRecord:
     """Births of one exploration run: sites, times, and pre-birth rates.
 
-    ``times[0] == 0`` is the source; ``rates[i]`` is the field total just
-    before the i-th birth (``rates[0]`` is NaN).  A record with n births is a
-    complete flooding.
+    ``times[0] == 0`` is the source; ``rates[i]`` is the jump rate just
+    before the i-th birth (``rates[0]`` is NaN).  ``proposals`` counts the
+    newborn proposals the sampler made, accepted or rejected; it equals the
+    births for the scan sampler.  A record with n births is a complete
+    flooding.
     """
 
     cfg: TorusConfig
@@ -81,6 +108,7 @@ class ExplorationRecord:
     times: np.ndarray
     rates: np.ndarray
     horizon: str
+    proposals: int
 
     @property
     def n_born(self) -> int:
@@ -137,18 +165,160 @@ def _select_scan(field: WeightField, u: float) -> int:
     return idx
 
 
-def _select_rejection(field: WeightField, gen: np.random.Generator) -> int:
-    """Newborn by uniform proposal / accept with W(z)/W_max (flagged path)."""
-    w_max = float(field.values.max())
-    if not (w_max > 0.0):
-        raise InvariantViolation("selection requested from an exhausted field")
-    while True:
-        idx = int(gen.integers(field.cfg.n))
-        w = float(field.values[idx])
-        if w <= 0.0:
-            continue
-        if gen.random() * w_max < w:
-            return idx
+class _ScanSampler:
+    """Reference sampler: the full WeightField, newborn by cumulative scan."""
+
+    def __init__(self, source: Site, cfg: TorusConfig, gen: np.random.Generator) -> None:
+        self.field = WeightField.initial(source, cfg)
+        self.gen = gen
+        self.proposals = 0
+
+    @property
+    def rate(self) -> float:
+        return self.field.total
+
+    def wait(self) -> float:
+        return -math.log(1.0 - self.gen.random())
+
+    def birth(self) -> int:
+        z = _select_scan(self.field, self.gen.random())
+        self.field.discover_index(z)
+        self.proposals += 1
+        return z
+
+
+class _ThinningSampler:
+    """Newborn by thinning, rate by exact increments; no per-site field.
+
+    Waiting times, parent uniforms and offsets come from ``gen`` in batches
+    of THINNING_BATCH.  Refills happen when a batch runs out, whatever the
+    stop rule, so a truncated run draws the same numbers as a full one up to
+    where it stops.
+    """
+
+    def __init__(self, src: int, cfg: TorusConfig, gen: np.random.Generator) -> None:
+        self.cfg, self.gen = cfg, gen
+        self.rn = weights.total_rate(cfg)
+        self.rate = self.rn
+        self.proposals = 0
+        self._comp = 0.0
+        self._increments = [self.rn]
+        self._cdf = weights.nearest_prefix_sums(cfg)
+        self._by_distance = torus.sorted_order(cfg)
+        self._offsets = torus.coordinate_table(cfg)
+        self._diff = weights.difference_table(cfg)
+        self._key_zero = self._key([cfg.m] * cfg.d)
+        self._flat_scales = cfg.m ** np.arange(cfg.d - 1, -1, -1, dtype=np.int64)
+        self._mask = np.zeros(cfg.n, dtype=bool)
+        self._mask[src] = True
+        g = self._offsets[src] + cfg.half
+        # Discovered grid coordinates: lists for single proposals, an array
+        # for look-ahead; keys for the W_D gather.
+        self._grid = [g.tolist()]
+        self._grid_arr = np.empty((64, cfg.d), dtype=np.int64)
+        self._grid_arr[0] = g
+        self._keys = np.empty(64, dtype=np.int64)
+        self._keys[0] = self._key(self._grid[0])
+        self._waits: List[float] = []
+        self._wait_pos = 0
+        self._parent_u = np.empty(0)
+        self._offset_rows = np.empty((0, cfg.d), dtype=np.int64)
+        self._offset_list: List[List[int]] = []
+        self._pos = 0
+
+    def wait(self) -> float:
+        if self._wait_pos == len(self._waits):
+            self._waits = self.gen.standard_exponential(THINNING_BATCH).tolist()
+            self._wait_pos = 0
+        self._wait_pos += 1
+        return self._waits[self._wait_pos - 1]
+
+    def _refill(self) -> None:
+        gen = self.gen
+        self._parent_u = gen.random(THINNING_BATCH)
+        # cdf[i] sums the i nearest nonzero-site weights, so U * R_n falls in
+        # [cdf[i-1], cdf[i]) with probability equal to the weight of the i-th
+        # nearest site, sorted_order[i].  The clip catches U * R_n rounding up
+        # to cdf[-1].
+        u = gen.random(THINNING_BATCH) * self._cdf[-1]
+        rank = np.minimum(np.searchsorted(self._cdf, u, side="right"), self.cfg.n - 1)
+        self._offset_rows = self._offsets[self._by_distance[rank]]
+        self._offset_list = self._offset_rows.tolist()
+        self._pos = 0
+
+    def _key(self, grid: List[int]) -> int:
+        """Base-2m key of grid coordinates, as ``weights.difference_table`` reads it."""
+        key = 0
+        for a in grid:
+            key = key * 2 * self.cfg.m + a
+        return key
+
+    def _select(self, j: int) -> Tuple[int, List[int]]:
+        """First accepted proposal from j vertices: flat index, grid coordinates."""
+        m, mask = self.cfg.m, self._mask
+        while True:
+            if self._pos == len(self._parent_u):
+                self._refill()
+            i = self._pos
+            parent = self._grid[min(int(self._parent_u[i] * j), j - 1)]
+            g = [(a + c) % m for a, c in zip(parent, self._offset_list[i])]
+            z = 0
+            for a in g:
+                z = z * m + a
+            self._pos += 1
+            self.proposals += 1
+            if not mask[z]:
+                return z, g
+            # Rejected: look ahead over the batch in one pass, about four
+            # times the expected number of proposals per birth at a time.
+            while self._pos < len(self._parent_u):
+                expected = j * self.rn / self.rate
+                stop = min(len(self._parent_u), self._pos + 4 * math.ceil(expected))
+                window = slice(self._pos, stop)
+                parents = np.minimum((self._parent_u[window] * j).astype(np.int64), j - 1)
+                grid = (self._grid_arr[parents] + self._offset_rows[window]) % m
+                flat = grid @ self._flat_scales
+                free = ~mask[flat]
+                hit = int(free.argmax())
+                if free[hit]:
+                    self._pos += hit + 1
+                    self.proposals += hit + 1
+                    return int(flat[hit]), grid[hit].tolist()
+                self.proposals += stop - self._pos
+                self._pos = stop
+
+    def birth(self) -> int:
+        j = len(self._grid)
+        z, g = self._select(j)
+        key = self._key(g)
+        w_dz = float(self._diff[self._keys[:j] - (key - self._key_zero)].sum())
+        delta = self.rn - 2.0 * w_dz
+        # rate_{j+1} = rate_j + R_n - 2 W_D(z), Kahan-compensated.
+        self.rate, self._comp = weights.kahan_add(self.rate, self._comp, delta)
+        self._increments.append(delta)
+        self._mask[z] = True
+        if j == len(self._keys):
+            self._keys = np.concatenate([self._keys, np.empty_like(self._keys)])
+            self._grid_arr = np.concatenate([self._grid_arr, np.empty_like(self._grid_arr)])
+        self._keys[j] = key
+        self._grid_arr[j] = g
+        self._grid.append(g)
+        if j % weights.RESUM_INTERVAL == 0:
+            self.check_resummation()
+        return z
+
+    def check_resummation(self) -> None:
+        """Assert |rate - fsum(increments)| <= 1e-9 * n * R_n.
+
+        Every increment R_n - 2 W_D(z) lies in [-R_n, R_n], so R_n bounds the
+        largest summand.
+        """
+        fresh = math.fsum(self._increments)
+        tol = weights.RESUM_RTOL * self.cfg.n * max(self.rn, 1.0)
+        if abs(self.rate - fresh) > tol:
+            raise InvariantViolation(
+                f"rate drift: incremental={self.rate!r} resum={fresh!r} tol={tol!r}"
+            )
 
 
 def run_exploration(
@@ -156,16 +326,17 @@ def run_exploration(
     stop: StopRule,
     cfg: TorusConfig,
     seed: rng.SeedLike,
-    selection: str = "scan",
+    selection: str = "thinning",
 ) -> ExplorationRecord:
     """Simulate the exploration birth process from ``source`` until ``stop``.
 
-    ``selection`` chooses the newborn sampler: "scan" (cumulative scan,
-    default) or "rejection" (uniform proposal accepted with W(z)/W_max); the
-    two agree in distribution.  Every step asserts the deterministic rate
-    sandwich; a violation raises InvariantViolation.
+    ``selection`` chooses the newborn sampler: "thinning" (default, no
+    per-site field) or "scan" (the reference WeightField and cumulative scan);
+    the two agree in distribution but draw different random numbers.  Every
+    step asserts the deterministic rate sandwich; a violation raises
+    InvariantViolation.
     """
-    if selection not in ("scan", "rejection"):
+    if selection not in ("thinning", "scan"):
         raise ConfigError(f"unknown selection mode {selection!r}")
     if stop.kind == "count" and stop.k > cfg.n - 1:
         raise ConfigError(f"count {stop.k} exceeds n - 1 = {cfg.n - 1}")
@@ -183,10 +354,14 @@ def run_exploration(
             times=np.zeros(1),
             rates=np.array([math.nan]),
             horizon="target",
+            proposals=0,
         )
 
     gen = rng.generator(seed, rng.STREAM_EXPLORE)
-    field = WeightField.initial(source, cfg)
+    if selection == "scan":
+        sampler = _ScanSampler(source, cfg, gen)
+    else:
+        sampler = _ThinningSampler(src, cfg, gen)
     sites = [src]
     times = [0.0]
     rates = [math.nan]
@@ -201,22 +376,17 @@ def run_exploration(
             horizon = "full"
             break
 
-        j = field.n_discovered
-        rate = field.total
+        rate = sampler.rate
         if not (rate > 0.0):
             break
-        _check_sandwich(cfg, j, rate)
+        _check_sandwich(cfg, len(sites), rate)
 
-        t += -math.log(1.0 - gen.random()) / rate
+        t += sampler.wait() / rate
         if stop.kind == "time" and t > stop.t:
             horizon = "time"
             break
 
-        if selection == "scan":
-            z = _select_scan(field, gen.random())
-        else:
-            z = _select_rejection(field, gen)
-        field.discover_index(z)
+        z = sampler.birth()
         sites.append(z)
         times.append(t)
         rates.append(rate)
@@ -232,6 +402,7 @@ def run_exploration(
         times=np.array(times),
         rates=np.array(rates),
         horizon=horizon,
+        proposals=sampler.proposals,
     )
 
 
@@ -252,6 +423,23 @@ def flooding_time(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _norm_power_table(cfg: TorusConfig) -> np.ndarray:
+    """Flat array of norm(u)**alpha per site; 0 at the origin (read-only).
+
+    The factor that turns a unit exponential into an edge weight, shared by
+    every ``EdgeWeightSample`` of the configuration.
+    """
+    table = torus.norm_table(cfg)
+    if cfg.alpha == 0.0:
+        out = np.ones_like(table)
+        out[torus.origin_index(cfg)] = 0.0
+    else:
+        out = table**cfg.alpha
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class EdgeWeightSample:
     """One deterministic realization of all edge weights, O(1) memory.
@@ -269,14 +457,6 @@ class EdgeWeightSample:
     def from_seed(cls, cfg: TorusConfig, seed: rng.SeedLike) -> "EdgeWeightSample":
         return cls(cfg=cfg, key=rng.hash_key(seed, rng.STREAM_EDGES))
 
-    def _norm_power(self) -> np.ndarray:
-        table = torus.norm_table(self.cfg)
-        if self.cfg.alpha == 0.0:
-            out = np.ones_like(table)
-            out[torus.origin_index(self.cfg)] = 0.0
-            return out
-        return table**self.cfg.alpha
-
     def weight(self, u: Site, v: Site) -> float:
         iu = torus.site_to_index(u, self.cfg)
         iv = torus.site_to_index(v, self.cfg)
@@ -286,12 +466,12 @@ class EdgeWeightSample:
         diff = torus.pair_difference_index(
             np.array([iu]), np.array([iv]), self.cfg
         )[0]
-        return float(self._norm_power()[diff] * -math.log(u01))
+        return float(_norm_power_table(self.cfg)[diff] * -math.log(u01))
 
     def weights_from(self, u: Site) -> np.ndarray:
         """Row of weights from u to every site (0.0 in the self slot)."""
         iu = torus.site_to_index(u, self.cfg)
-        return self._row(iu, self._norm_power())
+        return self._row(iu, _norm_power_table(self.cfg))
 
     def _row(self, iu: int, norm_pow: np.ndarray) -> np.ndarray:
         n = self.cfg.n
@@ -310,7 +490,7 @@ class EdgeWeightSample:
         iu, ju = np.triu_indices(n, k=1)
         u01 = rng.pair_uniform(iu, ju, self.key)
         diff = torus.pair_difference_index(iu, ju, self.cfg)
-        w = self._norm_power()[diff] * -np.log(u01)
+        w = _norm_power_table(self.cfg)[diff] * -np.log(u01)
         mat = np.zeros((n, n), dtype=np.float64)
         mat[iu, ju] = w
         mat[ju, iu] = w

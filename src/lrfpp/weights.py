@@ -1,9 +1,19 @@
-"""Normalization sums and the incremental attraction field.
+"""Normalization sums, the thinning tables, and the reference attraction field.
 
 ``total_rate`` is the sum of ``norm(u)**-alpha`` over all nonzero sites: the
 total transmission rate out of any single vertex, and the normalization that
-scales every limit theorem in this package.  ``WeightField`` maintains, for a
-growing discovered set, the attraction weight of every undiscovered site
+scales every limit theorem in this package.  ``rate_bounds`` turns it and the
+nearest-site prefix sums into the deterministic sandwich that every
+exploration step must satisfy.
+
+The thinning sampler of ``explore.run_exploration`` keeps no per-run field.
+It draws an offset u with probability norm(u)**-alpha / R_n by inverting
+``nearest_prefix_sums``, and reads the weight between two sites from
+``difference_table`` at the difference of their base-2m keys, so the
+attraction of a site to the discovered set is one gather and one sum.
+
+``WeightField`` is the reference path behind ``selection="scan"``.  It keeps,
+for a growing discovered set, the attraction weight of every undiscovered site
 
     W(z) = sum_i norm(z - v_i)**-alpha
 
@@ -16,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -76,6 +86,30 @@ def nearest_prefix_sums(cfg: TorusConfig) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def difference_table(cfg: TorusConfig) -> np.ndarray:
+    """Weight between two sites, indexed by the difference of their keys.
+
+    The key of a site with grid coordinates g is sum_a g_a * (2m)**(d-1-a).
+    For sites y and z, key(y) - key(z) + K, where K is the key with every
+    digit m, has base-2m digits g_y,a - g_z,a + m in [1, 2m - 1], so no digit
+    borrows, and the entry there is norm(y - z)**-alpha (0 when y == z).  The
+    table holds (2m)**d = 2**d * n entries (read-only).
+    """
+    m, d = cfg.m, cfg.d
+    if (2 * m) ** d > torus.ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"(2m)**d = {(2 * m) ** d} exceeds the dense enumeration cap {torus.ENUMERATION_CAP}"
+        )
+    # Digit e on an axis is the difference e - m, whose grid index is
+    # (e - m + floor(m/2)) mod m.
+    axis = (np.arange(2 * m) - m + cfg.half) % m
+    grid = _weight_table(cfg).reshape(_grid_shape(cfg))[np.ix_(*([axis] * d))]
+    table = np.ascontiguousarray(grid).ravel()
+    table.setflags(write=False)
+    return table
+
+
 def nearest_rate_sum(cfg: TorusConfig, k: int) -> float:
     """Sum of norm(u)**-alpha over the k nearest nonzero sites.
 
@@ -96,6 +130,13 @@ def subtorus_rate_diagnostic(cfg: TorusConfig, k: int) -> float:
     if side**cfg.d != k:
         raise ConfigError(f"k = {k} is not a perfect {cfg.d}-th power")
     return total_rate(TorusConfig(cfg.d, side, cfg.p, cfg.alpha))
+
+
+def kahan_add(total: float, comp: float, delta: float) -> Tuple[float, float]:
+    """One Kahan-compensated step: (total + delta, new compensation)."""
+    y = delta - comp
+    t = total + y
+    return t, (t - total) - y
 
 
 @dataclass
@@ -140,12 +181,6 @@ class WeightField:
     def n_discovered(self) -> int:
         return len(self.discovered_order)
 
-    def _kahan_add(self, delta: float) -> None:
-        y = delta - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-
     def discover(self, z: Site) -> None:
         self.discover_index(torus.site_to_index(z, self.cfg))
 
@@ -160,7 +195,7 @@ class WeightField:
         # Every remaining undiscovered y gains norm(y - z)**-alpha.
         add = np.where(self.discovered_mask, 0.0, _rolled_weights(self.cfg, z))
         self.values += add
-        self._kahan_add(float(np.sum(add)) - w_z)
+        self.total, self._comp = kahan_add(self.total, self._comp, float(np.sum(add)) - w_z)
         self._since_resum += 1
         if self._since_resum >= RESUM_INTERVAL:
             self._since_resum = 0

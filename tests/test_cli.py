@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lrfpp import cli
+from lrfpp import cli, constants
 from lrfpp.errors import ManifestError
 
 
@@ -252,3 +252,42 @@ def test_io_failure_exit_4(tmp_path):
     blocker.write_text("occupied")
     # Output "directory" is a file: directory creation fails with an OSError.
     assert cli.run(man, out=str(blocker)) == 4
+
+
+def _constants_experiment(**fields):
+    doc = {"kind": "constants", "d": [1, 2], "p": [1, 2], "alpha": [0.5],
+           "methods": ["quadrature", "gamma-max-mc"], "samples": 10_000}
+    doc.update(fields)
+    return cli.parse_manifest(json.dumps({"seed": 3, "experiments": [doc]})).experiments[0]
+
+
+def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
+    exp = _constants_experiment()
+    rows = cli._constants_rows(exp, 77, jobs=1)
+    assert len(rows) == 8
+    for cell, row in enumerate(rows):
+        assert set(row) == set(cli._COLUMNS["constants"])
+        if row["method"] == "quadrature":
+            assert row["converged"] is True and row["effective_samples"] is None
+        else:
+            mc = constants.limit_constant_gamma_mc(
+                row["d"], float(row["p"]), row["alpha"], exp.samples,
+                cli._experiment_seed(77, cell),
+            )
+            assert row["converged"] is None
+            assert (row["value"], row["error_estimate"]) == (mc.value, mc.std_error)
+            assert row["effective_samples"] == mc.effective_samples
+
+
+def test_constants_warns_on_unconverged_quadrature(tmp_path, capsys):
+    # At tolerance 1e-9 this cell runs past the quadrature's evaluation budget.
+    cdoc = {"seed": 1, "experiments": [{"kind": "constants", "d": [3], "p": [1.5],
+                                        "alpha": [0.5], "methods": ["quadrature"]}]}
+    cmanifest = tmp_path / "c.json"
+    cmanifest.write_text(json.dumps(cdoc))
+    cout = tmp_path / "cout"
+    assert cli.main(["constants", "--manifest", str(cmanifest), "--out", str(cout)]) == 0
+    err = capsys.readouterr().err
+    assert "warning:" in err and "d=3, p=1.5, alpha=0.5" in err
+    header, row = _read_rows(cout / "00_constants.csv")
+    assert dict(zip(header.split(","), row.split(",")))["converged"] == "False"

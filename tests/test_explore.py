@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from lrfpp import (
     ConfigError,
@@ -117,21 +118,104 @@ def test_complete_graph_flooding_mean_identity():
     assert abs(times.mean() - target) <= 3.5 * se
 
 
-def test_selection_modes_agree_in_distribution():
-    cfg = TorusConfig(2, 4, 2.0, 1.0)
-    a = np.array(
-        [run_exploration(origin(cfg), StopRule.count(6), cfg, (8, r)).times[-1] for r in range(1500)]
-    )
-    b = np.array(
+def _tau_sample(cfg, k, tag, reps, selection):
+    return np.array(
         [
-            run_exploration(origin(cfg), StopRule.count(6), cfg, (9, r), selection="rejection").times[-1]
-            for r in range(1500)
+            run_exploration(origin(cfg), StopRule.count(k), cfg, (tag, r), selection=selection).tau(k)
+            for r in range(reps)
         ]
     )
+
+
+def test_thinning_matches_scan_on_tau():
+    cfg = TorusConfig(2, 4, 2.0, 1.0)
+    a = _tau_sample(cfg, 6, 8, 1500, "thinning")
+    b = _tau_sample(cfg, 6, 9, 1500, "scan")
     _, p = ks_two_sample(a, b)
     assert p > 1e-4
+
+
+def test_thinning_matches_scan_on_flooding():
+    cfg = TorusConfig(2, 16, 2.0, 1.5)
+    a = _tau_sample(cfg, cfg.n - 1, 30, 600, "thinning")
+    b = _tau_sample(cfg, cfg.n - 1, 31, 600, "scan")
+    _, p = ks_two_sample(a, b)
+    assert p > 1e-4
+
+
+def test_thinning_matches_scan_on_third_newborn():
+    # Where the third newborn lands, as a contingency table over the 24
+    # non-source sites: thinning against the scan reference.
+    cfg = TorusConfig(2, 5, 1.0, 1.0)
+    reps = 4000
+    counts = np.zeros((2, cfg.n), dtype=np.int64)
+    for row, (selection, tag) in enumerate((("thinning", 32), ("scan", 33))):
+        for r in range(reps):
+            rec = run_exploration(origin(cfg), StopRule.count(3), cfg, (tag, r), selection=selection)
+            counts[row, rec.site_indices[3]] += 1
+    counts = counts[:, counts.sum(axis=0) > 0]
+    assert counts.shape[1] == cfg.n - 1
+    _, p, _, _ = scipy.stats.chi2_contingency(counts)
+    assert p > 1e-4
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TorusConfig(2, 8, 2.0, 1.0),
+        TorusConfig(1, 9, 1.0, 0.5),
+        TorusConfig(3, 4, math.inf, 1.5),
+        TorusConfig(2, 5, 2.0, 0.0),
+    ],
+)
+def test_thinning_rates_equal_pair_sum(cfg):
+    # rates[j] = j * R_n minus the weights of all ordered pairs inside the
+    # first j sites, recomputed from scratch with an exactly rounded sum.
+    rec = run_exploration(origin(cfg), StopRule.full(), cfg, 12)
+    w = weights._weight_table(cfg)
+    rn = total_rate(cfg)
+    for j in range(1, cfg.n):
+        born = rec.site_indices[:j]
+        ii, jj = np.meshgrid(born, born)
+        inside = math.fsum(w[torus.pair_difference_index(ii.ravel(), jj.ravel(), cfg)])
+        fresh = j * rn - inside
+        assert abs(rec.rates[j] - fresh) <= 1e-12 * fresh, (j, rec.rates[j], fresh)
+
+
+def test_thinning_resummation_check_catches_drift():
+    cfg = TorusConfig(2, 6, 2.0, 1.0)
+    sampler = explore._ThinningSampler(0, cfg, rng.generator(0))
+    for _ in range(10):
+        sampler.birth()
+    sampler.check_resummation()
+    sampler.rate *= 1.0 + 1e-6
+    with pytest.raises(InvariantViolation):
+        sampler.check_resummation()
+
+
+def test_unknown_selection_mode_rejected():
+    cfg = TorusConfig(2, 4, 2.0, 1.0)
     with pytest.raises(ConfigError):
         run_exploration(origin(cfg), StopRule.count(1), cfg, 0, selection="bogus")
+
+
+def test_proposals_counted():
+    # At alpha = 0 a proposal from a j-vertex cluster hits an undiscovered
+    # site with probability (n - j)/(n - 1), so a full run makes
+    # (n - 1) * H_{n-1} proposals on average; the scan sampler makes one per
+    # birth.
+    cfg = TorusConfig(2, 8, 2.0, 0.0)
+    n = cfg.n
+    scan = run_exploration(origin(cfg), StopRule.full(), cfg, 0, selection="scan")
+    assert scan.proposals == n - 1
+    reps = 400
+    counts = np.array(
+        [run_exploration(origin(cfg), StopRule.full(), cfg, (34, r)).proposals for r in range(reps)]
+    )
+    assert counts.min() >= n - 1
+    exact = (n - 1) * sum(1.0 / i for i in range(1, n))
+    se = counts.std(ddof=1) / math.sqrt(reps)
+    assert abs(counts.mean() - exact) <= 5 * se, (counts.mean(), exact, se)
 
 
 def test_seed_determinism():
@@ -184,6 +268,17 @@ def test_edge_sample_symmetry_positivity_reproducibility():
     assert np.array_equal(s1.weights_from(u), mat[3])
     with pytest.raises(ConfigError):
         s1.weight(u, u)
+
+
+def test_norm_power_table_is_shared_and_read_only():
+    cfg = TorusConfig(2, 6, 2.0, 1.0)
+    table = explore._norm_power_table(cfg)
+    assert table is explore._norm_power_table(cfg)
+    assert not table.flags.writeable
+    assert np.array_equal(table, torus.norm_table(cfg) ** cfg.alpha)
+    s = EdgeWeightSample.from_seed(cfg, 42)
+    u, v = torus.index_to_site(3, cfg), torus.index_to_site(20, cfg)
+    assert s.weight(u, v) == s.dense_matrix()[3, 20]
 
 
 def test_edge_sample_alpha_zero_is_plain_exponential():
