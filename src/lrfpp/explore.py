@@ -30,8 +30,13 @@ distribution.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E`` lazily through a counter-based hash, and the
-Dijkstra / all-pairs oracles compute passage times on that realization as an
-independent route to the same law.
+oracles compute passage times on that realization as an independent route to
+the same law.  Both hash the edge matrix a block of rows at a time and run
+SciPy's Dijkstra in directed mode on a CSR matrix holding both orientations
+of each kept edge.  The single-source oracle keeps every edge.  The all-pairs
+oracle ``distance_matrix`` keeps only the edges no heavier than a certified
+upper bound on the distance between their ends, about 6-8 per vertex of the
+1023 at n = 1024; no shortest path uses a heavier edge, so it stays exact.
 """
 
 from __future__ import annotations
@@ -42,16 +47,23 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 from . import rng, torus, weights
 from .errors import ConfigError, InvariantViolation
 from .torus import Site, TorusConfig
 from .weights import WeightField
 
-#: Caps for the dense oracle paths (O(n^2) edges, O(n^3) all-pairs work).
+#: Caps for the oracles: the single-source oracle keeps all O(n^2) edges,
+#: the all-pairs oracle returns an n x n matrix.
 DIJKSTRA_CAP = 4096
 ALL_PAIRS_CAP = 1024
+
+#: Rows of the upper triangle hashed at a time when the oracles build edges.
+EDGE_BLOCK_ROWS = 64
+#: First edge threshold of the all-pairs oracle, in units of log(n) / R_n;
+#: about this many edges per vertex per unit of log n are kept.
+THRESHOLD_SCALE = 6.0
 
 #: Relative float slack allowed on the hard rate-sandwich assertion.
 SANDWICH_RTOL = 1e-9
@@ -140,8 +152,9 @@ class ExplorationRecord:
         return float(self.times[-1])
 
 
-def _check_sandwich(cfg: TorusConfig, j: int, rate: float) -> None:
-    lower, upper = weights.rate_bounds(cfg, j)
+def _check_sandwich(j: int, rate: float, rn: float, prefix: np.ndarray) -> None:
+    """Assert the rate sandwich; R_n and the prefix sums are fetched once per run."""
+    lower, upper = weights.sandwich_bounds(rn, prefix, j)
     slack = SANDWICH_RTOL * upper
     if rate > upper + slack or rate < lower - slack:
         raise InvariantViolation(
@@ -358,6 +371,7 @@ def run_exploration(
         )
 
     gen = rng.generator(seed, rng.STREAM_EXPLORE)
+    rn, prefix = weights.total_rate(cfg), weights.nearest_prefix_sums(cfg)
     if selection == "scan":
         sampler = _ScanSampler(source, cfg, gen)
     else:
@@ -379,7 +393,7 @@ def run_exploration(
         rate = sampler.rate
         if not (rate > 0.0):
             break
-        _check_sandwich(cfg, len(sites), rate)
+        _check_sandwich(len(sites), rate, rn, prefix)
 
         t += sampler.wait() / rate
         if stop.kind == "time" and t > stop.t:
@@ -457,28 +471,24 @@ class EdgeWeightSample:
     def from_seed(cls, cfg: TorusConfig, seed: rng.SeedLike) -> "EdgeWeightSample":
         return cls(cfg=cfg, key=rng.hash_key(seed, rng.STREAM_EDGES))
 
+    def pair_weights(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Weights of the pairs {i[k], j[k]} of flat site indices (0 where i == j)."""
+        u01 = rng.pair_uniform(i, j, self.key)
+        diff = torus.pair_difference_index(i, j, self.cfg)
+        return _norm_power_table(self.cfg)[diff] * -np.log(u01)
+
     def weight(self, u: Site, v: Site) -> float:
         iu = torus.site_to_index(u, self.cfg)
         iv = torus.site_to_index(v, self.cfg)
         if iu == iv:
             raise ConfigError("edge weights are defined for distinct sites")
-        u01 = rng.pair_uniform(np.array([iu]), np.array([iv]), self.key)[0]
-        diff = torus.pair_difference_index(
-            np.array([iu]), np.array([iv]), self.cfg
-        )[0]
-        return float(_norm_power_table(self.cfg)[diff] * -math.log(u01))
+        return float(self.pair_weights(np.array([iu]), np.array([iv]))[0])
 
     def weights_from(self, u: Site) -> np.ndarray:
         """Row of weights from u to every site (0.0 in the self slot)."""
         iu = torus.site_to_index(u, self.cfg)
-        return self._row(iu, _norm_power_table(self.cfg))
-
-    def _row(self, iu: int, norm_pow: np.ndarray) -> np.ndarray:
         n = self.cfg.n
-        others = np.arange(n, dtype=np.int64)
-        u01 = rng.pair_uniform(np.full(n, iu, dtype=np.int64), others, self.key)
-        diff = torus.pair_difference_index(np.full(n, iu, dtype=np.int64), others, self.cfg)
-        row = norm_pow[diff] * -np.log(u01)
+        row = self.pair_weights(np.full(n, iu, dtype=np.int64), np.arange(n, dtype=np.int64))
         row[iu] = 0.0
         return row
 
@@ -488,23 +498,52 @@ class EdgeWeightSample:
         if n > DIJKSTRA_CAP:
             raise ConfigError(f"dense edge matrix capped at n <= {DIJKSTRA_CAP}")
         iu, ju = np.triu_indices(n, k=1)
-        u01 = rng.pair_uniform(iu, ju, self.key)
-        diff = torus.pair_difference_index(iu, ju, self.cfg)
-        w = _norm_power_table(self.cfg)[diff] * -np.log(u01)
+        w = self.pair_weights(iu, ju)
         mat = np.zeros((n, n), dtype=np.float64)
         mat[iu, ju] = w
         mat[ju, iu] = w
         return mat
+
+    def edges_up_to(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges {i, j}, i < j, of weight <= threshold, as arrays (i, j, weight).
+
+        The upper triangle is hashed EDGE_BLOCK_ROWS rows at a time, so only
+        one block and the kept edges are held, never the whole triangle.
+        """
+        n = self.cfg.n
+        cols = np.arange(n)
+        parts = []
+        for start in range(0, n - 1, EDGE_BLOCK_ROWS):
+            rows = np.arange(start, min(start + EDGE_BLOCK_ROWS, n - 1))
+            i, j = np.nonzero(cols > rows[:, None])
+            i += start
+            w = self.pair_weights(i, j)
+            keep = w <= threshold
+            # int32 halves the index memory when every edge is kept; site
+            # indices fit, as the pair hash requires.
+            parts.append((i[keep].astype(np.int32), j[keep].astype(np.int32), w[keep]))
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _symmetric_graph(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> csr_matrix:
+    """Edge list {i, j} with both orientations stored, for directed Dijkstra.
+
+    Reading a symmetric CSR in directed mode gives the undirected distances
+    without SciPy's dense-input conversion or its undirected transpose.
+    """
+    return csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
 
 
 def dijkstra_oracle(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> Dict[Site, float]:
     """Single-source passage times on one edge realization (priority-queue).
 
     Independent oracle for the exploration law: exact shortest-path distances
-    under EdgeWeightSample on the complete graph.  Dense, so n <= 4096.
+    under EdgeWeightSample on the complete graph, every edge kept, so
+    n <= DIJKSTRA_CAP.
     """
-    if cfg.n > DIJKSTRA_CAP:
-        raise ConfigError(f"dijkstra oracle capped at n <= {DIJKSTRA_CAP}")
     dist = _oracle_distances(u, cfg, seed)
     return {
         torus.index_to_site(i, cfg): float(dist[i]) for i in range(cfg.n)
@@ -512,11 +551,11 @@ def dijkstra_oracle(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> Dict[Site,
 
 
 def _oracle_distances(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray:
+    if cfg.n > DIJKSTRA_CAP:
+        raise ConfigError(f"dijkstra oracle capped at n <= {DIJKSTRA_CAP}")
     sample = EdgeWeightSample.from_seed(cfg, seed)
-    mat = sample.dense_matrix()
-    src = torus.site_to_index(u, cfg)
-    # Strictly positive weights, so the zero diagonal is never read as an edge.
-    return csgraph.dijkstra(mat, directed=False, indices=src)
+    graph = _symmetric_graph(cfg.n, *sample.edges_up_to(math.inf))
+    return csgraph.dijkstra(graph, directed=True, indices=torus.site_to_index(u, cfg))
 
 
 def oracle_transmission_time(
@@ -527,17 +566,48 @@ def oracle_transmission_time(
     return float(dist[torus.site_to_index(v, cfg)])
 
 
-def distance_matrix(cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray:
-    """All-pairs passage times on one shared edge realization.
+def _certified_graph(sample: EdgeWeightSample, threshold: float) -> Tuple[csr_matrix, float]:
+    """Edges that can lie on a shortest path, and the threshold that certified them.
 
-    Equivalent to running the single-source oracle from every site on the
-    same realization; n <= 1024 (cubic work).
+    Keeps the edges of weight <= threshold, with b the Dijkstra distances
+    from site 0 on them.  Until 2 max b <= threshold the threshold is raised
+    to 2 max b (doubled while some b is infinite) and the edges are rebuilt.
+    Returns the kept edges with w <= b(u) + b(v); ``distance_matrix`` says
+    why no distance changes.
+    """
+    n = sample.cfg.n
+    while True:
+        i, j, w = sample.edges_up_to(threshold)
+        bound = csgraph.dijkstra(_symmetric_graph(n, i, j, w), directed=True, indices=0)
+        reach = float(bound.max())
+        if 2.0 * reach <= threshold:
+            break
+        threshold = 2.0 * (reach if math.isfinite(reach) else threshold)
+    keep = w <= bound[i] + bound[j]
+    return _symmetric_graph(n, i[keep], j[keep], w[keep]), threshold
+
+
+def distance_matrix(cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray:
+    """All-pairs passage times on one shared edge realization; n <= ALL_PAIRS_CAP.
+
+    Dijkstra from every source on the edges ``_certified_graph`` keeps,
+    starting from the threshold T = THRESHOLD_SCALE * log(n) / R_n.  This is
+    exact.  An edge {u, v} heavier than d(u, v) lies on no shortest path, so
+    dropping such edges changes no distance.  With b the distances from site
+    0 on any subgraph, d(u, v) <= b(u) + b(v) <= 2 max b.  So once
+    2 max b <= T, every edge heavier than T, and every kept edge heavier than
+    b(u) + b(v), is heavier than d(u, v).  The result differs from a dense
+    all-pairs method only in the order each path's weights are summed; each
+    pair takes the smaller of its two directions' sums, so the matrix is
+    exactly symmetric.
     """
     if cfg.n > ALL_PAIRS_CAP:
         raise ConfigError(f"all-pairs oracle capped at n <= {ALL_PAIRS_CAP}")
     sample = EdgeWeightSample.from_seed(cfg, seed)
-    mat = sample.dense_matrix()
-    return csgraph.floyd_warshall(mat, directed=True)
+    threshold = THRESHOLD_SCALE * math.log(cfg.n) / weights.total_rate(cfg)
+    graph, _ = _certified_graph(sample, threshold)
+    dist = csgraph.dijkstra(graph, directed=True)
+    return np.minimum(dist, dist.T)
 
 
 def diameter_exact(cfg: TorusConfig, seed: rng.SeedLike) -> float:

@@ -241,6 +241,9 @@ def rate_bounds(cfg: TorusConfig, j: int) -> tuple[float, float]:
     j * total_rate; every exploration step must land inside (up to 1e-9
     relative float slack).
     """
-    rn = total_rate(cfg)
-    rj = float(nearest_prefix_sums(cfg)[j])
-    return j * (rn - rj), j * rn
+    return sandwich_bounds(total_rate(cfg), nearest_prefix_sums(cfg), j)
+
+
+def sandwich_bounds(rn: float, prefix: np.ndarray, j: int) -> tuple[float, float]:
+    """``rate_bounds`` from R_n and ``nearest_prefix_sums``, fetched once per run."""
+    return j * (rn - float(prefix[j])), j * rn

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.sparse import csgraph
 
 from lrfpp import (
     ConfigError,
@@ -347,6 +348,60 @@ def test_oracle_caps():
         distance_matrix(TorusConfig(2, 64, 2.0, 0.5), 0)  # 4096 > 1024
     with pytest.raises(ConfigError):
         dijkstra_oracle(origin(TorusConfig(2, 128, 2.0, 0.5)), TorusConfig(2, 128, 2.0, 0.5), 0)
+
+
+def _assert_same_distances(dist, ref):
+    # The pruned oracle sums each path's weights in another order than
+    # Floyd-Warshall, so the two may differ in the last bits only.
+    assert np.array_equal(dist, dist.T)
+    assert (np.diag(dist) == 0.0).all()
+    off = ~np.eye(len(ref), dtype=bool)
+    assert np.max(np.abs(dist[off] - ref[off]) / ref[off]) <= 1e-14
+
+
+@pytest.mark.parametrize("d, m", [(1, 48), (2, 7), (3, 4)])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_distance_matrix_matches_floyd_warshall(d, m, p):
+    for alpha in (0.0, 0.5, d - 0.05):
+        cfg = TorusConfig(d, m, p, alpha)
+        for seed in range(3):
+            mat = EdgeWeightSample.from_seed(cfg, (24, seed)).dense_matrix()
+            ref = csgraph.floyd_warshall(mat, directed=True)
+            _assert_same_distances(distance_matrix(cfg, (24, seed)), ref)
+
+
+def test_edge_blocks_reproduce_the_dense_realization():
+    # 100 sites span two row blocks; the kept edges are the dense matrix's
+    # upper-triangle entries at or below the threshold, bit for bit.
+    cfg = TorusConfig(1, 100, 2.0, 0.5)
+    sample = EdgeWeightSample.from_seed(cfg, 25)
+    mat = sample.dense_matrix()
+    iu, ju = np.triu_indices(cfg.n, k=1)
+    for threshold in (math.inf, 0.2):
+        i, j, w = sample.edges_up_to(threshold)
+        keep = mat[iu, ju] <= threshold
+        assert np.array_equal(i, iu[keep]) and np.array_equal(j, ju[keep])
+        assert np.array_equal(w, mat[iu, ju][keep])
+
+
+def test_certified_graph_raises_a_small_threshold():
+    cfg = TorusConfig(2, 6, 2.0, 1.0)
+    sample = EdgeWeightSample.from_seed(cfg, 26)
+    mat = sample.dense_matrix()
+    ref = csgraph.floyd_warshall(mat, directed=True)
+    # Below the lightest edge the kept graph has no edges (disconnected).  At
+    # the heaviest minimum-spanning-tree edge it is connected, but every path
+    # from site 0 to the far side of that edge crosses an edge at least as
+    # heavy, so 2 max b exceeds the threshold.
+    lightest = mat[mat > 0].min()
+    bottleneck = csgraph.minimum_spanning_tree(mat).max()
+    for threshold in (0.5 * lightest, bottleneck):
+        graph, certified = explore._certified_graph(sample, threshold)
+        assert certified > threshold
+        dist = csgraph.dijkstra(graph, directed=True)
+        _assert_same_distances(np.minimum(dist, dist.T), ref)
+        # Every edge still kept is no heavier than the certified threshold.
+        assert graph.data.max() <= certified
 
 
 def test_exploration_matches_oracle_over_grid():
