@@ -12,7 +12,6 @@ from .constants import (
     ConstantQuery,
     MonteCarloResult,
     QuadratureResult,
-    hyp2f1_series,
     limit_constant_gamma_mc,
     limit_constant_max_norm,
     limit_constant_planar,
@@ -49,7 +48,6 @@ from .weights import (
     WeightField,
     nearest_rate_sum,
     rate_bounds,
-    subtorus_rate_diagnostic,
     total_rate,
 )
 
@@ -77,7 +75,6 @@ __all__ = [
     "flooding_time",
     "gumbel_cdf",
     "gumbel_test",
-    "hyp2f1_series",
     "ks_one_sample",
     "ks_two_sample",
     "limit_constant_gamma_mc",
@@ -89,7 +86,6 @@ __all__ = [
     "rate_bounds",
     "run_exploration",
     "sites_by_distance",
-    "subtorus_rate_diagnostic",
     "torus_norm",
     "total_rate",
     "transmission_time",

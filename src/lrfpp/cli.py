@@ -1,6 +1,6 @@
-"""Command-line front end: manifests, orchestration, CSV/JSON emission.
+"""Command-line front end: a JSON manifest in, one results file per experiment out.
 
-Manifests are JSON documents::
+A manifest looks like this::
 
     {
       "seed": 1234,                       # required, nonnegative integer
@@ -18,60 +18,70 @@ Manifests are JSON documents::
       ]
     }
 
-Every experiment is validated before anything runs.  One results file is
-written per experiment with a provenance comment header; data rows are byte
-reproducible for a fixed seed and do not depend on the worker count.  Exit
-codes: 0 success, 2 validation failure, 3 invariant assertion failure,
-4 I/O failure.
+Parsing checks only the document's shape and JSON types, and builds the
+library's own validated types, which hold every model rule.  A quantity or
+tau experiment becomes an ``ExperimentSpec`` on a ``TorusConfig``; its size
+limits are part of that spec.  A constants experiment becomes one
+``ConstantQuery`` per cell of its d x p x alpha x method grid that the
+method applies to, in that order, and ``constants.evaluate`` computes each.
+A ``ConfigError`` is reported as a ``ManifestError`` at the experiment's
+path.  So a manifest that cannot run fails before any file is written.
+
+Data rows are byte reproducible for a fixed seed and do not depend on the
+worker count; each file starts with a provenance header.  Exit codes: 0
+success, 2 validation failure, 3 invariant assertion failure, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import itertools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import __version__, constants, explore, rng, stats, torus, weights
-from .errors import ConfigError, InvariantViolation, ManifestError
+from . import __version__, constants, explore, rng, stats, torus
+from .errors import ConfigError, InvariantViolation, ManifestError, NotApplicable
 from .stats import ExperimentSpec
 from .torus import TorusConfig
 
 _FORMATS = ("csv", "json")
 _QUANTITY_KINDS = ("typical", "flooding", "diameter")
 
-DEFAULT_CONSTANTS_D = (1, 2)
-DEFAULT_CONSTANTS_P = (1.0, 2.0, math.inf)
-DEFAULT_CONSTANTS_ALPHA = (0.25, 0.5, 1.0, 1.5)
+
+@dataclass(frozen=True)
+class QuantityExperiment(ExperimentSpec):
+    """Typical, flooding or diameter passage times; ``run`` sets ``root_seed``."""
+
+    label: str = field(kw_only=True)
+    kind: ClassVar[str] = "quantity"
 
 
 @dataclass(frozen=True)
-class QuantityExperiment:
-    label: str
-    cfg: TorusConfig
-    quantity: str
-    replicates: int
-    source: str
+class TauExperiment(ExperimentSpec):
+    """Gumbel fluctuations of the k-th discovery time; ``run`` sets ``root_seed``."""
 
-
-@dataclass(frozen=True)
-class TauExperiment:
-    label: str
-    cfg: TorusConfig
-    replicates: int
-    k: Optional[int]
-    beta: Optional[float]
-    source: str
+    label: str = field(kw_only=True)
+    kind: ClassVar[str] = "tau"
 
 
 @dataclass(frozen=True)
 class ConstantsExperiment:
+    """A grid of limit-constant evaluations.
+
+    ``cells`` holds one validated query per (d, p, alpha, method) of the grid
+    that the method applies to, in d -> p -> alpha -> method order; a cell's
+    index seeds its Monte Carlo stream.
+    """
+
     label: str
     dims: Tuple[int, ...]
     ps: Tuple[float, ...]
@@ -79,6 +89,18 @@ class ConstantsExperiment:
     methods: Tuple[str, ...]
     samples: int
     tolerance: float
+    cells: Tuple[constants.ConstantQuery, ...] = field(init=False, repr=False)
+    kind: ClassVar[str] = "constants"
+
+    def __post_init__(self):
+        cells = []
+        grid = itertools.product(self.dims, self.ps, self.alphas, self.methods)
+        for d, p, alpha, method in grid:
+            with contextlib.suppress(NotApplicable):
+                cells.append(constants.ConstantQuery(d, p, alpha, method, self.tolerance))
+        if not cells:
+            raise ConfigError("no (d, p, alpha, method) cell of the grid applies")
+        object.__setattr__(self, "cells", tuple(cells))
 
 
 Experiment = Union[QuantityExperiment, TauExperiment, ConstantsExperiment]
@@ -94,7 +116,7 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# Manifest parsing with field-level diagnostics
+# Manifest parsing: JSON shape and types here, model rules in the library
 # ---------------------------------------------------------------------------
 
 
@@ -107,6 +129,7 @@ def _want(obj: dict, key: str, loc: str, required: bool = True, default=None):
 
 
 def _as_int(val, loc: str, minimum: Optional[int] = None) -> int:
+    # bool is an int subclass, and the library types would take True as 1.
     if not isinstance(val, int) or isinstance(val, bool):
         raise ManifestError(loc, f"expected an integer, got {val!r}")
     if minimum is not None and val < minimum:
@@ -121,27 +144,27 @@ def _as_number(val, loc: str) -> float:
 
 
 def _as_p(val, loc: str) -> float:
-    if val in ("inf", "Infinity"):
-        return math.inf
-    p = _as_number(val, loc)
-    if p < 1.0:
-        raise ManifestError(loc, f"p must satisfy p >= 1, got {p}")
-    return p
+    return math.inf if val in ("inf", "Infinity") else _as_number(val, loc)
 
 
-def _parse_cfg(obj: dict, loc: str) -> TorusConfig:
-    d = _as_int(_want(obj, "d", loc), f"{loc}.d", minimum=1)
-    m = _as_int(_want(obj, "m", loc), f"{loc}.m", minimum=2)
-    p = _as_p(_want(obj, "p", loc, required=False, default=2.0), f"{loc}.p")
-    alpha = _as_number(_want(obj, "alpha", loc), f"{loc}.alpha")
-    if alpha >= d:
-        raise ManifestError(f"{loc}.alpha", f"alpha must be < d (got alpha={alpha}, d={d})")
-    if alpha < 0:
-        raise ManifestError(f"{loc}.alpha", "alpha must be >= 0")
-    try:
-        return TorusConfig(d=d, m=m, p=p, alpha=alpha)
-    except ConfigError as exc:
-        raise ManifestError(loc, str(exc)) from exc
+def _as_tuple(obj: dict, key: str, loc: str, item, default=None) -> tuple:
+    """A non-empty list field, each entry converted by ``item(value, location)``."""
+    val = _want(obj, key, loc, required=default is None, default=default)
+    if not isinstance(val, list) or not val:
+        raise ManifestError(f"{loc}.{key}", "expected a non-empty list")
+    return tuple(item(v, f"{loc}.{key}[{i}]") for i, v in enumerate(val))
+
+
+def _spec(cls, obj: dict, loc: str, **kwargs) -> ExperimentSpec:
+    """``cls(**kwargs)`` on the torus and replicate count that ``obj`` gives, root seed 0."""
+    cfg = TorusConfig(
+        d=_as_int(_want(obj, "d", loc), f"{loc}.d"),
+        m=_as_int(_want(obj, "m", loc), f"{loc}.m"),
+        p=_as_p(_want(obj, "p", loc, required=False, default=2.0), f"{loc}.p"),
+        alpha=_as_number(_want(obj, "alpha", loc), f"{loc}.alpha"),
+    )
+    replicates = _as_int(_want(obj, "replicates", loc), f"{loc}.replicates")
+    return cls(cfg=cfg, replicates=replicates, root_seed=0, **kwargs)
 
 
 def _parse_experiment(obj, idx: int) -> Experiment:
@@ -150,77 +173,35 @@ def _parse_experiment(obj, idx: int) -> Experiment:
         raise ManifestError(loc, "expected an object")
     kind = _want(obj, "kind", loc, required=False, default="quantity")
     label = obj.get("label", f"{idx:02d}_{kind}")
-
-    if kind == "quantity":
-        cfg = _parse_cfg(obj, loc)
-        quantity = _want(obj, "quantity", loc)
-        if quantity not in _QUANTITY_KINDS:
-            raise ManifestError(f"{loc}.quantity", f"must be one of {_QUANTITY_KINDS}")
-        replicates = _as_int(_want(obj, "replicates", loc), f"{loc}.replicates", minimum=1)
-        source = obj.get("source", "uniform" if quantity == "typical" else "origin")
-        if source not in ("origin", "uniform"):
-            raise ManifestError(f"{loc}.source", "must be 'origin' or 'uniform'")
-        if quantity == "diameter" and cfg.n > explore.ALL_PAIRS_CAP:
-            raise ManifestError(loc, f"diameter requires n <= {explore.ALL_PAIRS_CAP}")
-        try:
-            ExperimentSpec(
-                cfg=cfg, quantity=quantity, replicates=replicates, root_seed=0, source=source
+    try:
+        if kind == "quantity":
+            quantity = _want(obj, "quantity", loc)
+            if quantity not in _QUANTITY_KINDS:
+                raise ManifestError(f"{loc}.quantity", f"must be one of {_QUANTITY_KINDS}")
+            source = obj.get("source", "uniform" if quantity == "typical" else "origin")
+            return _spec(
+                QuantityExperiment, obj, loc, label=label, quantity=quantity, source=source
             )
-        except ConfigError as exc:
-            raise ManifestError(loc, str(exc)) from exc
-        return QuantityExperiment(label, cfg, quantity, replicates, source)
-
-    if kind == "tau":
-        cfg = _parse_cfg(obj, loc)
-        replicates = _as_int(_want(obj, "replicates", loc), f"{loc}.replicates", minimum=1)
-        k = obj.get("k")
-        beta = obj.get("beta")
-        if (k is None) == (beta is None):
-            raise ManifestError(loc, "tau needs exactly one of 'k' or 'beta'")
-        if k is not None:
-            k = _as_int(k, f"{loc}.k", minimum=2)
-        if beta is not None:
-            beta = _as_number(beta, f"{loc}.beta")
-            if not (0.0 < beta < 1.0):
-                raise ManifestError(f"{loc}.beta", "beta must lie in (0, 1)")
-        source = obj.get("source", "origin")
-        if source not in ("origin", "uniform"):
-            raise ManifestError(f"{loc}.source", "must be 'origin' or 'uniform'")
-        try:
-            ExperimentSpec(
-                cfg=cfg, quantity="tau", replicates=replicates, root_seed=0,
-                k=k, beta=beta, source=source,
+        if kind == "tau":
+            k, beta = obj.get("k"), obj.get("beta")
+            return _spec(
+                TauExperiment, obj, loc, label=label, quantity="tau",
+                k=None if k is None else _as_int(k, f"{loc}.k"),
+                beta=None if beta is None else _as_number(beta, f"{loc}.beta"),
+                source=obj.get("source", "origin"),
             )
-        except ConfigError as exc:
-            raise ManifestError(loc, str(exc)) from exc
-        return TauExperiment(label, cfg, replicates, k, beta, source)
-
-    if kind == "constants":
-        def _as_list(key: str) -> list:
-            val = _want(obj, key, loc)
-            if not isinstance(val, list) or not val:
-                raise ManifestError(f"{loc}.{key}", "expected a non-empty list")
-            return val
-
-        dims = tuple(
-            _as_int(v, f"{loc}.d[{i}]", minimum=1) for i, v in enumerate(_as_list("d"))
-        )
-        ps = tuple(_as_p(v, f"{loc}.p[{i}]") for i, v in enumerate(_as_list("p")))
-        alphas = tuple(
-            _as_number(v, f"{loc}.alpha[{i}]") for i, v in enumerate(_as_list("alpha"))
-        )
-        if any(a < 0 for a in alphas):
-            raise ManifestError(f"{loc}.alpha", "alpha values must be >= 0")
-        methods = tuple(obj.get("methods", constants._METHODS))
-        for mth in methods:
-            if mth not in constants._METHODS:
-                raise ManifestError(f"{loc}.methods", f"unknown method {mth!r}")
-        samples = _as_int(obj.get("samples", 200_000), f"{loc}.samples", minimum=10_000)
-        tolerance = _as_number(obj.get("tolerance", 1e-9), f"{loc}.tolerance")
-        if tolerance <= 0:
-            raise ManifestError(f"{loc}.tolerance", "tolerance must be positive")
-        return ConstantsExperiment(label, dims, ps, alphas, methods, samples, tolerance)
-
+        if kind == "constants":
+            return ConstantsExperiment(
+                label,
+                dims=_as_tuple(obj, "d", loc, _as_int),
+                ps=_as_tuple(obj, "p", loc, _as_p),
+                alphas=_as_tuple(obj, "alpha", loc, _as_number),
+                methods=_as_tuple(obj, "methods", loc, lambda v, _: v, list(constants._METHODS)),
+                samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples", minimum=10_000),
+                tolerance=_as_number(obj.get("tolerance", 1e-9), f"{loc}.tolerance"),
+            )
+    except ConfigError as exc:
+        raise ManifestError(loc, str(exc)) from exc
     raise ManifestError(f"{loc}.kind", f"unknown experiment kind {kind!r}")
 
 
@@ -258,14 +239,7 @@ def _experiment_seed(root_seed: int, index: int) -> int:
 
 
 def _quantity_rows(exp: QuantityExperiment, seed: int, jobs: int) -> List[dict]:
-    spec = ExperimentSpec(
-        cfg=exp.cfg,
-        quantity=exp.quantity,
-        replicates=exp.replicates,
-        root_seed=seed,
-        source=exp.source,
-    )
-    s = stats.estimate_scaled(spec, jobs=jobs)
+    s = stats.estimate_scaled(dataclasses.replace(exp, root_seed=seed), jobs=jobs)
     q = [x * s.scale for x in s.quantiles]
     return [
         {
@@ -284,16 +258,7 @@ def _quantity_rows(exp: QuantityExperiment, seed: int, jobs: int) -> List[dict]:
 
 
 def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> List[dict]:
-    spec = ExperimentSpec(
-        cfg=exp.cfg,
-        quantity="tau",
-        replicates=exp.replicates,
-        root_seed=seed,
-        k=exp.k,
-        beta=exp.beta,
-        source=exp.source,
-    )
-    s = stats.gumbel_test(spec, jobs=jobs)
+    s = stats.gumbel_test(dataclasses.replace(exp, root_seed=seed), jobs=jobs)
     return [
         {
             "n": exp.cfg.n,
@@ -308,24 +273,6 @@ def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> List[dict]:
     ]
 
 
-def _constants_cells(exp: ConstantsExperiment):
-    for d in exp.dims:
-        for p in exp.ps:
-            for alpha in exp.alphas:
-                if alpha >= d:
-                    continue
-                for method in exp.methods:
-                    if method == "closed-p-infinity" and p != math.inf:
-                        continue
-                    if method == "hypergeometric-d2" and (d != 2 or p == math.inf):
-                        continue
-                    if method == "gamma-max-mc" and (p == math.inf or alpha == 0.0):
-                        continue
-                    if method == "quadrature" and d > 4:
-                        continue
-                    yield d, p, alpha, method
-
-
 def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict]:
     """One row per grid cell.
 
@@ -335,36 +282,27 @@ def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict
     Carlo cells; ``effective_samples`` is filled for Monte Carlo cells only.
     """
     rows = []
-    for cell, (d, p, alpha, method) in enumerate(_constants_cells(exp)):
-        converged: Optional[bool] = True
-        ess: Optional[float] = None
-        if method == "quadrature":
-            res = constants.limit_constant_quadrature(
-                constants.ConstantQuery(d, p, alpha, "quadrature", exp.tolerance)
-            )
-            value, err, converged = res.value, res.error, res.converged
+    for cell, q in enumerate(exp.cells):
+        res = constants.evaluate(q, exp.samples, _experiment_seed(seed, cell))
+        if isinstance(res, constants.MonteCarloResult):
+            value, err, converged, ess = res.value, res.std_error, None, res.effective_samples
+        elif isinstance(res, constants.QuadratureResult):
+            value, err, converged, ess = res.value, res.error, res.converged, None
             if not converged:
                 print(
-                    f"warning: {exp.label}: quadrature at d={d}, p={p}, alpha={alpha} "
+                    f"warning: {exp.label}: quadrature at d={q.d}, p={q.p}, alpha={q.alpha} "
                     f"did not converge after {res.evaluations} evaluations "
                     f"(error estimate {err!r}, tolerance {exp.tolerance!r})",
                     file=sys.stderr,
                 )
-        elif method == "closed-p-infinity":
-            value, err = constants.limit_constant_max_norm(d, alpha), 0.0
-        elif method == "hypergeometric-d2":
-            value, err = constants.limit_constant_planar(p, alpha), 0.0
         else:
-            mc = constants.limit_constant_gamma_mc(
-                d, p, alpha, exp.samples, _experiment_seed(seed, cell)
-            )
-            value, err, converged, ess = mc.value, mc.std_error, None, mc.effective_samples
+            value, err, converged, ess = res, 0.0, True, None
         rows.append(
             {
-                "d": d,
-                "p": p if p != math.inf else "inf",
-                "alpha": alpha,
-                "method": method,
+                "d": q.d,
+                "p": q.p if q.p != math.inf else "inf",
+                "alpha": q.alpha,
+                "method": q.method,
                 "value": value,
                 "error_estimate": err,
                 "converged": converged,
@@ -427,25 +365,16 @@ def run(
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 4
 
+    rows_of = {"quantity": _quantity_rows, "tau": _tau_rows, "constants": _constants_rows}
     failures: List[str] = []
     io_failed = False
     for idx, exp in enumerate(manifest.experiments):
-        kind = (
-            "quantity"
-            if isinstance(exp, QuantityExperiment)
-            else "tau" if isinstance(exp, TauExperiment) else "constants"
-        )
-        if only_kinds is not None and kind not in only_kinds:
+        if only_kinds is not None and exp.kind not in only_kinds:
             continue
         exp_seed = _experiment_seed(root_seed, idx)
         started = time.perf_counter()
         try:
-            if isinstance(exp, QuantityExperiment):
-                rows = _quantity_rows(exp, exp_seed, use_jobs)
-            elif isinstance(exp, TauExperiment):
-                rows = _tau_rows(exp, exp_seed, use_jobs)
-            else:
-                rows = _constants_rows(exp, exp_seed, use_jobs)
+            rows = rows_of[exp.kind](exp, exp_seed, use_jobs)
         except InvariantViolation as exc:
             failures.append(f"{exp.label}: invariant violation: {exc}")
             continue
@@ -459,7 +388,7 @@ def run(
         }
         path = out_dir / f"{exp.label}.{use_fmt}"
         try:
-            _write_output(path, use_fmt, _COLUMNS[kind], rows, provenance)
+            _write_output(path, use_fmt, _COLUMNS[exp.kind], rows, provenance)
         except OSError as exc:
             failures.append(f"{exp.label}: I/O failure: {exc}")
             io_failed = True
@@ -505,11 +434,8 @@ def _validate_checks(seed: int) -> List[Tuple[str, bool, str]]:
         orac = np.empty(800)
         for r in range(800):
             gen = rng.generator((seed, tag, r), rng.STREAM_CHOICE)
-            iu = int(gen.integers(cfg.n))
-            iv = iu
-            while iv == iu:
-                iv = int(gen.integers(cfg.n))
-            u, v = torus.index_to_site(iu, cfg), torus.index_to_site(iv, cfg)
+            u = stats._pick_site(gen, cfg)
+            v = stats._pick_distinct(gen, cfg, u)
             expl[r] = explore.transmission_time(u, v, cfg, (seed, tag, r, 0))
             orac[r] = explore.oracle_transmission_time(u, v, cfg, (seed, tag, r, 1))
         _, pval = stats.ks_two_sample(expl, orac)
@@ -563,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "tau":
             sp.add_argument("--d", type=int, default=2)
             sp.add_argument("--m", type=int, default=64)
-            sp.add_argument("--p", type=str, default="2")
+            sp.add_argument("--p", type=float, default=2.0, help='a number, or "inf"')
             sp.add_argument("--alpha", type=float, default=0.0)
             sp.add_argument("--beta", type=float, default=None)
             sp.add_argument("--k", type=int, default=None)
@@ -585,17 +511,26 @@ def _load_manifest(path: Optional[str]) -> Optional[RunManifest]:
     return parse_manifest(text)
 
 
-def _default_constants_manifest(seed: int) -> RunManifest:
+def _default_constants_manifest() -> RunManifest:
     exp = ConstantsExperiment(
         label="00_constants",
-        dims=DEFAULT_CONSTANTS_D,
-        ps=DEFAULT_CONSTANTS_P,
-        alphas=DEFAULT_CONSTANTS_ALPHA,
+        dims=(1, 2),
+        ps=(1.0, 2.0, math.inf),
+        alphas=(0.25, 0.5, 1.0, 1.5),
         methods=constants._METHODS,
         samples=200_000,
         tolerance=1e-9,
     )
-    return RunManifest(seed=seed, out="results", fmt="csv", jobs=1, experiments=(exp,))
+    return RunManifest(seed=0, out="results", fmt="csv", jobs=1, experiments=(exp,))
+
+
+def _tau_manifest(args: argparse.Namespace) -> RunManifest:
+    beta = 0.5 if args.k is None and args.beta is None else args.beta
+    exp = TauExperiment(
+        cfg=TorusConfig(d=args.d, m=args.m, p=args.p, alpha=args.alpha), quantity="tau",
+        replicates=args.replicates, root_seed=0, k=args.k, beta=beta, label="00_tau",
+    )
+    return RunManifest(seed=0, out="results", fmt="csv", jobs=1, experiments=(exp,))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -611,49 +546,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         manifest = _load_manifest(args.manifest)
-
-        if args.command == "simulate":
-            if manifest is None:
+        if manifest is None:
+            if args.command == "simulate":
                 print("error: simulate requires --manifest", file=sys.stderr)
                 return 2
-            return run(manifest, args.out, args.format, args.jobs, args.seed)
-
-        if args.command == "constants":
-            if manifest is None:
-                manifest = _default_constants_manifest(args.seed if args.seed is not None else 0)
-            return run(
-                manifest, args.out, args.format, args.jobs, args.seed,
-                only_kinds=("constants",),
-            )
-
-        # tau
-        if manifest is not None:
-            return run(
-                manifest, args.out, args.format, args.jobs, args.seed,
-                only_kinds=("tau",),
-            )
-        beta = args.beta
-        k = args.k
-        if (k is None) and (beta is None):
-            beta = 0.5
-        payload = {
-            "seed": args.seed if args.seed is not None else 0,
-            "out": args.out if args.out is not None else "results",
-            "format": args.format if args.format is not None else "csv",
-            "jobs": args.jobs if args.jobs is not None else 1,
-            "experiments": [
-                {
-                    "kind": "tau",
-                    "d": args.d,
-                    "m": args.m,
-                    "p": args.p if args.p == "inf" else float(args.p),
-                    "alpha": args.alpha,
-                    "replicates": args.replicates,
-                    **({"k": k} if k is not None else {"beta": beta}),
-                }
-            ],
-        }
-        return run(parse_manifest(json.dumps(payload)))
+            if args.command == "constants":
+                manifest = _default_constants_manifest()
+            else:
+                manifest = _tau_manifest(args)
+        only_kinds = None if args.command == "simulate" else (args.command,)
+        return run(manifest, args.out, args.format, args.jobs, args.seed, only_kinds)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ cube.  This module evaluates it by
 
 * singular-aware adaptive quadrature (any d <= 4, any p),
 * an exact closed form for the max-coordinate norm,
-* a Gauss hypergeometric series for d = 2 and finite p,
+* a Gauss hypergeometric closed form for d = 2 and finite p,
 * a Monte Carlo identity through the maximum of d Gamma(1/p, 1) variates,
 
 and the test suite cross-validates all four.
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.special
 
 from . import rng
-from .errors import ConfigError
+from .errors import ConfigError, NotApplicable
 
 _METHODS = ("quadrature", "closed-p-infinity", "hypergeometric-d2", "gamma-max-mc")
 
@@ -45,7 +45,13 @@ _MC_DEFENSIVE_EPS = 0.5
 
 @dataclass(frozen=True)
 class ConstantQuery:
-    """A request for the limit constant by one specific method."""
+    """A request for the limit constant by one specific method.
+
+    Construction is the one place where a (d, p, alpha, method) cell is
+    validated.  Parameters out of range raise ConfigError.  A valid cell that
+    the method cannot evaluate raises its subclass NotApplicable, so a grid
+    can skip exactly those cells.
+    """
 
     d: int
     p: float
@@ -58,16 +64,22 @@ class ConstantQuery:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if not (self.p >= 1.0):
             raise ConfigError(f"p must satisfy p >= 1, got {self.p}")
-        if not (0.0 <= self.alpha < self.d):
-            raise ConfigError(f"alpha must satisfy 0 <= alpha < d, got {self.alpha}")
+        if not (self.alpha >= 0.0):
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.method == "closed-p-infinity" and self.p != math.inf:
-            raise ConfigError("closed-p-infinity requires p = inf")
-        if self.method == "hypergeometric-d2" and (self.d != 2 or self.p == math.inf):
-            raise ConfigError("hypergeometric-d2 requires d = 2 and finite p")
         if not (self.tolerance > 0):
             raise ConfigError("tolerance must be positive")
+        if not (self.alpha < self.d):
+            raise NotApplicable(f"alpha must be < d (got alpha={self.alpha}, d={self.d})")
+        if self.method == "quadrature" and self.d > 4:
+            raise NotApplicable("quadrature supports d <= 4")
+        if self.method == "closed-p-infinity" and self.p != math.inf:
+            raise NotApplicable("closed-p-infinity requires p = inf")
+        if self.method == "hypergeometric-d2" and (self.d != 2 or self.p == math.inf):
+            raise NotApplicable("hypergeometric-d2 requires d = 2 and finite p")
+        if self.method == "gamma-max-mc" and (self.p == math.inf or self.alpha == 0.0):
+            raise NotApplicable("gamma-max Monte Carlo requires finite p and alpha > 0")
 
 
 @dataclass(frozen=True)
@@ -176,10 +188,7 @@ def unit_cube_integral(
     the outer shell is integrated numerically and the geometric series toward
     the singular corner is summed in closed form.
     """
-    if not (0.0 <= alpha < d):
-        raise ConfigError(f"alpha must satisfy 0 <= alpha < d, got {alpha}")
-    if d > 4:
-        raise ConfigError("quadrature supports d <= 4")
+    ConstantQuery(d, p, alpha, "quadrature", tolerance)
     if alpha == 0.0:
         return QuadratureResult(1.0, 0.0, True, 0)
 
@@ -230,28 +239,8 @@ def limit_constant_quadrature(query: ConstantQuery) -> QuadratureResult:
 
 def limit_constant_max_norm(d: int, alpha: float) -> float:
     """Exact constant for the max-coordinate norm: d / (d - alpha) * 2**alpha."""
-    if not (0.0 <= alpha < d):
-        raise ConfigError(f"alpha must satisfy 0 <= alpha < d, got {alpha}")
+    ConstantQuery(d, math.inf, alpha, "closed-p-infinity")
     return d / (d - alpha) * 2.0**alpha
-
-
-def hyp2f1_series(a: float, b: float, c: float, z: float, rtol: float = 1e-16) -> float:
-    """Gauss hypergeometric function by its defining power series, |z| < 1.
-
-    Terms follow the ratio recurrence; summation stops when a term drops below
-    ``rtol`` relative to the running sum.  At z = 1/2 convergence is geometric,
-    so the iteration cap is a genuine assertion, not a tolerance.
-    """
-    if not (abs(z) < 1.0):
-        raise ConfigError("series requires |z| < 1")
-    term = 1.0
-    total = 1.0
-    for k in range(10_000):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
-        total += term
-        if abs(term) <= rtol * abs(total):
-            return total
-    raise AssertionError("hypergeometric series failed to converge")
 
 
 def limit_constant_planar(p: float, alpha: float) -> float:
@@ -259,12 +248,9 @@ def limit_constant_planar(p: float, alpha: float) -> float:
 
         2**(1 + alpha*(1 - 1/p)) / (2 - alpha) * 2F1(1, alpha/p; 1 + 1/p; 1/2)
     """
-    if p == math.inf or p < 1.0:
-        raise ConfigError("planar closed form requires finite p >= 1")
-    if not (0.0 <= alpha < 2.0):
-        raise ConfigError(f"alpha must satisfy 0 <= alpha < 2, got {alpha}")
+    ConstantQuery(2, p, alpha, "hypergeometric-d2")
     pref = 2.0 ** (1.0 + alpha * (1.0 - 1.0 / p)) / (2.0 - alpha)
-    return pref * hyp2f1_series(1.0, alpha / p, 1.0 + 1.0 / p, 0.5)
+    return pref * float(scipy.special.hyp2f1(1.0, alpha / p, 1.0 + 1.0 / p, 0.5))
 
 
 def limit_constant_gamma_mc(
@@ -293,10 +279,7 @@ def limit_constant_gamma_mc(
     applies, and the sample standard error is a valid yardstick.  The method
     uses no quadrature, so it stays an independent check on it.
     """
-    if p == math.inf:
-        raise ConfigError("gamma-max Monte Carlo requires finite p")
-    if not (0.0 < alpha < d):
-        raise ConfigError(f"alpha must satisfy 0 < alpha < d, got {alpha}")
+    ConstantQuery(d, p, alpha, "gamma-max-mc")
     if samples < 10_000:
         raise ConfigError(f"samples must be >= 10000, got {samples}")
     if seed is None:

@@ -9,6 +9,10 @@ class EnumerationCapError(ConfigError):
     """The torus is too large for a dense enumeration / dense field."""
 
 
+class NotApplicable(ConfigError):
+    """A valid limit-constant query names a method that does not apply to its cell."""
+
+
 class InvariantViolation(RuntimeError):
     """A hard runtime invariant (rate sandwich, re-summation, ...) failed."""
 

@@ -129,13 +129,6 @@ class ExplorationRecord:
     def site(self, i: int) -> Site:
         return torus.index_to_site(int(self.site_indices[i]), self.cfg)
 
-    @property
-    def births(self) -> List[Tuple[Site, float, float]]:
-        return [
-            (self.site(i), float(self.times[i]), float(self.rates[i]))
-            for i in range(self.n_born)
-        ]
-
     def tau(self, k: int) -> float:
         """Time of the k-th birth (cluster reaches size k + 1)."""
         if not (0 <= k < self.n_born):

@@ -17,7 +17,7 @@ share random numbers.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -169,15 +169,3 @@ def gamma_small_shape(
         write += k
         pending -= k
     return out
-
-
-def philox_known_answer_vectors() -> Iterable[Tuple[Tuple[int, ...], Tuple[int, int], Tuple[int, ...]]]:
-    """(counter, key, expected) triples from the reference distribution."""
-    return [
-        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
-        (
-            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
-            (0xA4093822, 0x299F31D0),
-            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
-        ),
-    ]

@@ -9,12 +9,14 @@ the normalization under which typical, flooding, and diameter times approach
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+import scipy.special
 
 from . import explore, rng, torus, weights
 from .errors import ConfigError
@@ -58,6 +60,12 @@ class ExperimentSpec:
                 raise ConfigError("cluster index k exceeds n - 1")
         elif self.k is not None or self.beta is not None:
             raise ConfigError("k/beta are only meaningful for quantity='tau'")
+        # Size limits, so a manifest too large to run fails before any run starts.
+        if self.quantity == "diameter":
+            if self.cfg.n > explore.ALL_PAIRS_CAP:
+                raise ConfigError(f"diameter requires n <= {explore.ALL_PAIRS_CAP}")
+        else:
+            weights.check_thinning_size(self.cfg)
 
     def tau_k(self) -> int:
         if self.k is not None:
@@ -128,33 +136,35 @@ def _pick_distinct(gen: np.random.Generator, cfg: TorusConfig, u: Site) -> Site:
             return v
 
 
+def _source(
+    spec: ExperimentSpec, seed: Tuple[int, int]
+) -> Tuple[Site, Optional[np.random.Generator]]:
+    """The run's source, and its choice stream if anything is drawn from it.
+
+    A uniform source is the stream's first draw, and a typical run draws its
+    target next; a flooding or tau run from the origin creates no stream.
+    """
+    if spec.source == "origin" and spec.quantity != "typical":
+        return torus.origin(spec.cfg), None
+    gen = rng.generator(seed, rng.STREAM_CHOICE)
+    u = _pick_site(gen, spec.cfg) if spec.source == "uniform" else torus.origin(spec.cfg)
+    return u, gen
+
+
 def replicate_sample(spec: ExperimentSpec, rep: int) -> float:
     """One raw sample of the spec's quantity, deterministic in (seed, rep)."""
     seed = (spec.root_seed, rep)
     cfg = spec.cfg
-    if spec.quantity == "typical":
-        gen = rng.generator(seed, rng.STREAM_CHOICE)
-        u = _pick_site(gen, cfg) if spec.source == "uniform" else torus.origin(cfg)
-        v = _pick_distinct(gen, cfg, u)
-        return explore.transmission_time(u, v, cfg, seed)
-    if spec.quantity == "flooding":
-        if spec.source == "uniform":
-            gen = rng.generator(seed, rng.STREAM_CHOICE)
-            u = _pick_site(gen, cfg)
-        else:
-            u = torus.origin(cfg)
-        return explore.flooding_time(u, cfg, seed)
     if spec.quantity == "diameter":
         return explore.diameter_exact(cfg, seed)
-    # tau: time of the k-th birth from the configured source.
+    u, gen = _source(spec, seed)
+    if spec.quantity == "typical":
+        return explore.transmission_time(u, _pick_distinct(gen, cfg, u), cfg, seed)
+    if spec.quantity == "flooding":
+        return explore.flooding_time(u, cfg, seed)
+    # tau: time of the k-th birth from the source.
     k = spec.tau_k()
-    if spec.source == "uniform":
-        gen = rng.generator(seed, rng.STREAM_CHOICE)
-        u = _pick_site(gen, cfg)
-    else:
-        u = torus.origin(cfg)
-    record = explore.run_exploration(u, explore.StopRule.count(k), cfg, seed)
-    return record.tau(k)
+    return explore.run_exploration(u, explore.StopRule.count(k), cfg, seed).tau(k)
 
 
 def _collect(spec: ExperimentSpec, jobs: int = 1) -> np.ndarray:
@@ -221,18 +231,8 @@ def gumbel_test(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
     summary = _summary_from_samples("tau", centered, 1.0 / logn, (stat, pval), details)
     # For tau the scaled columns report the growth-window estimate, not the
     # centered mean.
-    return StatSummary(
-        quantity=summary.quantity,
-        samples=summary.samples,
-        mean=summary.mean,
-        se=summary.se,
-        quantiles=summary.quantiles,
-        scale=summary.scale,
-        scaled_mean=scaled_tau,
-        scaled_se=details["scaled_tau_se"],
-        ks_stat=stat,
-        ks_pvalue=pval,
-        details=details,
+    return dataclasses.replace(
+        summary, scaled_mean=scaled_tau, scaled_se=details["scaled_tau_se"]
     )
 
 
@@ -262,34 +262,6 @@ def oracle_ordering_sample(
 # ---------------------------------------------------------------------------
 
 _KS_MIN_SAMPLES = 30
-_KS_SERIES_TOL = 1e-8
-
-
-def kolmogorov_pvalue(lam: float) -> float:
-    """Asymptotic Kolmogorov survival function Q(lam), series to 1e-8 terms.
-
-    For lam >= 0.75 the alternating tail series is used; below that the
-    theta-transformed series for the CDF converges faster and avoids the
-    cancellation of the alternating form.
-    """
-    if lam <= 0.0:
-        return 1.0
-    if lam < 0.75:
-        s = 0.0
-        pref = math.sqrt(2.0 * math.pi) / lam
-        for j in range(1, 200):
-            term = math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
-            s += term
-            if term < _KS_SERIES_TOL:
-                break
-        return min(1.0, max(0.0, 1.0 - pref * s))
-    s = 0.0
-    for j in range(1, 200):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        s += term
-        if abs(term) < _KS_SERIES_TOL:
-            break
-    return min(1.0, max(0.0, s))
 
 
 def ks_one_sample(
@@ -305,7 +277,7 @@ def ks_one_sample(
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))
     stat = max(d_plus, d_minus)
-    return stat, kolmogorov_pvalue(math.sqrt(n) * stat)
+    return stat, float(scipy.special.kolmogorov(math.sqrt(n) * stat))
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
@@ -320,4 +292,4 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
     fb = np.searchsorted(b, grid, side="right") / nb
     stat = float(np.max(np.abs(fa - fb)))
     n_eff = na * nb / (na + nb)
-    return stat, kolmogorov_pvalue(math.sqrt(n_eff) * stat)
+    return stat, float(scipy.special.kolmogorov(math.sqrt(n_eff) * stat))

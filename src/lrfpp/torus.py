@@ -4,8 +4,8 @@ Points live in the canonical window ``[-floor(m/2), ceil(m/2) - 1]`` per axis,
 which contains exactly ``m`` representatives for both parities of ``m``.  The
 torus p-norm of a point is the minimum p-norm over all integer representatives
 of its equivalence class modulo ``m * Z^d``; per coordinate this reduces to the
-minimal absolute residue, which is the production path (the 3^d-representative
-enumeration is kept as a test oracle).
+minimal absolute residue (the tests check it against the minimum over the 3^d
+nearest representatives).
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ class TorusConfig:
             raise ConfigError(f"m must be an integer >= 2, got {self.m!r}")
         if not (self.p >= 1.0):
             raise ConfigError(f"p must satisfy p >= 1, got {self.p!r}")
-        if not (0.0 <= self.alpha < self.d):
-            raise ConfigError(
-                f"alpha must satisfy 0 <= alpha < d = {self.d}, got {self.alpha!r}"
-            )
+        if not (self.alpha >= 0.0):
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha!r}")
+        if not (self.alpha < self.d):
+            raise ConfigError(f"alpha must be < d (got alpha={self.alpha!r}, d={self.d})")
         # Exact integer volume; reject sizes whose float image is no longer exact,
         # so n can be used in rate formulas without silent precision loss.
         if self.m**self.d > 2**53:
@@ -121,29 +121,6 @@ def torus_norm(u: Site, cfg: TorusConfig) -> float:
     if cfg.p == 2.0:
         return math.sqrt(sum(r * r for r in residues))
     return float(sum(float(r) ** cfg.p for r in residues)) ** (1.0 / cfg.p)
-
-
-def torus_norm_enumerated(u: Site, cfg: TorusConfig) -> float:
-    """Reference norm: minimum over the 3^d representatives ``coords + m*k``.
-
-    Exponentially slower than :func:`torus_norm`; kept as an independent oracle
-    for the per-coordinate residue form.
-    """
-    _check_canonical(u, cfg)
-    best = math.inf
-    d, m, p = cfg.d, cfg.m, cfg.p
-    for shift in np.ndindex(*(3,) * d):
-        rep = [abs(c + (k - 1) * m) for c, k in zip(u.coords, shift)]
-        if p == math.inf:
-            val = float(max(rep))
-        elif p == 1.0:
-            val = float(sum(rep))
-        elif p == 2.0:
-            val = math.sqrt(sum(r * r for r in rep))
-        else:
-            val = float(sum(float(r) ** p for r in rep)) ** (1.0 / p)
-        best = min(best, val)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ exploration process at every step.  Updates cost O(n) per discovery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -86,6 +86,19 @@ def nearest_prefix_sums(cfg: TorusConfig) -> np.ndarray:
     return out
 
 
+def check_thinning_size(cfg: TorusConfig) -> None:
+    """Raise EnumerationCapError unless ``difference_table(cfg)`` fits the cap.
+
+    The thinning sampler needs the table, so this is the size limit of every
+    exploration run on its default path: (2m)**d <= ENUMERATION_CAP.
+    """
+    if (2 * cfg.m) ** cfg.d > torus.ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"(2m)**d = {(2 * cfg.m) ** cfg.d} exceeds the dense enumeration cap "
+            f"{torus.ENUMERATION_CAP}"
+        )
+
+
 @lru_cache(maxsize=16)
 def difference_table(cfg: TorusConfig) -> np.ndarray:
     """Weight between two sites, indexed by the difference of their keys.
@@ -96,11 +109,8 @@ def difference_table(cfg: TorusConfig) -> np.ndarray:
     borrows, and the entry there is norm(y - z)**-alpha (0 when y == z).  The
     table holds (2m)**d = 2**d * n entries (read-only).
     """
+    check_thinning_size(cfg)
     m, d = cfg.m, cfg.d
-    if (2 * m) ** d > torus.ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"(2m)**d = {(2 * m) ** d} exceeds the dense enumeration cap {torus.ENUMERATION_CAP}"
-        )
     # Digit e on an axis is the difference e - m, whose grid index is
     # (e - m + floor(m/2)) mod m.
     axis = (np.arange(2 * m) - m + cfg.half) % m
@@ -118,18 +128,6 @@ def nearest_rate_sum(cfg: TorusConfig, k: int) -> float:
     if not (1 <= k <= cfg.n - 1):
         raise ConfigError(f"k must be in [1, n-1] = [1, {cfg.n - 1}], got {k}")
     return math.fsum(_sorted_weights(cfg)[:k])
-
-
-def subtorus_rate_diagnostic(cfg: TorusConfig, k: int) -> float:
-    """Diagnostic only: total rate of the sub-torus with volume k.
-
-    Requires k to be a perfect d-th power.  This alternative reading of the
-    partial sum is never used in any bound; the nearest-k prefix sum is.
-    """
-    side = round(k ** (1.0 / cfg.d))
-    if side**cfg.d != k:
-        raise ConfigError(f"k = {k} is not a perfect {cfg.d}-th power")
-    return total_rate(TorusConfig(cfg.d, side, cfg.p, cfg.alpha))
 
 
 def kahan_add(total: float, comp: float, delta: float) -> Tuple[float, float]:
@@ -152,7 +150,6 @@ class WeightField:
     cfg: TorusConfig
     values: np.ndarray
     discovered_mask: np.ndarray
-    discovered_order: List[int]
     total: float
     _comp: float = 0.0
     _since_resum: int = 0
@@ -160,29 +157,11 @@ class WeightField:
     @classmethod
     def initial(cls, source: Site, cfg: TorusConfig) -> "WeightField":
         """Field with only ``source`` discovered; total equals total_rate(cfg)."""
-        if cfg.n > torus.ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"n = {cfg.n} exceeds the dense field cap {torus.ENUMERATION_CAP}"
-            )
         src = torus.site_to_index(source, cfg)
         values = _rolled_weights(cfg, src).copy()
         mask = np.zeros(cfg.n, dtype=bool)
         mask[src] = True
-        total = math.fsum(values)
-        return cls(
-            cfg=cfg,
-            values=values,
-            discovered_mask=mask,
-            discovered_order=[src],
-            total=total,
-        )
-
-    @property
-    def n_discovered(self) -> int:
-        return len(self.discovered_order)
-
-    def discover(self, z: Site) -> None:
-        self.discover_index(torus.site_to_index(z, self.cfg))
+        return cls(cfg=cfg, values=values, discovered_mask=mask, total=math.fsum(values))
 
     def discover_index(self, z: int) -> None:
         """Move site z from undiscovered to discovered and update all weights."""
@@ -190,7 +169,6 @@ class WeightField:
             raise ConfigError(f"site index {z} is already discovered")
         w_z = float(self.values[z])
         self.discovered_mask[z] = True
-        self.discovered_order.append(z)
         self.values[z] = 0.0
         # Every remaining undiscovered y gains norm(y - z)**-alpha.
         add = np.where(self.discovered_mask, 0.0, _rolled_weights(self.cfg, z))
@@ -210,9 +188,6 @@ class WeightField:
             raise InvariantViolation(
                 f"weight-field drift: total={self.total!r} resum={fresh!r} tol={tol!r}"
             )
-
-    def discovered_sites(self) -> List[Site]:
-        return [torus.index_to_site(i, self.cfg) for i in self.discovered_order]
 
 
 @lru_cache(maxsize=8)

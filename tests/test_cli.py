@@ -110,7 +110,7 @@ def test_constants_manifest_inf_p():
     man = cli.parse_manifest(json.dumps(doc))
     exp = man.experiments[0]
     assert math.inf in exp.ps
-    cells = list(cli._constants_cells(exp))
+    cells = [(q.d, q.p, q.alpha, q.method) for q in exp.cells]
     # alpha >= d cells are skipped; closed form only with the max norm.
     assert all(alpha < d for d, _, alpha, _ in cells)
     assert all(p == math.inf for _, p, _, mth in cells if mth == "closed-p-infinity")
@@ -291,3 +291,43 @@ def test_constants_warns_on_unconverged_quadrature(tmp_path, capsys):
     assert "warning:" in err and "d=3, p=1.5, alpha=0.5" in err
     header, row = _read_rows(cout / "00_constants.csv")
     assert dict(zip(header.split(","), row.split(",")))["converged"] == "False"
+
+
+def test_size_limits_fail_at_parse_time_before_any_file(tmp_path):
+    # The first experiment is small; the second exceeds the thinning
+    # sampler's (2m)**d cap, so nothing may run and no file may appear.
+    doc = _minimal_manifest(seed=1)
+    doc["experiments"][0].update({"d": 1, "m": 8})
+    doc["experiments"].append(
+        {"kind": "quantity", "quantity": "flooding", "d": 2, "m": 20000, "alpha": 0.5,
+         "replicates": 1}
+    )
+    with pytest.raises(ManifestError) as err:
+        cli.parse_manifest(json.dumps(doc))
+    assert "experiments[1]" in str(err.value)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert not out.exists()
+    # The all-pairs cap of a diameter experiment is checked the same way.
+    doc["experiments"][1].update({"quantity": "diameter", "m": 64})
+    with pytest.raises(ManifestError, match="diameter requires n <= "):
+        cli.parse_manifest(json.dumps(doc))
+
+
+def test_constants_grid_without_a_valid_cell_is_rejected(tmp_path):
+    bad = {"kind": "constants", "d": [1], "p": ["inf"], "alpha": [0.5],
+           "methods": ["hypergeometric-d2", "gamma-max-mc"]}
+    with pytest.raises(ManifestError, match="no .* cell of the grid applies"):
+        cli.parse_manifest(json.dumps({"seed": 1, "experiments": [bad]}))
+    manifest = tmp_path / "c.json"
+    manifest.write_text(json.dumps({"seed": 1, "experiments": [bad]}))
+    out = tmp_path / "cout"
+    assert cli.main(["constants", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert not out.exists()
+    # An out-of-range value is an error, not a cell to skip.
+    for field, value in (("alpha", [-0.5, 0.5]), ("p", [0.5, 2]), ("methods", ["simpson"])):
+        doc = {**bad, "p": [2], "methods": ["quadrature"], field: value}
+        with pytest.raises(ManifestError):
+            cli.parse_manifest(json.dumps({"seed": 1, "experiments": [doc]}))

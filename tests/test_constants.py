@@ -6,20 +6,18 @@ Frozen oracle values, each derived independently of the code under test:
   direct integration, so the constant is 4 ln 2;
 * exponent 1, 2-norm, d = 2: the cube integral of 1/|y| is 2 asinh(1), so the
   constant is 4 asinh(1);
-* d = 1: the constant is 2**a / (1 - a) from the elementary integral;
-* 2F1(1, 1; 2; z) = -log(1 - z)/z gives the series an independent check.
+* d = 1: the constant is 2**a / (1 - a) from the elementary integral.
 """
 
 import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from lrfpp import ConfigError, ConstantQuery
+from lrfpp.errors import NotApplicable
 from lrfpp.constants import (
     evaluate,
-    hyp2f1_series,
     limit_constant_gamma_mc,
     limit_constant_max_norm,
     limit_constant_planar,
@@ -121,22 +119,8 @@ def test_max_norm_closed_form_values():
 
 
 # ---------------------------------------------------------------------------
-# Hypergeometric series (d = 2)
+# Hypergeometric closed form (d = 2)
 # ---------------------------------------------------------------------------
-
-
-def test_hyp2f1_log_identity():
-    for z in (0.1, 0.3, 0.5, 0.9):
-        assert hyp2f1_series(1.0, 1.0, 2.0, z) == pytest.approx(
-            -math.log(1.0 - z) / z, rel=1e-14
-        )
-
-
-def test_hyp2f1_against_scipy():
-    for (a, b, c) in [(1.0, 0.25, 1.5), (1.0, 0.8, 2.3), (0.5, 0.5, 1.5)]:
-        assert hyp2f1_series(a, b, c, 0.5) == pytest.approx(
-            float(scipy.special.hyp2f1(a, b, c, 0.5)), rel=1e-12
-        )
 
 
 def test_planar_constant_p1_is_four_ln_two():
@@ -252,3 +236,17 @@ def test_evaluate_dispatch():
         ConstantQuery(2, 2.0, 1.0, "closed-p-infinity")
     with pytest.raises(ConfigError):
         ConstantQuery(1, 2.0, 0.5, "hypergeometric-d2")
+    # A cell a method does not apply to raises NotApplicable, which a grid
+    # skips; a parameter out of range raises a plain ConfigError.
+    for d, p, alpha, method in [
+        (2, math.inf, 1.0, "gamma-max-mc"), (2, 2.0, 0.0, "gamma-max-mc"),
+        (5, 2.0, 1.0, "quadrature"), (2, 2.0, 2.0, "quadrature"),
+    ]:
+        with pytest.raises(NotApplicable):
+            ConstantQuery(d, p, alpha, method)
+    for d, p, alpha, method in [
+        (2, 2.0, -0.5, "quadrature"), (2, 0.5, 1.0, "quadrature"), (2, 2.0, 1.0, "simpson"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            ConstantQuery(d, p, alpha, method)
+        assert not isinstance(err.value, NotApplicable)

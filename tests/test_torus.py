@@ -12,6 +12,28 @@ from lrfpp import torus
 from lrfpp.errors import EnumerationCapError
 
 
+def _norm_enumerated(u, cfg):
+    """Reference norm: minimum over the 3^d representatives ``coords + m*k``.
+
+    Exponentially slower than ``torus_norm``; an independent oracle for its
+    per-coordinate residue form.
+    """
+    best = math.inf
+    d, m, p = cfg.d, cfg.m, cfg.p
+    for shift in np.ndindex(*(3,) * d):
+        rep = [abs(c + (k - 1) * m) for c, k in zip(u.coords, shift)]
+        if p == math.inf:
+            val = float(max(rep))
+        elif p == 1.0:
+            val = float(sum(rep))
+        elif p == 2.0:
+            val = math.sqrt(sum(r * r for r in rep))
+        else:
+            val = float(sum(float(r) ** p for r in rep)) ** (1.0 / p)
+        best = min(best, val)
+    return best
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         TorusConfig(0, 4)
@@ -40,7 +62,7 @@ def test_wraparound_representative():
     u = canonicalize((4, 0), cfg)
     assert u == Site((-1, 0))
     assert torus_norm(u, cfg) == 1.0
-    assert torus.torus_norm_enumerated(u, cfg) == 1.0
+    assert _norm_enumerated(u, cfg) == 1.0
 
 
 def test_antipodal_even_side():
@@ -49,7 +71,7 @@ def test_antipodal_even_side():
     cfg = TorusConfig(2, 4, 1.0, 0.0)
     u = canonicalize((2, 2), cfg)
     assert torus_norm(u, cfg) == 4.0
-    assert torus.torus_norm_enumerated(u, cfg) == 4.0
+    assert _norm_enumerated(u, cfg) == 4.0
 
 
 def test_noncanonical_input_rejected():
@@ -134,7 +156,7 @@ def test_residue_form_matches_enumeration(d, m, p):
     cfg = TorusConfig(d, m, p, 0.0)
     for u in _all_sites(cfg):
         assert torus_norm(u, cfg) == pytest.approx(
-            torus.torus_norm_enumerated(u, cfg), rel=1e-12
+            _norm_enumerated(u, cfg), rel=1e-12
         )
 
 

@@ -13,7 +13,6 @@ from lrfpp import (
     nearest_rate_sum,
     origin,
     rate_bounds,
-    subtorus_rate_diagnostic,
     total_rate,
 )
 from lrfpp import torus, weights
@@ -146,13 +145,6 @@ def test_rate_bounds_bracket_complete_graph():
         assert lo <= exact <= hi
         assert lo == pytest.approx(j * (n - 1 - j), rel=1e-12)
         assert hi == pytest.approx(j * (n - 1), rel=1e-12)
-
-
-def test_subtorus_diagnostic():
-    cfg = TorusConfig(2, 8, 2.0, 1.0)
-    assert subtorus_rate_diagnostic(cfg, 16) == total_rate(TorusConfig(2, 4, 2.0, 1.0))
-    with pytest.raises(ConfigError):
-        subtorus_rate_diagnostic(cfg, 15)
 
 
 def test_weight_table_cache_not_mutated_by_field_use():
