@@ -147,6 +147,13 @@ def _as_p(val, loc: str) -> float:
     return math.inf if val in ("inf", "Infinity") else _as_number(val, loc)
 
 
+def _as_seed(val, loc: str) -> int:
+    seed = _as_int(val, loc, minimum=0)
+    if seed >= 2**64:
+        raise ManifestError(loc, "seed must fit in 64 bits")
+    return seed
+
+
 def _as_tuple(obj: dict, key: str, loc: str, item, default=None) -> tuple:
     """A non-empty list field, each entry converted by ``item(value, location)``."""
     val = _want(obj, key, loc, required=default is None, default=default)
@@ -213,9 +220,7 @@ def parse_manifest(text: str) -> RunManifest:
         raise ManifestError(f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ManifestError("$", "manifest must be a JSON object")
-    seed = _as_int(_want(doc, "seed", "$"), "$.seed", minimum=0)
-    if seed >= 2**64:
-        raise ManifestError("$.seed", "seed must fit in 64 bits")
+    seed = _as_seed(_want(doc, "seed", "$"), "$.seed")
     out = doc.get("out", "results")
     fmt = doc.get("format", "csv")
     if fmt not in _FORMATS:
@@ -312,15 +317,6 @@ def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict
     return rows
 
 
-_COLUMNS = {
-    "quantity": ["n", "alpha", "quantity", "scaled_mean", "se", "q05", "q25", "q50", "q75", "q95"],
-    "tau": ["n", "alpha", "k", "ks_stat", "ks_pvalue", "mean_centered", "se_centered", "scaled_tau_mean"],
-    "constants": [
-        "d", "p", "alpha", "method", "value", "error_estimate", "converged", "effective_samples"
-    ],
-}
-
-
 def _format_cell(val) -> str:
     if val is None:
         return ""
@@ -329,10 +325,10 @@ def _format_cell(val) -> str:
     return str(val)
 
 
-def _write_output(
-    path: Path, fmt: str, columns: List[str], rows: List[dict], provenance: Dict[str, str]
-) -> None:
+def _write_output(path: Path, fmt: str, rows: List[dict], provenance: Dict[str, str]) -> None:
+    """Write the rows, whose columns are the first row's keys in order."""
     if fmt == "csv":
+        columns = list(rows[0])
         lines = [f"# {k}={v}" for k, v in provenance.items()]
         lines.append(",".join(columns))
         for row in rows:
@@ -388,7 +384,7 @@ def run(
         }
         path = out_dir / f"{exp.label}.{use_fmt}"
         try:
-            _write_output(path, use_fmt, _COLUMNS[exp.kind], rows, provenance)
+            _write_output(path, use_fmt, rows, provenance)
         except OSError as exc:
             failures.append(f"{exp.label}: I/O failure: {exc}")
             io_failed = True
@@ -536,15 +532,16 @@ def _tau_manifest(args: argparse.Namespace) -> RunManifest:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "validate":
-        checks = _validate_checks(args.seed)
-        failed = False
-        for name, ok, detail in checks:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-            failed |= not ok
-        return 3 if failed else 0
-
     try:
+        # Command-line overrides obey the manifest's rules for $.seed and $.jobs.
+        seed = None if args.seed is None else _as_seed(args.seed, "--seed")
+        if args.command == "validate":
+            failed = False
+            for name, ok, detail in _validate_checks(seed):
+                print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+                failed |= not ok
+            return 3 if failed else 0
+        jobs = None if args.jobs is None else _as_int(args.jobs, "--jobs", minimum=1)
         manifest = _load_manifest(args.manifest)
         if manifest is None:
             if args.command == "simulate":
@@ -555,7 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else:
                 manifest = _tau_manifest(args)
         only_kinds = None if args.command == "simulate" else (args.command,)
-        return run(manifest, args.out, args.format, args.jobs, args.seed, only_kinds)
+        return run(manifest, args.out, args.format, jobs, seed, only_kinds)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,12 +31,12 @@ distribution.
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E`` lazily through a counter-based hash, and the
 oracles compute passage times on that realization as an independent route to
-the same law.  Both hash the edge matrix a block of rows at a time and run
-SciPy's Dijkstra in directed mode on a CSR matrix holding both orientations
-of each kept edge.  The single-source oracle keeps every edge.  The all-pairs
-oracle ``distance_matrix`` keeps only the edges no heavier than a certified
-upper bound on the distance between their ends, about 6-8 per vertex of the
-1023 at n = 1024; no shortest path uses a heavier edge, so it stays exact.
+the same law.  Both hash the edge matrix a block of rows at a time and keep
+only edges no heavier than a threshold that Dijkstra from one source
+certifies, so no shortest path loses an edge; the single-source oracle
+returns that run's distances.  ``distance_matrix`` also drops edges heavier
+than a bound on the distance between their ends, keeping about 6-8 per
+vertex of the 1023 at n = 1024, and runs Dijkstra from every source.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -54,14 +54,15 @@ from .errors import ConfigError, InvariantViolation
 from .torus import Site, TorusConfig
 from .weights import WeightField
 
-#: Caps for the oracles: the single-source oracle keeps all O(n^2) edges,
-#: the all-pairs oracle returns an n x n matrix.
+#: Caps for the oracles: the single-source oracle keeps few edges but hashes
+#: all n(n-1)/2 pairs, so its cap bounds hashing time, not memory; the
+#: all-pairs oracle returns an n x n matrix.
 DIJKSTRA_CAP = 4096
 ALL_PAIRS_CAP = 1024
 
 #: Rows of the upper triangle hashed at a time when the oracles build edges.
 EDGE_BLOCK_ROWS = 64
-#: First edge threshold of the all-pairs oracle, in units of log(n) / R_n;
+#: First edge threshold of both oracles, in units of log(n) / R_n;
 #: about this many edges per vertex per unit of log n are kept.
 THRESHOLD_SCALE = 6.0
 
@@ -477,14 +478,6 @@ class EdgeWeightSample:
             raise ConfigError("edge weights are defined for distinct sites")
         return float(self.pair_weights(np.array([iu]), np.array([iv]))[0])
 
-    def weights_from(self, u: Site) -> np.ndarray:
-        """Row of weights from u to every site (0.0 in the self slot)."""
-        iu = torus.site_to_index(u, self.cfg)
-        n = self.cfg.n
-        row = self.pair_weights(np.full(n, iu, dtype=np.int64), np.arange(n, dtype=np.int64))
-        row[iu] = 0.0
-        return row
-
     def dense_matrix(self) -> np.ndarray:
         """Full symmetric weight matrix (diagonal 0); n <= DIJKSTRA_CAP."""
         n = self.cfg.n
@@ -512,8 +505,7 @@ class EdgeWeightSample:
             i += start
             w = self.pair_weights(i, j)
             keep = w <= threshold
-            # int32 halves the index memory when every edge is kept; site
-            # indices fit, as the pair hash requires.
+            # Site indices fit in int32, as the pair hash requires.
             parts.append((i[keep].astype(np.int32), j[keep].astype(np.int32), w[keep]))
         return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -530,75 +522,78 @@ def _symmetric_graph(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> csr
     )
 
 
-def dijkstra_oracle(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> Dict[Site, float]:
-    """Single-source passage times on one edge realization (priority-queue).
+def _certified_edges(
+    sample: EdgeWeightSample, source: int, span: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edges that can lie on a shortest path, and the distances b from ``source``.
+
+    Keeps the edges of weight <= T, starting from T = THRESHOLD_SCALE *
+    log(n) / R_n, with b the Dijkstra distances from ``source`` on them.
+    Until span * max b <= T, T is raised to span * max b (doubled while some
+    b is infinite) and the edges are rebuilt.  Returns (i, j, weight, b) with
+    i < j.
+
+    Why this is exact: an edge {x, y} heavier than d(x, y) lies on no
+    shortest path, so dropping it changes no distance, and the b of any
+    subgraph bound the true distances from above.
+    - span 1: every edge on a shortest path from the source to y weighs at
+      most d(source, y) <= b(y) <= max b <= T, so each such path is kept and
+      b is the single-source distance vector.  It equals Dijkstra on the
+      complete graph bit for bit: a dropped edge's relaxation is no smaller
+      than its weight, which exceeds T and so every distance.
+    - span 2: d(x, y) <= b(x) + b(y) <= 2 max b <= T, so every edge heavier
+      than T, and every kept edge heavier than b(x) + b(y), is heavier than
+      d(x, y).  ``distance_matrix`` drops the latter too and runs every
+      source.
+    """
+    n = sample.cfg.n
+    threshold = THRESHOLD_SCALE * math.log(n) / weights.total_rate(sample.cfg)
+    while True:
+        i, j, w = sample.edges_up_to(threshold)
+        bound = csgraph.dijkstra(_symmetric_graph(n, i, j, w), directed=True, indices=source)
+        reach = float(bound.max())
+        if span * reach <= threshold:
+            return i, j, w, bound
+        threshold = span * reach if math.isfinite(reach) else 2.0 * threshold
+
+
+def dijkstra_oracle(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray:
+    """Passage times from u to every site on one edge realization, by flat index.
 
     Independent oracle for the exploration law: exact shortest-path distances
-    under EdgeWeightSample on the complete graph, every edge kept, so
-    n <= DIJKSTRA_CAP.
+    under EdgeWeightSample on the complete graph, from one Dijkstra on the
+    edges ``_certified_edges`` keeps with span 1.  Every pair is still
+    hashed, so n <= DIJKSTRA_CAP.
     """
-    dist = _oracle_distances(u, cfg, seed)
-    return {
-        torus.index_to_site(i, cfg): float(dist[i]) for i in range(cfg.n)
-    }
-
-
-def _oracle_distances(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray:
     if cfg.n > DIJKSTRA_CAP:
         raise ConfigError(f"dijkstra oracle capped at n <= {DIJKSTRA_CAP}")
     sample = EdgeWeightSample.from_seed(cfg, seed)
-    graph = _symmetric_graph(cfg.n, *sample.edges_up_to(math.inf))
-    return csgraph.dijkstra(graph, directed=True, indices=torus.site_to_index(u, cfg))
+    return _certified_edges(sample, torus.site_to_index(u, cfg), span=1)[3]
 
 
 def oracle_transmission_time(
     u: Site, v: Site, cfg: TorusConfig, seed: rng.SeedLike
 ) -> float:
     """Oracle-side sample of the u-to-v passage time (fresh realization)."""
-    dist = _oracle_distances(u, cfg, seed)
-    return float(dist[torus.site_to_index(v, cfg)])
-
-
-def _certified_graph(sample: EdgeWeightSample, threshold: float) -> Tuple[csr_matrix, float]:
-    """Edges that can lie on a shortest path, and the threshold that certified them.
-
-    Keeps the edges of weight <= threshold, with b the Dijkstra distances
-    from site 0 on them.  Until 2 max b <= threshold the threshold is raised
-    to 2 max b (doubled while some b is infinite) and the edges are rebuilt.
-    Returns the kept edges with w <= b(u) + b(v); ``distance_matrix`` says
-    why no distance changes.
-    """
-    n = sample.cfg.n
-    while True:
-        i, j, w = sample.edges_up_to(threshold)
-        bound = csgraph.dijkstra(_symmetric_graph(n, i, j, w), directed=True, indices=0)
-        reach = float(bound.max())
-        if 2.0 * reach <= threshold:
-            break
-        threshold = 2.0 * (reach if math.isfinite(reach) else threshold)
-    keep = w <= bound[i] + bound[j]
-    return _symmetric_graph(n, i[keep], j[keep], w[keep]), threshold
+    return float(dijkstra_oracle(u, cfg, seed)[torus.site_to_index(v, cfg)])
 
 
 def distance_matrix(cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray:
     """All-pairs passage times on one shared edge realization; n <= ALL_PAIRS_CAP.
 
-    Dijkstra from every source on the edges ``_certified_graph`` keeps,
-    starting from the threshold T = THRESHOLD_SCALE * log(n) / R_n.  This is
-    exact.  An edge {u, v} heavier than d(u, v) lies on no shortest path, so
-    dropping such edges changes no distance.  With b the distances from site
-    0 on any subgraph, d(u, v) <= b(u) + b(v) <= 2 max b.  So once
-    2 max b <= T, every edge heavier than T, and every kept edge heavier than
-    b(u) + b(v), is heavier than d(u, v).  The result differs from a dense
-    all-pairs method only in the order each path's weights are summed; each
-    pair takes the smaller of its two directions' sums, so the matrix is
-    exactly symmetric.
+    Dijkstra from every source on the edges ``_certified_edges`` keeps from
+    site 0 with span 2, less those heavier than b(u) + b(v); its docstring
+    says why this is exact.  The result differs from a dense all-pairs
+    method only in the order each path's weights are summed; each pair takes
+    the smaller of its two directions' sums, so the matrix is exactly
+    symmetric.
     """
     if cfg.n > ALL_PAIRS_CAP:
         raise ConfigError(f"all-pairs oracle capped at n <= {ALL_PAIRS_CAP}")
     sample = EdgeWeightSample.from_seed(cfg, seed)
-    threshold = THRESHOLD_SCALE * math.log(cfg.n) / weights.total_rate(cfg)
-    graph, _ = _certified_graph(sample, threshold)
+    i, j, w, bound = _certified_edges(sample, 0, span=2)
+    keep = w <= bound[i] + bound[j]
+    graph = _symmetric_graph(cfg.n, i[keep], j[keep], w[keep])
     dist = csgraph.dijkstra(graph, directed=True)
     return np.minimum(dist, dist.T)
 

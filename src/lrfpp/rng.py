@@ -33,6 +33,7 @@ _PHILOX_M0 = np.uint64(0xD2511F53)
 _PHILOX_M1 = np.uint64(0xCD9E8D57)
 _PHILOX_W0 = 0x9E3779B9
 _PHILOX_W1 = 0xBB67AE85
+_PHILOX_ROUNDS = 10
 _U32 = 0xFFFFFFFF
 _INV_2_53 = 2.0**-53
 
@@ -69,20 +70,18 @@ def philox4x32(
     c2: np.ndarray,
     c3: np.ndarray,
     key: Tuple[int, int],
-    rounds: int = 10,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Philox4x32 block cipher over vectors of 128-bit counters.
+    """Philox4x32-10 block cipher over vectors of 128-bit counters.
 
     Counters are given as four uint32 words (arrays broadcast together); the
-    return value is the four output words.  With the default 10 rounds this is
-    the standard philox4x32-10 function.
+    return value is the four output words.
     """
     c0 = np.asarray(c0, dtype=np.uint32)
     c1 = np.asarray(c1, dtype=np.uint32)
     c2 = np.asarray(c2, dtype=np.uint32)
     c3 = np.asarray(c3, dtype=np.uint32)
     k0, k1 = int(key[0]) & _U32, int(key[1]) & _U32
-    for _ in range(rounds):
+    for _ in range(_PHILOX_ROUNDS):
         p0 = _PHILOX_M0 * c0.astype(np.uint64)
         p1 = _PHILOX_M1 * c2.astype(np.uint64)
         hi0 = (p0 >> np.uint64(32)).astype(np.uint32)

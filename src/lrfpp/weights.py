@@ -34,7 +34,8 @@ from . import torus
 from .errors import ConfigError, EnumerationCapError, InvariantViolation
 from .torus import Site, TorusConfig
 
-#: Cadence of the full re-summation consistency check inside WeightField.
+#: Cadence, in births, of the full re-summation consistency check in
+#: WeightField and in the thinning sampler of ``explore``.
 RESUM_INTERVAL = 100
 #: Tolerance scale for the re-summation check: 1e-9 * n * max summand.
 RESUM_RTOL = 1e-9

@@ -2,12 +2,24 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lrfpp import cli, constants
 from lrfpp.errors import ManifestError
+
+#: The documented results columns, in file order, for each experiment kind.
+COLUMNS = {
+    "quantity": ["n", "alpha", "quantity", "scaled_mean", "se", "q05", "q25", "q50", "q75", "q95"],
+    "tau": ["n", "alpha", "k", "ks_stat", "ks_pvalue", "mean_centered", "se_centered", "scaled_tau_mean"],
+    "constants": [
+        "d", "p", "alpha", "method", "value", "error_estimate", "converged", "effective_samples"
+    ],
+}
 
 
 def _minimal_manifest(**overrides):
@@ -171,7 +183,7 @@ def test_csv_rows_round_trip(tmp_path):
     assert cli.run(man, out=str(out)) == 0
     lines = _read_rows(out / "00_quantity.csv")
     header = lines[0].split(",")
-    assert header == cli._COLUMNS["quantity"]
+    assert header == COLUMNS["quantity"]
     row = lines[1].split(",")
     parsed = dict(zip(header, row))
     # Numeric fields parse back exactly (repr round-trip).
@@ -201,6 +213,30 @@ def test_main_invalid_manifest_exit_2(tmp_path, capsys):
     assert cli.main(["simulate", "--manifest", str(bad)]) == 2
 
 
+def test_command_line_overrides_obey_the_manifest_rules(tmp_path, capsys):
+    # --seed and --jobs are checked like $.seed and $.jobs: exit 2, no output.
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(_minimal_manifest()))
+    out = tmp_path / "out"
+    for flags in (["--seed", "-1"], ["--seed", str(2**64)], ["--jobs", "0"]):
+        assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out), *flags]) == 2
+        assert f"error: {flags[0]}: " in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["validate", "--seed", "-1"]) == 2
+    assert "error: --seed: " in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_out():
+    # Importing scipy.stats costs more than the whole set-up of a run.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, lrfpp, lrfpp.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_main_simulate_and_constants(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps(_minimal_manifest()))
@@ -225,7 +261,7 @@ def test_main_simulate_and_constants(tmp_path):
     cout = tmp_path / "cout"
     assert cli.main(["constants", "--manifest", str(cmanifest), "--out", str(cout)]) == 0
     lines = _read_rows(cout / "00_constants.csv")
-    assert lines[0].split(",") == cli._COLUMNS["constants"]
+    assert lines[0].split(",") == COLUMNS["constants"]
     assert len(lines) > 1
 
 
@@ -237,7 +273,7 @@ def test_main_tau_flags(tmp_path):
     )
     assert code == 0
     lines = _read_rows(out / "00_tau.csv")
-    assert lines[0].split(",") == cli._COLUMNS["tau"]
+    assert lines[0].split(",") == COLUMNS["tau"]
 
 
 def test_unreadable_manifest_exit_4(tmp_path):
@@ -266,7 +302,7 @@ def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
     rows = cli._constants_rows(exp, 77, jobs=1)
     assert len(rows) == 8
     for cell, row in enumerate(rows):
-        assert set(row) == set(cli._COLUMNS["constants"])
+        assert set(row) == set(COLUMNS["constants"])
         if row["method"] == "quadrature":
             assert row["converged"] is True and row["effective_samples"] is None
         else:

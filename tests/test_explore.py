@@ -1,6 +1,7 @@
 """Exploration process, edge-weight realizations, and shortest-path oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lrfpp import (
     transmission_time,
 )
 from lrfpp import explore, rng, stats, torus, weights
+from lrfpp.explore import THRESHOLD_SCALE
 
 
 def _uniform_pair(cfg, seed):
@@ -266,7 +268,8 @@ def test_edge_sample_symmetry_positivity_reproducibility():
     assert np.array_equal(mat, mat.T)
     off = mat[~np.eye(cfg.n, dtype=bool)]
     assert (off > 0.0).all()
-    assert np.array_equal(s1.weights_from(u), mat[3])
+    row = s1.pair_weights(np.full(cfg.n, 3), np.arange(cfg.n))
+    assert np.array_equal(row, mat[3])
     with pytest.raises(ConfigError):
         s1.weight(u, u)
 
@@ -313,24 +316,25 @@ def test_edge_sample_long_range_scaling():
 def test_dijkstra_oracle_basics():
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     dist = dijkstra_oracle(origin(cfg), cfg, 9)
-    assert dist[origin(cfg)] == 0.0
+    src = torus.origin_index(cfg)
+    assert dist[src] == 0.0
     assert len(dist) == cfg.n
-    assert all(v > 0.0 for s, v in dist.items() if s != origin(cfg))
+    assert all(dist[i] > 0.0 for i in range(cfg.n) if i != src)
     # Distances never exceed the direct edge.
     sample = EdgeWeightSample.from_seed(cfg, 9)
-    for s, v in dist.items():
-        if s != origin(cfg):
-            assert v <= sample.weight(origin(cfg), s) + 1e-12
+    for i in range(cfg.n):
+        if i != src:
+            assert dist[i] <= sample.weight(origin(cfg), torus.index_to_site(i, cfg)) + 1e-12
 
 
 def test_two_site_oracle_is_the_single_edge():
     cfg = TorusConfig(1, 2, 2.0, 0.5)
     other = torus.index_to_site(0, cfg)
     sample = EdgeWeightSample.from_seed(cfg, 10)
-    dist = dijkstra_oracle(origin(cfg), cfg, 10)
-    assert dist[other] == pytest.approx(sample.weight(origin(cfg), other), rel=1e-15)
+    dist = dijkstra_oracle(origin(cfg), cfg, 10)[0]
+    assert dist == pytest.approx(sample.weight(origin(cfg), other), rel=1e-15)
     assert flooding_time(origin(cfg), cfg, 10) > 0.0
-    assert diameter_exact(cfg, 10) == pytest.approx(dist[other], rel=1e-15)
+    assert diameter_exact(cfg, 10) == pytest.approx(dist, rel=1e-15)
 
 
 def test_flooding_dominates_fixed_target_and_diameter_dominates_flooding():
@@ -361,13 +365,46 @@ def _assert_same_distances(dist, ref):
 
 @pytest.mark.parametrize("d, m", [(1, 48), (2, 7), (3, 4)])
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-def test_distance_matrix_matches_floyd_warshall(d, m, p):
+def test_distance_matrix_matches_floyd_warshall(d, m, p, monkeypatch):
+    # At scale 0.5 every first threshold on this grid fails the certificate.
     for alpha in (0.0, 0.5, d - 0.05):
         cfg = TorusConfig(d, m, p, alpha)
         for seed in range(3):
             mat = EdgeWeightSample.from_seed(cfg, (24, seed)).dense_matrix()
             ref = csgraph.floyd_warshall(mat, directed=True)
-            _assert_same_distances(distance_matrix(cfg, (24, seed)), ref)
+            for scale in (THRESHOLD_SCALE, 0.5):
+                monkeypatch.setattr(explore, "THRESHOLD_SCALE", scale)
+                _assert_same_distances(distance_matrix(cfg, (24, seed)), ref)
+
+
+@pytest.mark.parametrize("d, m", [(1, 48), (2, 7), (3, 4)])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_single_source_oracle_matches_dense_dijkstra(d, m, p, monkeypatch):
+    # Bit for bit from every source: no dropped edge can win a relaxation.
+    # At scale 0.5 every first threshold on this grid fails the certificate.
+    for alpha in (0.0, 0.5, d - 0.05):
+        cfg = TorusConfig(d, m, p, alpha)
+        for seed in range(3):
+            mat = EdgeWeightSample.from_seed(cfg, (24, seed)).dense_matrix()
+            for u in range(cfg.n):
+                ref = csgraph.dijkstra(mat, indices=u)
+                for scale in (THRESHOLD_SCALE, 0.5):
+                    monkeypatch.setattr(explore, "THRESHOLD_SCALE", scale)
+                    dist = dijkstra_oracle(torus.index_to_site(u, cfg), cfg, (24, seed))
+                    assert np.array_equal(dist, ref), (alpha, seed, u, scale)
+
+
+def test_single_source_oracle_holds_no_complete_graph():
+    # At n = 4,096 the complete graph in both orientations is 16.8 M CSR
+    # entries (576 MB traced); the certified edges and one row block are not.
+    cfg = TorusConfig(2, 64, 2.0, 0.5)
+    tracemalloc.start()
+    try:
+        explore.oracle_transmission_time(origin(cfg), torus.index_to_site(1234, cfg), cfg, 27)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
 
 
 def test_edge_blocks_reproduce_the_dense_realization():
@@ -384,24 +421,37 @@ def test_edge_blocks_reproduce_the_dense_realization():
         assert np.array_equal(w, mat[iu, ju][keep])
 
 
-def test_certified_graph_raises_a_small_threshold():
+def test_certified_graph_raises_a_small_threshold(monkeypatch):
     cfg = TorusConfig(2, 6, 2.0, 1.0)
     sample = EdgeWeightSample.from_seed(cfg, 26)
     mat = sample.dense_matrix()
     ref = csgraph.floyd_warshall(mat, directed=True)
     # Below the lightest edge the kept graph has no edges (disconnected).  At
     # the heaviest minimum-spanning-tree edge it is connected, but every path
-    # from site 0 to the far side of that edge crosses an edge at least as
-    # heavy, so 2 max b exceeds the threshold.
+    # from the source to the far side of that edge crosses an edge at least
+    # as heavy, so span * max b exceeds the threshold: from site 0 with
+    # span 2 (all pairs), and from site 17 with span 1 (single source).
     lightest = mat[mat > 0].min()
     bottleneck = csgraph.minimum_spanning_tree(mat).max()
-    for threshold in (0.5 * lightest, bottleneck):
-        graph, certified = explore._certified_graph(sample, threshold)
-        assert certified > threshold
-        dist = csgraph.dijkstra(graph, directed=True)
-        _assert_same_distances(np.minimum(dist, dist.T), ref)
-        # Every edge still kept is no heavier than the certified threshold.
-        assert graph.data.max() <= certified
+    iu, ju = np.triu_indices(cfg.n, k=1)
+    rn_per_log = total_rate(cfg) / math.log(cfg.n)
+    for source, span in ((0, 2), (17, 1)):
+        # The nudge keeps the first threshold from rounding below the bottleneck.
+        for threshold in (0.5 * lightest, bottleneck * (1 + 1e-12)):
+            monkeypatch.setattr(explore, "THRESHOLD_SCALE", threshold * rn_per_log)
+            i, j, w, b = explore._certified_edges(sample, source, span)
+            # b is exact, so this threshold failed the certificate.
+            assert span * b.max() > threshold
+            assert np.array_equal(b, csgraph.dijkstra(mat, indices=source))
+            # Every edge no heavier than span * max b is kept, bit for bit.
+            needed = mat[iu, ju] <= span * b.max()
+            kept = {(a, c): x for a, c, x in zip(i.tolist(), j.tolist(), w.tolist())}
+            for a, c in zip(iu[needed].tolist(), ju[needed].tolist()):
+                assert kept[a, c] == mat[a, c]
+            if span == 2:
+                graph = explore._symmetric_graph(cfg.n, i, j, w)
+                dist = csgraph.dijkstra(graph, directed=True)
+                _assert_same_distances(np.minimum(dist, dist.T), ref)
 
 
 def test_exploration_matches_oracle_over_grid():
@@ -440,7 +490,7 @@ def test_ball_size_consistency_with_oracle():
     for r in range(reps):
         rec = run_exploration(origin(cfg), StopRule.time(t_probe), cfg, (21, r, 0))
         expl[r] = rec.ball_size(t_probe)
-        dist = explore._oracle_distances(origin(cfg), cfg, (21, r, 1))
+        dist = dijkstra_oracle(origin(cfg), cfg, (21, r, 1))
         orac[r] = int((dist <= t_probe).sum())
     se = math.sqrt(expl.var(ddof=1) / reps + orac.var(ddof=1) / reps)
     assert abs(expl.mean() - orac.mean()) <= 3 * se
