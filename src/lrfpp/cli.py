@@ -40,6 +40,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -326,19 +327,24 @@ def _format_cell(val) -> str:
 
 
 def _write_output(path: Path, fmt: str, rows: List[dict], provenance: Dict[str, str]) -> None:
-    """Write the rows, whose columns are the first row's keys in order."""
+    """Write the rows, whose columns are the first row's keys in order, to a
+    temporary sibling renamed into place; a failed write leaves neither name."""
     if fmt == "csv":
         columns = list(rows[0])
         lines = [f"# {k}={v}" for k, v in provenance.items()]
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_format_cell(row[c]) for c in columns))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
     else:
         doc = {"provenance": provenance, "rows": rows}
-        path.write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run(
@@ -553,10 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 manifest = _tau_manifest(args)
         only_kinds = None if args.command == "simulate" else (args.command,)
         return run(manifest, args.out, args.format, jobs, seed, only_kinds)
-    except ManifestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (ManifestError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -36,7 +36,11 @@ only edges no heavier than a threshold that Dijkstra from one source
 certifies, so no shortest path loses an edge; the single-source oracle
 returns that run's distances.  ``distance_matrix`` also drops edges heavier
 than a bound on the distance between their ends, keeping about 6-8 per
-vertex of the 1023 at n = 1024, and runs Dijkstra from every source.
+vertex of the 1023 at n = 1024, and runs Dijkstra from every source.  The
+diameter is the largest directed distance (no ``min`` of a pair's two
+directions) and needs a few dozen sources: eccentricity bounds (Takes &
+Kosters 2011) drop every vertex whose row cannot hold it, with a margin
+above the float error of path sums that keeps the result exact.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .weights import WeightField
 
 #: Caps for the oracles: the single-source oracle keeps few edges but hashes
 #: all n(n-1)/2 pairs, so its cap bounds hashing time, not memory; the
-#: all-pairs oracle returns an n x n matrix.
+#: all-pairs oracle returns an n x n matrix, and the diameter shares its cap.
 DIJKSTRA_CAP = 4096
 ALL_PAIRS_CAP = 1024
 
@@ -65,6 +69,10 @@ EDGE_BLOCK_ROWS = 64
 #: First edge threshold of both oracles, in units of log(n) / R_n;
 #: about this many edges per vertex per unit of log n are kept.
 THRESHOLD_SCALE = 6.0
+
+#: Relative slack on the diameter's eccentricity bounds.  It exceeds the float
+#: error of path sums, about n * eps relative, so it keeps the result exact.
+ECC_MARGIN = 1e-9
 
 #: Relative float slack allowed on the hard rate-sandwich assertion.
 SANDWICH_RTOL = 1e-9
@@ -514,12 +522,15 @@ def _symmetric_graph(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> csr
     """Edge list {i, j} with both orientations stored, for directed Dijkstra.
 
     Reading a symmetric CSR in directed mode gives the undirected distances
-    without SciPy's dense-input conversion or its undirected transpose.
+    without SciPy's dense-input conversion, undirected transpose or COO
+    checks; n <= DIJKSTRA_CAP fits the uint16 sort key.
     """
-    return csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    )
+    rows = np.concatenate([i, j])
+    order = np.argsort(rows.astype(np.uint16), kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    data = (np.concatenate([w, w])[order], np.concatenate([j, i])[order], indptr)
+    return csr_matrix(data, shape=(n, n))
 
 
 def _certified_edges(
@@ -578,26 +589,58 @@ def oracle_transmission_time(
     return float(dijkstra_oracle(u, cfg, seed)[torus.site_to_index(v, cfg)])
 
 
+def _all_pairs_graph(cfg: TorusConfig, seed: rng.SeedLike) -> csr_matrix:
+    """Edges ``_certified_edges`` keeps from site 0 with span 2, less those
+    heavier than b(u) + b(v); its docstring says why this is exact."""
+    if cfg.n > ALL_PAIRS_CAP:
+        raise ConfigError(f"all-pairs oracle capped at n <= {ALL_PAIRS_CAP}")
+    i, j, w, bound = _certified_edges(EdgeWeightSample.from_seed(cfg, seed), 0, span=2)
+    keep = w <= bound[i] + bound[j]
+    return _symmetric_graph(cfg.n, i[keep], j[keep], w[keep])
+
+
+def _bounded_diameter(graph: csr_matrix, start: int) -> Tuple[float, np.ndarray, int]:
+    """Largest entry of ``csgraph.dijkstra(graph, directed=True)`` bit for bit,
+    the row of ``start``, and the number of Dijkstra runs made.
+
+    A run from v gives ecc(v), the max of its row, and bounds every w by
+    lo(w) >= max(d(v, w), ecc(v) - d(v, w)) and hi(w) <= ecc(v) + d(v, w).
+    A vertex leaves once run or once hi(w) < best * (1 - ECC_MARGIN); the
+    next source alternates between the largest hi and the smallest lo left.
+    """
+    n = graph.shape[0]
+    lo, hi, left = np.zeros(n), np.full(n, math.inf), np.ones(n, dtype=bool)
+    best, v, runs = 0.0, start, 0
+    while True:
+        row = csgraph.dijkstra(graph, directed=True, indices=v)
+        first = row if runs == 0 else first
+        runs += 1
+        ecc = float(row.max())
+        best = max(best, ecc)
+        np.maximum(lo, np.maximum(row, ecc - row), out=lo)
+        np.minimum(hi, ecc + row, out=hi)
+        left[v] = False
+        left &= hi >= best * (1.0 - ECC_MARGIN)
+        candidates = np.flatnonzero(left)
+        if candidates.size == 0:
+            return best, first, runs
+        v = int(candidates[np.argmax(hi[candidates] if runs % 2 else -lo[candidates])])
+
+
 def distance_matrix(cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray:
     """All-pairs passage times on one shared edge realization; n <= ALL_PAIRS_CAP.
 
-    Dijkstra from every source on the edges ``_certified_edges`` keeps from
-    site 0 with span 2, less those heavier than b(u) + b(v); its docstring
-    says why this is exact.  The result differs from a dense all-pairs
-    method only in the order each path's weights are summed; each pair takes
-    the smaller of its two directions' sums, so the matrix is exactly
-    symmetric.
+    Dijkstra from every source on ``_all_pairs_graph``.  The result differs
+    from a dense all-pairs method only in the order each path's weights are
+    summed; each pair takes the smaller of its two directions' sums, so the
+    matrix is exactly symmetric.
     """
-    if cfg.n > ALL_PAIRS_CAP:
-        raise ConfigError(f"all-pairs oracle capped at n <= {ALL_PAIRS_CAP}")
-    sample = EdgeWeightSample.from_seed(cfg, seed)
-    i, j, w, bound = _certified_edges(sample, 0, span=2)
-    keep = w <= bound[i] + bound[j]
-    graph = _symmetric_graph(cfg.n, i[keep], j[keep], w[keep])
-    dist = csgraph.dijkstra(graph, directed=True)
+    dist = csgraph.dijkstra(_all_pairs_graph(cfg, seed), directed=True)
     return np.minimum(dist, dist.T)
 
 
 def diameter_exact(cfg: TorusConfig, seed: rng.SeedLike) -> float:
-    """Max passage time over all pairs on one shared edge realization."""
-    return float(distance_matrix(cfg, seed).max())
+    """Max passage time over all pairs on one shared edge realization: the
+    largest directed Dijkstra distance (no ``min`` of a pair's two directions),
+    exact because ECC_MARGIN drops no row that could hold it."""
+    return _bounded_diameter(_all_pairs_graph(cfg, seed), 0)[0]

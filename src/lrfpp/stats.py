@@ -241,20 +241,19 @@ def oracle_ordering_sample(
 ) -> Tuple[float, float, float]:
     """(typical, flooding, diameter) on one shared realization; always nested.
 
-    The pair (U, V) is drawn from the seed's choice stream, flooding is taken
-    from source U, and the diameter over all pairs, so the three maxima nest
-    by construction.
+    The pair (U, V) comes from the seed's choice stream.  The diameter's bound
+    loop starts at U, so typical = d(U, V) and flooding = ecc(U) come from its
+    first row.  The diameter is the largest directed Dijkstra distance (no
+    ``min`` of two directions), and the loop's margin makes it exact, equal
+    to ``explore.diameter_exact`` at the same seed from any start.
     """
     gen = rng.generator(seed, rng.STREAM_CHOICE)
-    dist = explore.distance_matrix(cfg, seed)
     iu = int(gen.integers(cfg.n))
     iv = iu
     while iv == iu:
         iv = int(gen.integers(cfg.n))
-    typical = float(dist[iu, iv])
-    flooding = float(dist[iu].max())
-    diameter = float(dist.max())
-    return typical, flooding, diameter
+    diameter, row, _ = explore._bounded_diameter(explore._all_pairs_graph(cfg, seed), iu)
+    return float(row[iv]), float(row.max()), diameter
 
 
 # ---------------------------------------------------------------------------

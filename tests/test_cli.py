@@ -290,6 +290,19 @@ def test_io_failure_exit_4(tmp_path):
     assert cli.run(man, out=str(blocker)) == 4
 
 
+def test_failed_write_leaves_no_results_file(tmp_path, monkeypatch):
+    man = cli.parse_manifest(json.dumps(_minimal_manifest()))
+    real_write = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        real_write(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    assert cli.run(man, out=str(tmp_path)) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
 def _constants_experiment(**fields):
     doc = {"kind": "constants", "d": [1, 2], "p": [1, 2], "alpha": [0.5],
            "methods": ["quadrature", "gamma-max-mc"], "samples": 10_000}

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 from lrfpp import (
     ConfigError,
@@ -392,6 +392,59 @@ def test_single_source_oracle_matches_dense_dijkstra(d, m, p, monkeypatch):
                     monkeypatch.setattr(explore, "THRESHOLD_SCALE", scale)
                     dist = dijkstra_oracle(torus.index_to_site(u, cfg), cfg, (24, seed))
                     assert np.array_equal(dist, ref), (alpha, seed, u, scale)
+
+
+@pytest.mark.parametrize("d, m", [(1, 48), (2, 7), (3, 4)])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_diameter_is_the_largest_directed_distance(d, m, p, monkeypatch):
+    # Bit for bit against all-sources Dijkstra on the same certified graph,
+    # from every start vertex, and to 1e-14 against Floyd-Warshall on the
+    # complete graph.  At scale 0.5 every first threshold fails the
+    # certificate.
+    for alpha in (0.0, 0.5, d - 0.05):
+        cfg = TorusConfig(d, m, p, alpha)
+        for seed in range(3):
+            ref = csgraph.floyd_warshall(
+                EdgeWeightSample.from_seed(cfg, (24, seed)).dense_matrix(), directed=True
+            ).max()
+            for scale in (THRESHOLD_SCALE, 0.5):
+                monkeypatch.setattr(explore, "THRESHOLD_SCALE", scale)
+                graph = explore._all_pairs_graph(cfg, (24, seed))
+                full = csgraph.dijkstra(graph, directed=True)
+                diameter = diameter_exact(cfg, (24, seed))
+                assert diameter == full.max(), (alpha, seed, scale)
+                assert abs(diameter - ref) <= 1e-14 * ref
+                for start in range(cfg.n):
+                    found, row, _ = explore._bounded_diameter(graph, start)
+                    assert found == diameter and np.array_equal(row, full[start])
+
+
+def test_bound_loop_visits_every_vertex_when_eccentricities_tie():
+    # On a unit-weight cycle every eccentricity is n/2, so no bound ever
+    # drops a vertex that has not been a source.
+    n = 12
+    i = np.arange(n, dtype=np.int32)
+    graph = explore._symmetric_graph(n, i, (i + 1) % n, np.ones(n))
+    diameter, row, runs = explore._bounded_diameter(graph, 5)
+    assert (diameter, runs) == (n // 2, n)
+    assert np.array_equal(row, np.minimum(np.abs(i - 5), n - np.abs(i - 5)))
+
+
+def test_symmetric_graph_matches_the_coo_construction():
+    # Same rows and the same entries per row as SciPy's COO path; Dijkstra
+    # distances are the same bits (a row's order cannot change a distance).
+    cfg = TorusConfig(2, 16, 2.0, 0.5)
+    i, j, w = EdgeWeightSample.from_seed(cfg, 28).edges_up_to(0.5)
+    graph = explore._symmetric_graph(cfg.n, i, j, w)
+    coo = csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(cfg.n, cfg.n),
+    )
+    assert np.array_equal(graph.indptr, coo.indptr)
+    assert (graph != coo).nnz == 0
+    assert np.array_equal(
+        csgraph.dijkstra(graph, directed=True), csgraph.dijkstra(coo, directed=True)
+    )
 
 
 def test_single_source_oracle_holds_no_complete_graph():
