@@ -131,40 +131,23 @@ def uniform_open_closed(gen: np.random.Generator, size=None):
     return 1.0 - gen.random(size)
 
 
-def gamma_small_shape(
+def log_gamma_small_shape(
     shape: float, size: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Gamma(shape, 1) variates for 0 < shape <= 1 by rejection.
+    """Logarithms of Gamma(shape, 1) variates for 0 < shape <= 1.
 
-    Proposal: P = (1 + shape/e) * U1.  If P <= 1 the candidate is
-    X = P**(1/shape), accepted when U2 <= exp(-X); otherwise
-    X = -log((b - P)/shape), accepted when U2 <= X**(shape - 1).
-    Acceptance probability is Gamma(shape + 1)/b >= 0.73 over the whole range.
+    Stuart's identity Gamma(s) = Gamma(s + 1) * U**(1/s) in law gives
+    log X = log Gamma(s + 1) + log(U) / s.  The draw never leaves log space,
+    so it stays finite where X itself would underflow (shape below about 0.01).
     """
     if not (0.0 < shape <= 1.0):
         raise ValueError(f"shape must be in (0, 1], got {shape}")
-    b = 1.0 + shape / np.e
-    out = np.empty(size, dtype=np.float64)
-    pending = size
-    write = 0
-    while pending > 0:
-        u1 = 1.0 - gen.random(pending)  # (0, 1], so P > 0
-        u2 = gen.random(pending)
-        p = b * u1
-        small = p <= 1.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # P == b maps to x = +inf and is rejected by the isfinite filter;
-            # both np.where branches are evaluated, hence the errstate guard.
-            x = np.where(small, p ** (1.0 / shape), -np.log((b - p) / shape))
-            accept = np.where(
-                small,
-                u2 <= np.exp(-x),
-                u2 <= x ** (shape - 1.0),
-            )
-        accept &= np.isfinite(x)
-        got = x[accept]
-        k = got.size
-        out[write : write + k] = got
-        write += k
-        pending -= k
-    return out
+    log_g = np.log(gen.standard_gamma(shape + 1.0, size))
+    return log_g + np.log(uniform_open_closed(gen, size)) / shape
+
+
+def gamma_small_shape(
+    shape: float, size: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Gamma(shape, 1) variates for 0 < shape <= 1: exp of the log-space draw."""
+    return np.exp(log_gamma_small_shape(shape, size, gen))

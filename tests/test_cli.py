@@ -329,15 +329,16 @@ def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
 
 
 def test_constants_warns_on_unconverged_quadrature(tmp_path, capsys):
-    # At tolerance 1e-9 this cell runs past the quadrature's evaluation budget.
-    cdoc = {"seed": 1, "experiments": [{"kind": "constants", "d": [3], "p": [1.5],
-                                        "alpha": [0.5], "methods": ["quadrature"]}]}
+    # At tolerance 1e-9 this cell, with alpha close to d, needs more than the
+    # quadrature's evaluation budget.
+    cdoc = {"seed": 1, "experiments": [{"kind": "constants", "d": [4], "p": [1.5],
+                                        "alpha": [3.5], "methods": ["quadrature"]}]}
     cmanifest = tmp_path / "c.json"
     cmanifest.write_text(json.dumps(cdoc))
     cout = tmp_path / "cout"
     assert cli.main(["constants", "--manifest", str(cmanifest), "--out", str(cout)]) == 0
     err = capsys.readouterr().err
-    assert "warning:" in err and "d=3, p=1.5, alpha=0.5" in err
+    assert "warning:" in err and "d=4, p=1.5, alpha=3.5" in err
     header, row = _read_rows(cout / "00_constants.csv")
     assert dict(zip(header.split(","), row.split(",")))["converged"] == "False"
 

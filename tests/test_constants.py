@@ -89,12 +89,51 @@ def test_quadrature_d3_p2_against_split_oracle():
 
 
 def test_quadrature_reports_convergence_failure():
-    # An impossible tolerance forces refinement past the evaluation budget;
+    # An impossible tolerance forces refinement up to the evaluation budget;
     # the achieved error must be reported honestly instead of faked.
     res = unit_cube_integral(2, 2.0, 1.0, 1e-30, max_evals=20_000)
     assert not res.converged
     assert res.error > 1e-30
+    assert res.evaluations <= 20_000
     assert res.value == pytest.approx(2.0 * math.asinh(1.0), abs=1e-9)
+    # A budget too small for even the first rule spends nothing.
+    res = unit_cube_integral(2, 2.0, 1.0, 1e-9, max_evals=100)
+    assert (res.converged, res.error, res.evaluations) == (False, math.inf, 0)
+
+
+# The benchmark's constants grid: d 1-4, p 1, 2, inf, alpha < d.
+BENCH_GRID = [
+    (d, p, alpha)
+    for d in (1, 2, 3, 4)
+    for p in (1.0, 2.0, math.inf)
+    for alpha in (0.25, 0.5, 1.0, 1.5, 2.5)
+    if alpha < d
+]
+
+
+def test_quadrature_keeps_its_budget_and_converges_on_the_bench_grid():
+    for d, p, alpha in BENCH_GRID:
+        res = unit_cube_integral(d, p, alpha, 1e-9)
+        assert res.converged and res.evaluations <= 4_000_000, (d, p, alpha, res)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.5])
+def test_quadrature_d4_evaluation_count(p, alpha):
+    # Order 8: the 15 shell boxes' rules (15 * 8**4) and one refinement step
+    # of each (15 * 16 * 8**4), where each box already meets its tolerance.
+    res = _quad(4, p, alpha)
+    assert res.converged and res.evaluations <= 1_044_480
+
+
+def test_quadrature_non_integer_p_converges():
+    res = _quad(3, 1.5, 0.5)
+    assert res.converged and res.error <= 1e-9
+    for p in (1.5, 1.25, 3.5):
+        for alpha in (0.25, 1.0, 1.9):
+            res = _quad(2, p, alpha)
+            assert res.converged
+            assert res.value == pytest.approx(limit_constant_planar(p, alpha), abs=1e-9)
 
 
 def test_quadrature_validation():
@@ -204,6 +243,15 @@ def test_mc_weights_keep_effective_sample_size():
     ],
 )
 def test_mc_small_alpha_is_finite_and_accurate(d, p, alpha):
+    mc = limit_constant_gamma_mc(d, p, alpha, 100_000, seed=0)
+    target = 2.0**alpha / (1.0 - alpha) if d == 1 else limit_constant_planar(p, alpha)
+    assert math.isfinite(mc.value) and math.isfinite(mc.std_error)
+    assert abs(mc.value - target) <= 3.0 * mc.std_error
+
+
+@pytest.mark.parametrize("d, p, alpha", [(1, 500.0, 0.5), (2, 200.0, 1.0)])
+def test_mc_large_p_is_finite_and_accurate(d, p, alpha):
+    # Gamma(1/p) variates below 1e-323 would be 0 in linear space (log x = -inf).
     mc = limit_constant_gamma_mc(d, p, alpha, 100_000, seed=0)
     target = 2.0**alpha / (1.0 - alpha) if d == 1 else limit_constant_planar(p, alpha)
     assert math.isfinite(mc.value) and math.isfinite(mc.std_error)

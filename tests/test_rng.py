@@ -90,12 +90,30 @@ def test_gamma_small_shape_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_log_gamma_small_shape_finite_where_linear_underflows():
+    # At shape 0.002 about a fifth of the variates are below 1e-323, so the
+    # linear draw gives 0; the log draw stays finite.
+    y = rng.log_gamma_small_shape(0.002, 100_000, rng.generator(11, rng.STREAM_MC))
+    assert np.isfinite(y).all()
+    assert (np.exp(y) == 0.0).any()
+
+
+def test_log_gamma_small_shape_distribution():
+    # P(log X <= y) = P(X <= e**y), the regularized incomplete gamma at e**y.
+    shape = 0.1
+    y = rng.log_gamma_small_shape(shape, 20000, rng.generator(11, rng.STREAM_MC))
+    d, p = scipy.stats.kstest(y, lambda v: scipy.special.gammainc(shape, np.exp(v)))
+    assert p > 1e-4, (d, p)
+
+
 def test_gamma_shape_out_of_range():
     gen = rng.generator(0, 0)
     with pytest.raises(ValueError):
         rng.gamma_small_shape(1.5, 10, gen)
     with pytest.raises(ValueError):
         rng.gamma_small_shape(0.0, 10, gen)
+    with pytest.raises(ValueError):
+        rng.log_gamma_small_shape(1.5, 10, gen)
 
 
 def test_lgamma_accuracy_contract():
