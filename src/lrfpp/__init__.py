@@ -1,9 +1,9 @@
 """Long-range first-passage percolation on the discrete torus.
 
 Exact simulation of the exploration birth process, shortest-path oracles on
-hashed edge-weight realizations, numerical evaluation of the large-torus
-limit constants, and the statistics that verify the 1-2-3 scaling law and
-the Gumbel fluctuations of cluster growth times.
+edge-weight realizations drawn by difference class, numerical evaluation of
+the large-torus limit constants, and the statistics that verify the 1-2-3
+scaling law and the Gumbel fluctuations of cluster growth times.
 """
 
 __version__ = "0.1.0"

@@ -186,7 +186,7 @@ def _adaptive_boxes(
 
 
 def unit_cube_integral(
-    d: int, p: float, alpha: float, tolerance: float, max_evals: int = 4_000_000
+    d: int, p: float, alpha: float, tolerance: float, max_evals: int = 16_000_000
 ) -> QuadratureResult:
     """Integral of ``norm(y)_p**-alpha`` over the unit cube, certified error.
 

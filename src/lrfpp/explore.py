@@ -29,13 +29,16 @@ deterministic rate sandwich on it, and re-sum it periodically; they agree in
 distribution.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
-``norm(u - v)**alpha * E`` lazily through a counter-based hash, and the
-oracles compute passage times on that realization as an independent route to
-the same law.  Both hash the edge matrix a block of rows at a time and keep
-only edges no heavier than a threshold that Dijkstra from one source
-certifies, so no shortest path loses an edge; the single-source oracle
-returns that run's distances.  ``distance_matrix`` also drops edges heavier
-than a bound on the distance between their ends, keeping about 6-8 per
+``norm(u - v)**alpha * E``, and the oracles compute passage times on that
+realization as an independent route to the same law.  The pairs {u, u + z}
+are grouped by difference class {z, -z}, whose pairs share one scale, and
+only the pairs below a threshold are drawn: on a fixed ladder of thresholds,
+each rung draws its pairs' number, positions and weights for all classes at
+once from its own stream, so an oracle costs about the edges it keeps, not
+n(n-1)/2 pairs.  Both oracles keep only edges no heavier than a threshold
+that Dijkstra from one source certifies, so no shortest path loses an edge;
+the single-source oracle returns that run's distances.  ``distance_matrix``
+also drops edges heavier than a bound on the distance between their ends, keeping about 6-8 per
 vertex of the 1023 at n = 1024, and runs Dijkstra from every source.  The
 diameter is the largest directed distance (no ``min`` of a pair's two
 directions) and needs a few dozen sources: eccentricity bounds (Takes &
@@ -58,17 +61,23 @@ from .errors import ConfigError, InvariantViolation
 from .torus import Site, TorusConfig
 from .weights import WeightField
 
-#: Caps for the oracles: the single-source oracle keeps few edges but hashes
-#: all n(n-1)/2 pairs, so its cap bounds hashing time, not memory; the
-#: all-pairs oracle returns an n x n matrix, and the diameter shares its cap.
+#: Caps for the oracles: the single-source oracle shares its cap with the
+#: dense edge matrix, n**2 floats (128 MB at the cap), and the uint16 row key
+#: of ``_symmetric_graph``; the all-pairs oracle returns an n x n matrix, and
+#: the diameter shares its cap.
 DIJKSTRA_CAP = 4096
 ALL_PAIRS_CAP = 1024
 
-#: Rows of the upper triangle hashed at a time when the oracles build edges.
-EDGE_BLOCK_ROWS = 64
-#: First edge threshold of both oracles, in units of log(n) / R_n;
-#: about this many edges per vertex per unit of log n are kept.
-THRESHOLD_SCALE = 6.0
+#: Upper end T_0 of the first rung of the edge-weight ladder, in units of
+#: log(n) / R_n; rung k ends at T_0 * 2**k, and one more rung of upper end inf
+#: follows the last.  About this many edges per vertex per unit of log n lie
+#: on rung 0.  The last finite rung ends at 8 T_0, over ten times a diameter
+#: of about 3 log(n) / R_n, so a certificate that starts at T_0 stays on it.
+LADDER_SCALE = 6.0
+LADDER_RUNGS = 4
+#: First edge threshold of both oracles, in the same units: the certificate
+#: starts by reading rung 0 only.
+THRESHOLD_SCALE = LADDER_SCALE
 
 #: Relative slack on the diameter's eccentricity bounds.  It exceeds the float
 #: error of path sums, about n * eps relative, so it keeps the result exact.
@@ -457,65 +466,160 @@ def _norm_power_table(cfg: TorusConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EdgeWeightSample:
-    """One deterministic realization of all edge weights, O(1) memory.
+class _DifferenceClasses:
+    """The unordered pairs {u, u + z} of the torus, one class per difference {z, -z}.
 
-    The weight of {u, v} is norm(u - v)**alpha * E, with E a rate-one
-    exponential obtained by hashing (seed, sorted pair) to a uniform in (0,1)
-    and inverting the CDF.  Symmetric, strictly positive, reproducible; with
-    alpha = 0 the weights are plain exponentials.
+    Class c holds ``size[c]`` pairs: n, or n/2 when z = -z.  Its position k
+    is the pair {u, u + z} with u = k + (k // fold) * fold, where fold = n
+    (so u = k) unless z = -z; then every coordinate of z is 0 or m/2, and u
+    runs over the sites below m/2 on the first axis where z is m/2.
+    """
+
+    n: int
+    step: np.ndarray  # (d, C) grid offset z, int32
+    scale: np.ndarray  # norm(z)**alpha
+    size: np.ndarray
+    fold: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _difference_classes(cfg: TorusConfig) -> _DifferenceClasses:
+    m, n, shape = cfg.m, cfg.n, (cfg.m,) * cfg.d
+    z = np.arange(1, n)
+    step = np.stack(np.unravel_index(z, shape), axis=-1)
+    neg = np.ravel_multi_index(tuple((-step % m).T), shape)
+    rep = z <= neg
+    step, own = step[rep], (z == neg)[rep]
+    site = np.ravel_multi_index(tuple(((step + cfg.half) % m).T), shape)
+    first = np.argmax(step == m // 2, axis=1)
+    fold = np.where(own, (m // 2) * m ** (cfg.d - 1 - first), n)
+    scale = _norm_power_table(cfg)[site]
+    return _DifferenceClasses(n, step.T.astype(np.int32), scale, np.where(own, n // 2, n), fold)
+
+
+def _ladder(cfg: TorusConfig) -> np.ndarray:
+    """Upper ends T_k = T_0 * 2**k of the LADDER_RUNGS rungs, then inf."""
+    t0 = LADDER_SCALE * math.log(cfg.n) / weights.total_rate(cfg)
+    return np.append(t0 * 2.0 ** np.arange(LADDER_RUNGS), math.inf)
+
+
+def _draw_rung(
+    gen: np.random.Generator, classes: _DifferenceClasses, kept: np.ndarray, lo: float, hi: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class, position and weight of every pair of weight in (lo, hi].
+
+    ``kept`` holds class * n + position of the pairs of weight <= lo, sorted.
+    Given that, each other pair of class c lies in (lo, hi] independently,
+    with probability q = 1 - exp(-x), x = (hi - lo) / scale[c]: so their
+    number is Binomial(free, q) and their positions are uniform without
+    replacement among the free ones.  They are found by geometric skipping
+    over the free ranks, with gaps 1 + floor(E / x), and each weighs
+    lo + scale[c] * E', E' an exponential truncated to (0, x].
+    """
+    n = classes.n
+    counts = np.bincount(kept // n, minlength=len(classes.size))
+    free = classes.size - counts
+    x = (hi - lo) / classes.scale
+    q = -np.expm1(-x)
+    done = np.zeros_like(free)
+    active = np.flatnonzero(free)
+    cls_parts, rank_parts = [active[:0]], [active[:0]]
+    while active.size:
+        # A batch a few standard deviations above the expected hits; the few
+        # classes it does not carry past their last free rank draw again.
+        left = free[active] - done[active]
+        mean = left * q[active]
+        batch = np.minimum(left + 1, np.ceil(mean + 4.0 * np.sqrt(mean) + 2.0)).astype(np.int64)
+        cls = np.repeat(active, batch)
+        # On the last rung, x = inf, every free pair is kept.
+        skips = (np.floor(gen.standard_exponential(cls.size) / x[cls])
+                 if math.isfinite(hi) else np.zeros(cls.size))
+        gaps = 1 + np.minimum(skips, np.repeat(left, batch)).astype(np.int64)
+        ends = np.cumsum(batch)
+        reach = np.cumsum(gaps)
+        rank = reach - np.repeat(reach[ends - batch] - gaps[ends - batch] - done[active], batch)
+        hit = rank <= free[cls]
+        cls_parts.append(cls[hit])
+        rank_parts.append(rank[hit] - 1)
+        done[active] = rank[ends - 1]
+        active = active[done[active] < free[active]]
+    cls, rank = np.concatenate(cls_parts), np.concatenate(rank_parts)
+    # The r-th free position of a class is r plus the number of its kept
+    # positions p_t (t-th of the class) with p_t - t <= r.
+    first = np.cumsum(counts) - counts
+    below = kept - (np.arange(kept.size) - np.repeat(first, counts))
+    pos = rank + np.searchsorted(below, cls * n + rank, side="right") - first[cls]
+    u = 1.0 - gen.random(cls.size)
+    e = -np.log(u) if math.isinf(hi) else -np.log1p(-u * q[cls])
+    # Kept inside (lo, hi] also where the sum rounds to lo or e to inf.
+    return cls, pos, np.clip(lo + classes.scale[cls] * e, np.nextafter(lo, math.inf), hi)
+
+
+@dataclass(frozen=True)
+class EdgeWeightSample:
+    """One deterministic realization of all edge weights, drawn by difference class.
+
+    Every pair {u, u + z} weighs norm(z)**alpha * E with E a rate-one
+    exponential, independently.  The weights are drawn on the ladder of
+    ``_ladder``: rung k holds the pairs of weight in (T_{k-1}, T_k] (T_{-1} = 0)
+    and is drawn, for all difference classes at once, from its own stream
+    ``rng.generator(seed, STREAM_EDGES, k)`` given the pairs of the rungs
+    below it (see ``_draw_rung``).  By memorylessness this is the law of
+    independent weights, and a pair's weight does not depend on how many
+    rungs a caller reads.  The last rung, of upper end inf, gives every pair
+    left its weight.
     """
 
     cfg: TorusConfig
-    key: Tuple[int, int]
+    seed: rng.SeedLike
 
     @classmethod
     def from_seed(cls, cfg: TorusConfig, seed: rng.SeedLike) -> "EdgeWeightSample":
-        return cls(cfg=cfg, key=rng.hash_key(seed, rng.STREAM_EDGES))
+        return cls(cfg=cfg, seed=seed)
 
-    def pair_weights(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Weights of the pairs {i[k], j[k]} of flat site indices (0 where i == j)."""
-        u01 = rng.pair_uniform(i, j, self.key)
-        diff = torus.pair_difference_index(i, j, self.cfg)
-        return _norm_power_table(self.cfg)[diff] * -np.log(u01)
+    def _rungs(self, threshold: float):
+        """Yield (class, position, weight) of rung 0, 1, ... up to the first
+        rung whose upper end reaches ``threshold``."""
+        classes, n = _difference_classes(self.cfg), self.cfg.n
+        kept, lo = np.empty(0, dtype=np.int64), 0.0
+        for k, hi in enumerate(_ladder(self.cfg)):
+            gen = rng.generator(self.seed, rng.STREAM_EDGES, k)
+            cls, pos, w = _draw_rung(gen, classes, kept, lo, hi)
+            yield cls, pos, w
+            if hi >= threshold:
+                return
+            kept, lo = np.sort(np.concatenate([kept, cls * n + pos]), kind="stable"), hi
 
-    def weight(self, u: Site, v: Site) -> float:
-        iu = torus.site_to_index(u, self.cfg)
-        iv = torus.site_to_index(v, self.cfg)
-        if iu == iv:
-            raise ConfigError("edge weights are defined for distinct sites")
-        return float(self.pair_weights(np.array([iu]), np.array([iv]))[0])
+    def edges_up_to(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges {i, j}, i < j, of weight <= threshold, as arrays (i, j, weight).
+
+        Costs about the number of edges kept plus the number of classes per
+        rung read, not n(n-1)/2.
+        """
+        m, classes = self.cfg.m, _difference_classes(self.cfg)
+        cls, pos, w = (np.concatenate(part) for part in zip(*self._rungs(threshold)))
+        keep = w <= threshold
+        cls, pos, fold = cls[keep], pos[keep], classes.fold[cls[keep]]
+        # Site indices fit in int32, like the CSR indices built from them.
+        u = (pos + pos // fold * fold).astype(np.int32)
+        v, rest, place = np.zeros_like(u), u, 1
+        for step in classes.step[::-1]:
+            rest, g = np.divmod(rest, m)
+            g += step[cls]
+            v += np.where(g < m, g, g - m) * place
+            place *= m
+        return np.minimum(u, v), np.maximum(u, v), w[keep]
 
     def dense_matrix(self) -> np.ndarray:
         """Full symmetric weight matrix (diagonal 0); n <= DIJKSTRA_CAP."""
         n = self.cfg.n
         if n > DIJKSTRA_CAP:
             raise ConfigError(f"dense edge matrix capped at n <= {DIJKSTRA_CAP}")
-        iu, ju = np.triu_indices(n, k=1)
-        w = self.pair_weights(iu, ju)
+        i, j, w = self.edges_up_to(math.inf)
         mat = np.zeros((n, n), dtype=np.float64)
-        mat[iu, ju] = w
-        mat[ju, iu] = w
+        mat[i, j] = w
+        mat[j, i] = w
         return mat
-
-    def edges_up_to(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges {i, j}, i < j, of weight <= threshold, as arrays (i, j, weight).
-
-        The upper triangle is hashed EDGE_BLOCK_ROWS rows at a time, so only
-        one block and the kept edges are held, never the whole triangle.
-        """
-        n = self.cfg.n
-        cols = np.arange(n)
-        parts = []
-        for start in range(0, n - 1, EDGE_BLOCK_ROWS):
-            rows = np.arange(start, min(start + EDGE_BLOCK_ROWS, n - 1))
-            i, j = np.nonzero(cols > rows[:, None])
-            i += start
-            w = self.pair_weights(i, j)
-            keep = w <= threshold
-            # Site indices fit in int32, as the pair hash requires.
-            parts.append((i[keep].astype(np.int32), j[keep].astype(np.int32), w[keep]))
-        return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _symmetric_graph(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> csr_matrix:
@@ -538,11 +642,12 @@ def _certified_edges(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edges that can lie on a shortest path, and the distances b from ``source``.
 
-    Keeps the edges of weight <= T, starting from T = THRESHOLD_SCALE *
-    log(n) / R_n, with b the Dijkstra distances from ``source`` on them.
-    Until span * max b <= T, T is raised to span * max b (doubled while some
-    b is infinite) and the edges are rebuilt.  Returns (i, j, weight, b) with
-    i < j.
+    Keeps the edges of weight <= T of the sample, starting from T =
+    THRESHOLD_SCALE * log(n) / R_n, the end of the ladder's first rung, with
+    b the Dijkstra distances from ``source`` on them.  Until span * max b <= T,
+    T is raised to span * max b (doubled while some b is infinite) and the
+    edges are read again, up to the rung that holds T; the realization is the
+    same at every T.  Returns (i, j, weight, b) with i < j.
 
     Why this is exact: an edge {x, y} heavier than d(x, y) lies on no
     shortest path, so dropping it changes no distance, and the b of any
@@ -573,8 +678,7 @@ def dijkstra_oracle(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> np.ndarray
 
     Independent oracle for the exploration law: exact shortest-path distances
     under EdgeWeightSample on the complete graph, from one Dijkstra on the
-    edges ``_certified_edges`` keeps with span 1.  Every pair is still
-    hashed, so n <= DIJKSTRA_CAP.
+    edges ``_certified_edges`` keeps with span 1; n <= DIJKSTRA_CAP.
     """
     if cfg.n > DIJKSTRA_CAP:
         raise ConfigError(f"dijkstra oracle capped at n <= {DIJKSTRA_CAP}")

@@ -4,11 +4,13 @@ Two kinds of randomness are needed and both must be reproducible and
 order-independent under parallel execution:
 
 * per-run streams (inter-birth exponentials, newborn selection, Monte Carlo
-  batches) — numpy's Philox bit generator keyed through ``SeedSequence``;
-* a stateless map from an unordered site pair to a uniform variate, so a full
-  O(n^2) edge-weight realization occupies O(1) memory — a hand-rolled,
-  vectorized Philox4x32-10, validated against the published known-answer
-  vectors in the test suite.
+  batches, the rungs of the edge-weight realization) — numpy's Philox bit
+  generator keyed through ``SeedSequence``;
+* a stateless map from an unordered site pair to a uniform variate — a
+  hand-rolled, vectorized Philox4x32-10, validated against the published
+  known-answer vectors in the test suite.  The edge realization no longer
+  reads it; it stays as the per-pair reference the tests compare that
+  realization's law against, and for the benchmark, which times it.
 
 Streams derived from one seed are separated by small integer tags so the
 exploration draws, the edge-weight realization, and auxiliary choices never

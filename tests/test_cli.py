@@ -329,10 +329,11 @@ def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
 
 
 def test_constants_warns_on_unconverged_quadrature(tmp_path, capsys):
-    # At tolerance 1e-9 this cell, with alpha close to d, needs more than the
+    # At tolerance 1e-12 this cell, with alpha close to d, needs more than the
     # quadrature's evaluation budget.
     cdoc = {"seed": 1, "experiments": [{"kind": "constants", "d": [4], "p": [1.5],
-                                        "alpha": [3.5], "methods": ["quadrature"]}]}
+                                        "alpha": [3.5], "methods": ["quadrature"],
+                                        "tolerance": 1e-12}]}
     cmanifest = tmp_path / "c.json"
     cmanifest.write_text(json.dumps(cdoc))
     cout = tmp_path / "cout"

@@ -126,6 +126,14 @@ def test_quadrature_d4_evaluation_count(p, alpha):
     assert res.converged and res.evaluations <= 1_044_480
 
 
+@pytest.mark.parametrize("p, alpha", [(2.0, 3.5), (1.5, 2.5), (1.5, 3.5)])
+def test_quadrature_d4_near_alpha_d_converges_within_the_default_budget(p, alpha):
+    # These cells need 5.2 M to 11.5 M evaluations at tolerance 1e-9.
+    res = limit_constant_quadrature(ConstantQuery(4, p, alpha, "quadrature", 1e-9))
+    assert res.converged and res.error <= 1e-9, res
+    assert 4_000_000 < res.evaluations <= 16_000_000
+
+
 def test_quadrature_non_integer_p_converges():
     res = _quad(3, 1.5, 0.5)
     assert res.converged and res.error <= 1e-9

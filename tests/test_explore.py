@@ -258,20 +258,13 @@ def test_monotone_coupling_mean_bracket():
 
 def test_edge_sample_symmetry_positivity_reproducibility():
     cfg = TorusConfig(2, 6, 2.0, 1.0)
-    s1 = EdgeWeightSample.from_seed(cfg, 42)
-    s2 = EdgeWeightSample.from_seed(cfg, 42)
-    u = torus.index_to_site(3, cfg)
-    v = torus.index_to_site(20, cfg)
-    assert s1.weight(u, v) == s1.weight(v, u)
-    assert s1.weight(u, v) == s2.weight(u, v)
-    mat = s1.dense_matrix()
+    mat = EdgeWeightSample.from_seed(cfg, 42).dense_matrix()
+    assert np.array_equal(mat, EdgeWeightSample.from_seed(cfg, 42).dense_matrix())
+    assert not np.array_equal(mat, EdgeWeightSample.from_seed(cfg, 43).dense_matrix())
     assert np.array_equal(mat, mat.T)
+    assert (np.diag(mat) == 0.0).all()
     off = mat[~np.eye(cfg.n, dtype=bool)]
     assert (off > 0.0).all()
-    row = s1.pair_weights(np.full(cfg.n, 3), np.arange(cfg.n))
-    assert np.array_equal(row, mat[3])
-    with pytest.raises(ConfigError):
-        s1.weight(u, u)
 
 
 def test_norm_power_table_is_shared_and_read_only():
@@ -280,9 +273,6 @@ def test_norm_power_table_is_shared_and_read_only():
     assert table is explore._norm_power_table(cfg)
     assert not table.flags.writeable
     assert np.array_equal(table, torus.norm_table(cfg) ** cfg.alpha)
-    s = EdgeWeightSample.from_seed(cfg, 42)
-    u, v = torus.index_to_site(3, cfg), torus.index_to_site(20, cfg)
-    assert s.weight(u, v) == s.dense_matrix()[3, 20]
 
 
 def test_edge_sample_alpha_zero_is_plain_exponential():
@@ -321,18 +311,17 @@ def test_dijkstra_oracle_basics():
     assert len(dist) == cfg.n
     assert all(dist[i] > 0.0 for i in range(cfg.n) if i != src)
     # Distances never exceed the direct edge.
-    sample = EdgeWeightSample.from_seed(cfg, 9)
+    direct = EdgeWeightSample.from_seed(cfg, 9).dense_matrix()[src]
     for i in range(cfg.n):
         if i != src:
-            assert dist[i] <= sample.weight(origin(cfg), torus.index_to_site(i, cfg)) + 1e-12
+            assert dist[i] <= direct[i] + 1e-12
 
 
 def test_two_site_oracle_is_the_single_edge():
     cfg = TorusConfig(1, 2, 2.0, 0.5)
-    other = torus.index_to_site(0, cfg)
-    sample = EdgeWeightSample.from_seed(cfg, 10)
+    edge = EdgeWeightSample.from_seed(cfg, 10).dense_matrix()[torus.origin_index(cfg), 0]
     dist = dijkstra_oracle(origin(cfg), cfg, 10)[0]
-    assert dist == pytest.approx(sample.weight(origin(cfg), other), rel=1e-15)
+    assert dist == pytest.approx(edge, rel=1e-15)
     assert flooding_time(origin(cfg), cfg, 10) > 0.0
     assert diameter_exact(cfg, 10) == pytest.approx(dist, rel=1e-15)
 
@@ -449,7 +438,7 @@ def test_symmetric_graph_matches_the_coo_construction():
 
 def test_single_source_oracle_holds_no_complete_graph():
     # At n = 4,096 the complete graph in both orientations is 16.8 M CSR
-    # entries (576 MB traced); the certified edges and one row block are not.
+    # entries (576 MB traced); the certified edges are not.
     cfg = TorusConfig(2, 64, 2.0, 0.5)
     tracemalloc.start()
     try:
@@ -460,18 +449,137 @@ def test_single_source_oracle_holds_no_complete_graph():
     assert peak < 64 * 2**20, peak / 2**20
 
 
-def test_edge_blocks_reproduce_the_dense_realization():
-    # 100 sites span two row blocks; the kept edges are the dense matrix's
-    # upper-triangle entries at or below the threshold, bit for bit.
-    cfg = TorusConfig(1, 100, 2.0, 0.5)
+#: Tori for the realization's exactness tests: d = 1, 2 and 3, odd and even m
+#: (an even m has classes with z = -z), p = 1, 2 and inf, alpha = 0, and the
+#: m = 3 torus of ``lrfpp validate``.
+_REALIZATION_GRID = [
+    TorusConfig(1, 7, 1.0, 0.0),
+    TorusConfig(1, 8, 2.0, 0.5),
+    TorusConfig(2, 3, 2.0, 0.0),
+    TorusConfig(2, 3, 2.0, 1.0),
+    TorusConfig(2, 5, 1.0, 1.5),
+    TorusConfig(2, 6, 2.0, 1.0),
+    TorusConfig(3, 4, math.inf, 2.5),
+    TorusConfig(3, 3, 2.0, 0.0),
+]
+_REALIZATION_IDS = [f"d{c.d}-m{c.m}-p{c.p:g}-a{c.alpha:g}" for c in _REALIZATION_GRID]
+
+
+def _sorted_edges(i, j, w, n):
+    order = np.argsort(i.astype(np.int64) * n + j)
+    return i[order], j[order], w[order]
+
+
+@pytest.mark.parametrize("cfg", _REALIZATION_GRID, ids=_REALIZATION_IDS)
+def test_edges_up_to_is_the_dense_matrix_below_the_threshold(cfg):
+    # Every pair once, the dense matrix symmetric, and at any threshold, on a
+    # rung's end or between two, the kept edges are its upper-triangle entries
+    # <= T bit for bit; a lower threshold keeps exactly the part of a higher
+    # one's edges that lies below it, in the same order.
+    n = cfg.n
     sample = EdgeWeightSample.from_seed(cfg, 25)
     mat = sample.dense_matrix()
-    iu, ju = np.triu_indices(cfg.n, k=1)
-    for threshold in (math.inf, 0.2):
-        i, j, w = sample.edges_up_to(threshold)
-        keep = mat[iu, ju] <= threshold
-        assert np.array_equal(i, iu[keep]) and np.array_equal(j, ju[keep])
-        assert np.array_equal(w, mat[iu, ju][keep])
+    assert np.array_equal(mat, mat.T) and (np.diag(mat) == 0.0).all()
+    i, j, w = sample.edges_up_to(math.inf)
+    assert i.size == n * (n - 1) // 2 and (i < j).all()
+    assert np.unique(i.astype(np.int64) * n + j).size == i.size
+    ladder = explore._ladder(cfg)[:-1]
+    thresholds = np.sort(np.concatenate([
+        ladder, 0.3 * ladder, 1.5 * ladder, np.nextafter(ladder, 0.0), [2.0 * ladder[-1], math.inf]
+    ]))
+    iu, ju = np.triu_indices(n, k=1)
+    upper = mat[iu, ju]
+    prev = None
+    for threshold in thresholds:
+        edges = sample.edges_up_to(threshold)
+        keep = upper <= threshold
+        got = _sorted_edges(*edges, n)
+        assert np.array_equal(got[0], iu[keep]) and np.array_equal(got[1], ju[keep])
+        assert np.array_equal(got[2], upper[keep])
+        if prev is not None:
+            below = edges[2] <= prev[0]
+            for a, b in zip(prev[1], edges):
+                assert np.array_equal(a, b[below])
+        prev = (threshold, edges)
+
+
+@pytest.mark.parametrize("cfg", _REALIZATION_GRID, ids=_REALIZATION_IDS)
+def test_rungs_keep_the_truncated_exponential_law_in_every_class(cfg):
+    # Per (rung, class) over 300 realizations: the number kept is
+    # Binomial(free, q) given the free pairs (exact binomial test), and the
+    # unit weights are exponentials truncated to the rung, by KS on the
+    # probability integral transform; rung 0's positions are uniform over the
+    # class.  Bonferroni over the groups.
+    classes = explore._difference_classes(cfg)
+    ladder = explore._ladder(cfg)
+    lows = np.concatenate([[0.0], ladder[:-1]])
+    jitter = rng.generator(31, rng.STREAM_CHOICE)
+    pit, counts, positions = {}, {}, []
+    for seed in range(300):
+        free = classes.size.copy()
+        rungs = EdgeWeightSample.from_seed(cfg, (30, seed))._rungs(math.inf)
+        for k, (cls, pos, w) in enumerate(rungs):
+            q = -np.expm1(-(ladder[k] - lows[k]) / classes.scale)
+            unit = -np.expm1(-(w - lows[k]) / classes.scale[cls]) / q[cls]
+            hits = np.bincount(cls, minlength=free.size)
+            for c in np.flatnonzero(free):
+                pit.setdefault((k, c), []).append(unit[cls == c])
+                tally = counts.setdefault((k, c), [0, 0, q[c]])
+                tally[0] += hits[c]
+                tally[1] += free[c]
+            free -= hits
+            if k == 0:
+                positions.append((pos + jitter.random(pos.size)) / classes.size[cls])
+        assert (free == 0).all()
+    level = 0.01 / (len(pit) + len(counts) + 1)
+    for key, (hits, free_total, q) in counts.items():
+        # q depends on the class and rung only, so the total is binomial too.
+        assert scipy.stats.binomtest(int(hits), int(free_total), q).pvalue >= level, key
+    tested = 0
+    for key, parts in pit.items():
+        values = np.concatenate(parts)
+        if values.size >= 25:
+            tested += 1
+            assert scipy.stats.kstest(values, "uniform").pvalue >= level, key
+    assert tested >= classes.size.size
+    assert scipy.stats.kstest(np.concatenate(positions), "uniform").pvalue >= level
+
+
+class _HashedSample:
+    """Reference realization: each pair's weight from the stateless pair hash,
+    norm(z)**alpha * -log(U) with U = ``rng.pair_uniform`` of the pair."""
+
+    def __init__(self, cfg, seed):
+        self.cfg, self.key = cfg, rng.hash_key(seed, rng.STREAM_EDGES)
+
+    def edges_up_to(self, threshold):
+        i, j = np.triu_indices(self.cfg.n, k=1)
+        scale = explore._norm_power_table(self.cfg)[torus.pair_difference_index(i, j, self.cfg)]
+        w = scale * -np.log(rng.pair_uniform(i, j, self.key))
+        keep = w <= threshold
+        return i[keep].astype(np.int32), j[keep].astype(np.int32), w[keep]
+
+
+@pytest.mark.parametrize("m, alpha, reps", [(16, 0.0, 150), (16, 1.0, 150), (32, 0.5, 50)])
+def test_class_realization_matches_the_hashed_realization(m, alpha, reps):
+    # Same law as independent hashed weights: two-sample KS of the diameter
+    # and of the passage time from site 0 to a spread of targets, on the same
+    # certified-edge oracles, Bonferroni over both quantities and the cells.
+    cfg = TorusConfig(2, m, 2.0, alpha)
+    level = 0.01 / 6
+    ours, ref = np.empty((2, reps)), np.empty((2, reps))
+    for r in range(reps):
+        target = 1 + (r * 7919) % (cfg.n - 1)
+        ours[0, r] = diameter_exact(cfg, (32, r))
+        ours[1, r] = dijkstra_oracle(torus.index_to_site(0, cfg), cfg, (32, r))[target]
+        # Span 2 certifies span 1 too, so b is the exact distance from site 0.
+        i, j, w, b = explore._certified_edges(_HashedSample(cfg, (33, r)), 0, span=2)
+        keep = w <= b[i] + b[j]
+        graph = explore._symmetric_graph(cfg.n, i[keep], j[keep], w[keep])
+        ref[:, r] = explore._bounded_diameter(graph, 0)[0], b[target]
+    for quantity in range(2):
+        _, p = ks_two_sample(ours[quantity], ref[quantity])
+        assert p >= level, (quantity, p)
 
 
 def test_certified_graph_raises_a_small_threshold(monkeypatch):
@@ -509,7 +617,7 @@ def test_certified_graph_raises_a_small_threshold(monkeypatch):
 
 def test_exploration_matches_oracle_over_grid():
     # Same law two ways: exploration birth times vs shortest-path times on
-    # hashed realizations, two-sample KS per grid cell with a Bonferroni
+    # edge realizations, two-sample KS per grid cell with a Bonferroni
     # correction over the twelve cells.
     cells = [
         (d, m, alpha)
