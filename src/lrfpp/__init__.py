@@ -32,6 +32,7 @@ from .explore import (
     distance_matrix,
     flooding_time,
     run_exploration,
+    run_explorations,
     transmission_time,
 )
 from .stats import (
@@ -85,6 +86,7 @@ __all__ = [
     "origin",
     "rate_bounds",
     "run_exploration",
+    "run_explorations",
     "sites_by_distance",
     "torus_norm",
     "total_rate",

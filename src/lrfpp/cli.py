@@ -244,7 +244,7 @@ def _experiment_seed(root_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((root_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _quantity_rows(exp: QuantityExperiment, seed: int, jobs: int) -> List[dict]:
+def _quantity_rows(exp: QuantityExperiment, seed: int, jobs: int) -> Tuple[List[dict], dict]:
     s = stats.estimate_scaled(dataclasses.replace(exp, root_seed=seed), jobs=jobs)
     q = [x * s.scale for x in s.quantiles]
     return [
@@ -260,10 +260,10 @@ def _quantity_rows(exp: QuantityExperiment, seed: int, jobs: int) -> List[dict]:
             "q75": q[3],
             "q95": q[4],
         }
-    ]
+    ], s.details
 
 
-def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> List[dict]:
+def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> Tuple[List[dict], dict]:
     s = stats.gumbel_test(dataclasses.replace(exp, root_seed=seed), jobs=jobs)
     return [
         {
@@ -276,7 +276,7 @@ def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> List[dict]:
             "se_centered": s.se,
             "scaled_tau_mean": s.details["scaled_tau_mean"],
         }
-    ]
+    ], s.details
 
 
 def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict]:
@@ -284,8 +284,9 @@ def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict
 
     Each Monte Carlo cell draws from its own stream, seeded by the cell's
     index in the grid.  ``converged`` is False for a quadrature cell that ran
-    out of its evaluation budget (a warning goes to stderr) and empty for Monte
-    Carlo cells; ``effective_samples`` is filled for Monte Carlo cells only.
+    out of its evaluation budget above its tolerance (a warning goes to
+    stderr) and empty for Monte Carlo cells; ``effective_samples`` is filled
+    for Monte Carlo cells only.
     """
     rows = []
     for cell, q in enumerate(exp.cells):
@@ -367,7 +368,9 @@ def run(
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 4
 
-    rows_of = {"quantity": _quantity_rows, "tau": _tau_rows, "constants": _constants_rows}
+    # Each gives an experiment's rows and details, whose counts join its provenance.
+    rows_of = {"quantity": _quantity_rows, "tau": _tau_rows,
+               "constants": lambda *args: (_constants_rows(*args), {})}
     failures: List[str] = []
     io_failed = False
     for idx, exp in enumerate(manifest.experiments):
@@ -376,7 +379,7 @@ def run(
         exp_seed = _experiment_seed(root_seed, idx)
         started = time.perf_counter()
         try:
-            rows = rows_of[exp.kind](exp, exp_seed, use_jobs)
+            rows, details = rows_of[exp.kind](exp, exp_seed, use_jobs)
         except InvariantViolation as exc:
             failures.append(f"{exp.label}: invariant violation: {exc}")
             continue
@@ -387,6 +390,7 @@ def run(
             "experiment_seed": str(exp_seed),
             "label": exp.label,
             "wall_time_s": f"{time.perf_counter() - started:.3f}",
+            **{key: str(details[key]) for key in ("births", "proposals") if key in details},
         }
         path = out_dir / f"{exp.label}.{use_fmt}"
         try:
@@ -417,10 +421,8 @@ def _validate_checks(seed: int) -> List[Tuple[str, bool, str]]:
     try:
         for i, alpha in enumerate((0.0, 0.5, 1.0)):
             cfg = TorusConfig(d=2, m=16, p=2.0, alpha=alpha)
-            for r in range(5):
-                explore.run_exploration(
-                    torus.origin(cfg), explore.StopRule.full(), cfg, (seed, i, r)
-                )
+            explore.run_explorations(cfg, [(seed, i, r) for r in range(5)],
+                                     [torus.origin(cfg)] * 5, [explore.StopRule.full()] * 5)
         detail = "15 full explorations, every step inside the bounds"
     except InvariantViolation as exc:
         ok, detail = False, str(exc)
@@ -432,14 +434,14 @@ def _validate_checks(seed: int) -> List[Tuple[str, bool, str]]:
     worst = 1.0
     for alpha, tag in cells:
         cfg = TorusConfig(d=2, m=3, p=2.0, alpha=alpha)
-        expl = np.empty(800)
-        orac = np.empty(800)
-        for r in range(800):
-            gen = rng.generator((seed, tag, r), rng.STREAM_CHOICE)
-            u = stats._pick_site(gen, cfg)
-            v = stats._pick_distinct(gen, cfg, u)
-            expl[r] = explore.transmission_time(u, v, cfg, (seed, tag, r, 0))
-            orac[r] = explore.oracle_transmission_time(u, v, cfg, (seed, tag, r, 1))
+        gens = [rng.generator((seed, tag, r), rng.STREAM_CHOICE) for r in range(800)]
+        sources = [stats._pick_site(gen, cfg) for gen in gens]
+        targets = [stats._pick_distinct(gen, cfg, u) for gen, u in zip(gens, sources)]
+        records = explore.run_explorations(cfg, [(seed, tag, r, 0) for r in range(800)], sources,
+                                           [explore.StopRule.target(v) for v in targets])
+        expl = np.array([rec.times[-1] for rec in records])
+        orac = np.array([explore.oracle_transmission_time(u, v, cfg, (seed, tag, r, 1))
+                         for r, (u, v) in enumerate(zip(sources, targets))])
         _, pval = stats.ks_two_sample(expl, orac)
         worst = min(worst, pval)
     ok = worst >= level

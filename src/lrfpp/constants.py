@@ -23,11 +23,13 @@ exactly rather than truncated.  One evaluation budget covers all boxes and is
 checked before each refinement step.  A step evaluates the rule on a box's
 2^d children only, against the box's own value from its parent's step.  A box
 still waiting when the budget runs out keeps that value, and its share of its
-parent's difference is added to the error.  For non-integer p, y**p is not
-smooth at y = 0, so each shell coordinate in [0, 1/2] is substituted as
-y = t**k with k*p an integer.  For the max-coordinate norm the integral is
-first pushed forward through the max statistic (volume factor d * t**(d-1))
-to one dimension, which removes the ridge lines that defeat tensor rules.
+parent's difference is added to the error.  The result counts as converged
+when no box is left or the summed error meets the tolerance.  For
+non-integer p, y**p is not smooth at y = 0, so each shell coordinate in
+[0, 1/2] is substituted as y = t**k with k*p an integer.  For the
+max-coordinate norm the integral is first pushed forward through the max
+statistic (volume factor d * t**(d-1)) to one dimension, which removes the
+ridge lines that defeat tensor rules.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def _adaptive_boxes(
             queue.append((clo, chi, ks, btol / 2**d, float(children[sel]), diff / 2**d))
     total += sum(box[4] for box in queue)
     err += sum(box[5] for box in queue)
-    return total, err, not queue, evals
+    return total, err, not queue or err <= tol, evals
 
 
 def unit_cube_integral(

@@ -15,12 +15,17 @@ probability norm(u)**-alpha / R_n; it is rejected when its target is already
 discovered, and the first accepted target has the newborn law exactly.  The
 waiting time is drawn once per birth at the exact rate_j; the holding time
 and the newborn are independent, so this equals in law the sum of Exp(j R_n)
-waits over the proposals.  The run keeps no per-site field, only the
-discovered list and a one-byte mask.
-rate_j follows exactly from rate_{j+1} = rate_j + R_n - 2 W_D(z), with W_D(z)
-gathered over the j discovered sites, so a birth costs O(j) and a proposal
-O(1); the expected number of proposals per birth is j * R_n / rate_j, near 1
-until most of the torus is discovered.
+waits over the proposals.  A run keeps no per-site field, only the keys of
+its discovered sites and a one-byte mask.  rate_j follows exactly from
+rate_{j+1} = rate_j + R_n - 2 W_D(z), with W_D(z) gathered over the j
+discovered sites; the expected number of proposals per birth is
+j * R_n / rate_j, near 1 until most of the torus is discovered.
+
+``run_explorations`` runs replicates of the thinning sampler in lockstep
+blocks: a step is one birth in every run of the block, with the wait,
+proposals, W_D(z) gather, Kahan update and rate-sandwich check as array
+operations across it.  A birth costs O(j) per replicate plus a share of a
+fixed cost per step; ``run_exploration`` is a block of one.
 
 ``selection="scan"`` is the reference path: a ``WeightField`` holds W_D(z)
 for every site, updated in O(n) per birth, and the newborn is found by a
@@ -51,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -89,6 +94,10 @@ SANDWICH_RTOL = 1e-9
 #: Waiting times, parent uniforms and offsets drawn per refill by the
 #: thinning sampler.
 THINNING_BATCH = 256
+#: Memory budget of one lockstep block of thinning runs, in bytes, and the
+#: most replicates in a block.
+BLOCK_BYTES = 5 << 19
+BLOCK_REPLICATES = 64
 
 
 @dataclass(frozen=True)
@@ -163,186 +172,276 @@ class ExplorationRecord:
         return float(self.times[-1])
 
 
-def _check_sandwich(j: int, rate: float, rn: float, prefix: np.ndarray) -> None:
-    """Assert the rate sandwich; R_n and the prefix sums are fetched once per run."""
+def _check_sandwich(j: int, rates: np.ndarray, rn: float, prefix: np.ndarray) -> None:
+    """Assert the rate sandwich on rates of j-site clusters, R_n and prefix given."""
     lower, upper = weights.sandwich_bounds(rn, prefix, j)
     slack = SANDWICH_RTOL * upper
-    if rate > upper + slack or rate < lower - slack:
-        raise InvariantViolation(
-            f"rate sandwich violated at j={j}: {lower!r} <= {rate!r} <= {upper!r}"
-        )
+    for rate in (float(rates.max()), float(rates.min())):
+        if rate > upper + slack or rate < lower - slack:
+            raise InvariantViolation(
+                f"rate sandwich violated at j={j}: {lower!r} <= {rate!r} <= {upper!r}"
+            )
 
 
-def _select_scan(field: WeightField, u: float) -> int:
-    """Newborn by cumulative scan in deterministic site order (O(n))."""
-    cum = np.cumsum(field.values)
-    mass = cum[-1]
-    if not (mass > 0.0):
-        raise InvariantViolation("selection requested from an exhausted field")
-    idx = int(np.searchsorted(cum, u * mass, side="right"))
-    # Float ties land on zero-weight (discovered) slots at most at boundaries;
-    # advance in site order, which is the documented tie-break.
-    while idx < len(field.values) and field.values[idx] <= 0.0:
-        idx += 1
-    if idx >= len(field.values):
-        idx = int(np.max(np.nonzero(field.values > 0.0)[0]))
-    return idx
+def _outputs(srcs: List[int], cap: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sites, times and pre-birth rates of runs from ``srcs``, a row of ``cap`` each."""
+    sites = np.empty((len(srcs), cap), dtype=np.int64)
+    times, rates = np.empty((len(srcs), cap)), np.empty((len(srcs), cap))
+    sites[:, 0], times[:, 0], rates[:, 0] = srcs, 0.0, math.nan
+    return sites, times, rates
 
 
 class _ScanSampler:
-    """Reference sampler: the full WeightField, newborn by cumulative scan."""
+    """Reference sampler of one run: the full WeightField, newborn by
+    cumulative scan; a block of one with the interface of ``_Lockstep``."""
 
-    def __init__(self, source: Site, cfg: TorusConfig, gen: np.random.Generator) -> None:
-        self.field = WeightField.initial(source, cfg)
-        self.gen = gen
-        self.proposals = 0
+    def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs: List[int],
+                 cap: int) -> None:
+        self.field = WeightField.initial(torus.index_to_site(srcs[0], cfg), cfg)
+        self.gen = rng.generator(seeds[0], rng.STREAM_EXPLORE)
+        self.j, self.rn, self.rows, self.t = 1, weights.total_rate(cfg), np.arange(1), np.zeros(1)
+        self.sites, self.times, self.rates = _outputs(srcs, cap)
+        self.proposals, self.rate = np.zeros(1, dtype=np.int64), np.array([self.field.total])
 
-    @property
-    def rate(self) -> float:
-        return self.field.total
+    def keep(self, live: np.ndarray) -> None:
+        self.rows = self.rows[live]
 
-    def wait(self) -> float:
-        return -math.log(1.0 - self.gen.random())
+    def wait(self) -> np.ndarray:
+        return np.array([-math.log(1.0 - self.gen.random())])
 
-    def birth(self) -> int:
-        z = _select_scan(self.field, self.gen.random())
+    def birth(self) -> np.ndarray:
+        """Newborn by cumulative scan in deterministic site order (O(n))."""
+        j, values = self.j, self.field.values
+        cum = np.cumsum(values)
+        mass = cum[-1]
+        if not (mass > 0.0):
+            raise InvariantViolation("selection requested from an exhausted field")
+        z = int(np.searchsorted(cum, self.gen.random() * mass, side="right"))
+        # Float ties land on zero-weight (discovered) slots at most at
+        # boundaries; advance in site order, which is the documented tie-break.
+        while z < len(values) and values[z] <= 0.0:
+            z += 1
+        if z >= len(values):
+            z = int(np.max(np.nonzero(values > 0.0)[0]))
+        self.sites[0, j], self.times[0, j], self.rates[0, j] = z, self.t[0], self.field.total
         self.field.discover_index(z)
         self.proposals += 1
-        return z
+        self.j, self.rate = j + 1, np.array([self.field.total])
+        return np.array([z])
 
 
-class _ThinningSampler:
-    """Newborn by thinning, rate by exact increments; no per-site field.
+@lru_cache(maxsize=16)
+def _key_tables(cfg: TorusConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Keys of the sites by flat index, and the flat index of every key.
 
-    Waiting times, parent uniforms and offsets come from ``gen`` in batches
-    of THINNING_BATCH.  Refills happen when a batch runs out, whatever the
-    stop rule, so a truncated run draws the same numbers as a full one up to
-    where it stops.
+    The key of grid coordinates g plus the key of c + floor(m/2), c an offset,
+    has digits below 2m, so the second table gives the site g + c.
+    """
+    m, wrap = cfg.m, ((np.arange(2 * cfg.m) - cfg.half) % cfg.m).astype(np.int32)
+    key_of, site_of = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
+    for _ in range(cfg.d):
+        key_of = (key_of[:, None] * (2 * m) + np.arange(m, dtype=np.int32)).ravel()
+        site_of = (site_of[:, None] * m + wrap).ravel()
+    key_of.setflags(write=False)
+    site_of.setflags(write=False)
+    return key_of, site_of
+
+
+class _Lockstep:
+    """Thinning runs of a block of replicates, advanced together one birth per step.
+
+    Row r of the state is a live run, of replicate ``rows[r]``, with j sites;
+    the outputs are by replicate.  Each run draws from its own stream as alone:
+    waits, parent uniforms and offsets in batches of THINNING_BATCH, each when
+    the run first needs a number past the last, whatever the stop rule.
     """
 
-    def __init__(self, src: int, cfg: TorusConfig, gen: np.random.Generator) -> None:
-        self.cfg, self.gen = cfg, gen
-        self.rn = weights.total_rate(cfg)
-        self.rate = self.rn
-        self.proposals = 0
-        self._comp = 0.0
-        self._increments = [self.rn]
-        self._cdf = weights.nearest_prefix_sums(cfg)
-        self._by_distance = torus.sorted_order(cfg)
-        self._offsets = torus.coordinate_table(cfg)
-        self._diff = weights.difference_table(cfg)
-        self._key_zero = self._key([cfg.m] * cfg.d)
-        self._flat_scales = cfg.m ** np.arange(cfg.d - 1, -1, -1, dtype=np.int64)
-        self._mask = np.zeros(cfg.n, dtype=bool)
-        self._mask[src] = True
-        g = self._offsets[src] + cfg.half
-        # Discovered grid coordinates: lists for single proposals, an array
-        # for look-ahead; keys for the W_D gather.
-        self._grid = [g.tolist()]
-        self._grid_arr = np.empty((64, cfg.d), dtype=np.int64)
-        self._grid_arr[0] = g
-        self._keys = np.empty(64, dtype=np.int64)
-        self._keys[0] = self._key(self._grid[0])
-        self._waits: List[float] = []
-        self._wait_pos = 0
-        self._parent_u = np.empty(0)
-        self._offset_rows = np.empty((0, cfg.d), dtype=np.int64)
-        self._offset_list: List[List[int]] = []
-        self._pos = 0
+    _LIVE = ("rows", "rate", "comp", "t", "free", "keys", "waits", "parent_u", "offsets",
+             "pos", "refills")
 
-    def wait(self) -> float:
-        if self._wait_pos == len(self._waits):
-            self._waits = self.gen.standard_exponential(THINNING_BATCH).tolist()
+    def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs: List[int],
+                 cap: int) -> None:
+        size, batch = len(seeds), THINNING_BATCH
+        self.cfg, self.j, self.rn = cfg, 1, weights.total_rate(cfg)
+        self.gens = [rng.generator(seed, rng.STREAM_EXPLORE) for seed in seeds]
+        self._cdf, self._diff = weights.nearest_prefix_sums(cfg), weights.difference_table(cfg)
+        self._key_of, self._site_of = _key_tables(cfg)
+        # Offsets by distance rank as keys of c + floor(m/2), and the key with
+        # every digit m, which ``weights.difference_table`` reads as zero.
+        self._offset_of_rank = self._key_of[torus.sorted_order(cfg)]
+        self._key_zero = cfg.m * int(((2 * cfg.m) ** np.arange(cfg.d)).sum())
+        self.rows, self.t, self.comp = np.arange(size), np.zeros(size), np.zeros(size)
+        self.rate, self.proposals = np.full(size, self.rn), np.zeros(size, dtype=np.int64)
+        self.free = np.ones((size, cfg.n), dtype=bool)
+        self.free[self.rows, srcs] = False
+        self.keys = np.empty((size, cap), dtype=np.int32)  # of the discovered sites
+        self.keys[:, 0] = self._key_of[srcs]
+        self.sites, self.times, self.rates = _outputs(srcs, cap)
+        self.increments = np.empty((size, cap))
+        self.increments[:, 0] = self.rn
+        self.waits, self._wait_pos = np.empty((size, batch)), batch
+        # Proposal batches, padded to twice their length with proposals from
+        # the first site to itself, which are rejected, so windows may overrun.
+        self.parent_u = np.zeros((size, 2 * batch))
+        self.offsets = np.full((size, 2 * batch), self._offset_of_rank[0], dtype=np.int32)
+        self.pos, self.refills = np.full(size, batch), np.zeros(size, dtype=np.int64)
+
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the runs whose entry of ``live`` is False, counting their proposals."""
+        gone = ~live
+        self.proposals[self.rows[gone]] = (self.refills[gone] - 1) * THINNING_BATCH + self.pos[gone]
+        self.gens = [gen for gen, kept in zip(self.gens, live) if kept]
+        for name in self._LIVE:
+            setattr(self, name, getattr(self, name)[live])
+
+    def wait(self) -> np.ndarray:
+        """The next standard exponential of every live run."""
+        if self._wait_pos == THINNING_BATCH:
+            self.waits = np.array([gen.standard_exponential(THINNING_BATCH) for gen in self.gens])
             self._wait_pos = 0
         self._wait_pos += 1
-        return self._waits[self._wait_pos - 1]
+        return self.waits[:, self._wait_pos - 1]
 
-    def _refill(self) -> None:
-        gen = self.gen
-        self._parent_u = gen.random(THINNING_BATCH)
-        # cdf[i] sums the i nearest nonzero-site weights, so U * R_n falls in
-        # [cdf[i-1], cdf[i]) with probability equal to the weight of the i-th
-        # nearest site, sorted_order[i].  The clip catches U * R_n rounding up
-        # to cdf[-1].
-        u = gen.random(THINNING_BATCH) * self._cdf[-1]
-        rank = np.minimum(np.searchsorted(self._cdf, u, side="right"), self.cfg.n - 1)
-        self._offset_rows = self._offsets[self._by_distance[rank]]
-        self._offset_list = self._offset_rows.tolist()
-        self._pos = 0
+    def _select(self) -> np.ndarray:
+        """Flat index of the first accepted proposal of every live run.
 
-    def _key(self, grid: List[int]) -> int:
-        """Base-2m key of grid coordinates, as ``weights.difference_table`` reads it."""
-        key = 0
-        for a in grid:
-            key = key * 2 * self.cfg.m + a
-        return key
+        Runs read their proposals in windows, the first about twice the expected
+        j * R_n / rate_j proposals per birth, doubling while they miss.
+        """
+        j, batch, count = self.j, THINNING_BATCH, len(self.rows)
+        cap, n = self.keys.shape[1], self.cfg.n
+        z, todo = np.empty(count, dtype=np.int64), np.arange(count)
+        width = min(batch, math.ceil(2.0 * j * self.rn / float(self.rate.min())))
+        while todo.size:
+            for row in todo[self.pos[todo] == batch]:
+                gen = self.gens[row]
+                self.parent_u[row, :batch] = gen.random(batch)
+                # cdf[i] sums the i nearest nonzero-site weights, so U * R_n
+                # falls in [cdf[i-1], cdf[i]) with probability equal to the
+                # weight of the i-th nearest site, sorted_order[i].  The clip
+                # catches U * R_n rounding up to cdf[-1].
+                u = gen.random(batch) * self._cdf[-1]
+                rank = np.minimum(np.searchsorted(self._cdf, u, side="right"), n - 1)
+                self.offsets[row, :batch] = self._offset_of_rank[rank]
+                self.pos[row], self.refills[row] = 0, self.refills[row] + 1
+            pos = self.pos[todo]
+            cell = (todo * (2 * batch) + pos)[:, None] + np.arange(width)
+            parent = np.minimum((self.parent_u.take(cell) * j).astype(np.int64), j - 1)
+            key = self.keys.take(parent + (todo * cap)[:, None]) + self.offsets.take(cell)
+            flat = self._site_of.take(key)
+            free = self.free.take(flat + (todo * n)[:, None])
+            hit, first = free.argmax(axis=1), np.arange(todo.size)
+            found = free[first, hit]
+            self.pos[todo] = np.where(found, pos + hit + 1, np.minimum(pos + width, batch))
+            z[todo] = flat[first, hit]
+            todo, width = todo[~found], min(batch, 2 * width)
+        return z
 
-    def _select(self, j: int) -> Tuple[int, List[int]]:
-        """First accepted proposal from j vertices: flat index, grid coordinates."""
-        m, mask = self.cfg.m, self._mask
-        while True:
-            if self._pos == len(self._parent_u):
-                self._refill()
-            i = self._pos
-            parent = self._grid[min(int(self._parent_u[i] * j), j - 1)]
-            g = [(a + c) % m for a, c in zip(parent, self._offset_list[i])]
-            z = 0
-            for a in g:
-                z = z * m + a
-            self._pos += 1
-            self.proposals += 1
-            if not mask[z]:
-                return z, g
-            # Rejected: look ahead over the batch in one pass, about four
-            # times the expected number of proposals per birth at a time.
-            while self._pos < len(self._parent_u):
-                expected = j * self.rn / self.rate
-                stop = min(len(self._parent_u), self._pos + 4 * math.ceil(expected))
-                window = slice(self._pos, stop)
-                parents = np.minimum((self._parent_u[window] * j).astype(np.int64), j - 1)
-                grid = (self._grid_arr[parents] + self._offset_rows[window]) % m
-                flat = grid @ self._flat_scales
-                free = ~mask[flat]
-                hit = int(free.argmax())
-                if free[hit]:
-                    self._pos += hit + 1
-                    self.proposals += hit + 1
-                    return int(flat[hit]), grid[hit].tolist()
-                self.proposals += stop - self._pos
-                self._pos = stop
-
-    def birth(self) -> int:
-        j = len(self._grid)
-        z, g = self._select(j)
-        key = self._key(g)
-        w_dz = float(self._diff[self._keys[:j] - (key - self._key_zero)].sum())
+    def birth(self) -> np.ndarray:
+        """One birth in every live run, at its time ``t``; the newborns' flat indices."""
+        j, rows = self.j, self.rows
+        z = self._select()
+        key = self._key_of[z]
+        w_dz = self._diff.take(self.keys[:, :j] - (key - self._key_zero)[:, None]).sum(axis=1)
         delta = self.rn - 2.0 * w_dz
+        self.sites[rows, j], self.times[rows, j], self.rates[rows, j] = z, self.t, self.rate
+        self.increments[rows, j] = delta
         # rate_{j+1} = rate_j + R_n - 2 W_D(z), Kahan-compensated.
-        self.rate, self._comp = weights.kahan_add(self.rate, self._comp, delta)
-        self._increments.append(delta)
-        self._mask[z] = True
-        if j == len(self._keys):
-            self._keys = np.concatenate([self._keys, np.empty_like(self._keys)])
-            self._grid_arr = np.concatenate([self._grid_arr, np.empty_like(self._grid_arr)])
-        self._keys[j] = key
-        self._grid_arr[j] = g
-        self._grid.append(g)
+        self.rate, self.comp = weights.kahan_add(self.rate, self.comp, delta)
+        self.free[np.arange(len(rows)), z] = False
+        self.keys[:, j] = key
+        self.j = j + 1
         if j % weights.RESUM_INTERVAL == 0:
             self.check_resummation()
         return z
 
     def check_resummation(self) -> None:
-        """Assert |rate - fsum(increments)| <= 1e-9 * n * R_n.
+        """Assert |rate - fsum(increments)| <= 1e-9 * n * R_n for every live run.
 
         Every increment R_n - 2 W_D(z) lies in [-R_n, R_n], so R_n bounds the
         largest summand.
         """
-        fresh = math.fsum(self._increments)
         tol = weights.RESUM_RTOL * self.cfg.n * max(self.rn, 1.0)
-        if abs(self.rate - fresh) > tol:
-            raise InvariantViolation(
-                f"rate drift: incremental={self.rate!r} resum={fresh!r} tol={tol!r}"
-            )
+        for row, rate in zip(self.rows, self.rate.tolist()):
+            fresh = math.fsum(self.increments[row, : self.j].tolist())
+            if abs(rate - fresh) > tol:
+                raise InvariantViolation(
+                    f"rate drift: incremental={rate!r} resum={fresh!r} tol={tol!r}"
+                )
+
+
+def block_count(cfg: TorusConfig, cap: int, count: int) -> int:
+    """Blocks of equal size, each within BLOCK_REPLICATES and BLOCK_BYTES, for
+    ``count`` runs of at most ``cap`` sites: the mask, per-site state, outputs
+    and W_D gather, and the draw buffers."""
+    per_run = cfg.n + 48 * cap + 32 * THINNING_BATCH
+    return -(-count // max(1, min(BLOCK_REPLICATES, BLOCK_BYTES // per_run)))
+
+
+def _run_block(
+    cfg: TorusConfig, seeds: Sequence[rng.SeedLike], sources: Sequence[Site],
+    stops: Sequence[StopRule], sampler: type = _Lockstep,
+) -> List[ExplorationRecord]:
+    """The runs of one block, each stopped by its own rule."""
+    n = cfg.n
+    for stop in stops:
+        if stop.kind == "count" and stop.k > n - 1:
+            raise ConfigError(f"count {stop.k} exceeds n - 1 = {n - 1}")
+    limit = np.array([stop.k if stop.kind == "count" else n for stop in stops])
+    target = np.array([torus.site_to_index(stop.site, cfg) if stop.kind == "target" else -1
+                       for stop in stops])
+    until = np.array([stop.t if stop.kind == "time" else math.inf for stop in stops])
+    srcs = [torus.site_to_index(u, cfg) for u in sources]
+    block = sampler(cfg, seeds, srcs, min(n, int(limit.max()) + 1))
+    prefix = weights.nearest_prefix_sums(cfg)
+    born, horizon = np.zeros(len(seeds), dtype=np.int64), np.empty(len(seeds), dtype=object)
+
+    def finish(done: np.ndarray, why: str) -> None:
+        if done.any():
+            born[block.rows[done]], horizon[block.rows[done]] = block.j, why
+            block.keep(~done)
+
+    kinds = {stop.kind for stop in stops}
+    finish(target == srcs, "target")
+    while block.rows.size:
+        finish(limit[block.rows] < block.j, "count")
+        if block.j == n:
+            finish(np.ones(block.rows.size, dtype=bool), "full")
+        if block.rows.size and not block.rate.min() > 0.0:
+            finish(~(block.rate > 0.0), "exhausted")
+        if not block.rows.size:
+            break
+        _check_sandwich(block.j, block.rate, block.rn, prefix)
+        block.t = block.t + block.wait() / block.rate
+        if "time" in kinds:
+            finish(block.t > until[block.rows], "time")
+        if block.rows.size:
+            z = block.birth()
+            if "target" in kinds:
+                finish(z == target[block.rows], "target")
+    return [
+        ExplorationRecord(cfg, u, block.sites[r, :b], block.times[r, :b], block.rates[r, :b],
+                          horizon[r], int(block.proposals[r]))
+        for r, (u, b) in enumerate(zip(sources, born))
+    ]
+
+
+def run_explorations(
+    cfg: TorusConfig, seeds: Sequence[rng.SeedLike], sources: Sequence[Site],
+    stops: Sequence[StopRule],
+) -> List[ExplorationRecord]:
+    """Thinning runs of many replicates in lockstep blocks (``block_count``).
+
+    Replicate i explores from ``sources[i]`` until ``stops[i]`` on the stream
+    of ``seeds[i]``, and its record equals ``run_exploration(sources[i],
+    stops[i], cfg, seeds[i])`` bit for bit."""
+    if not len(seeds) == len(sources) == len(stops):
+        raise ConfigError("run_explorations needs one seed, source and stop per replicate")
+    cap = max((stop.k + 1 if stop.kind == "count" else cfg.n for stop in stops), default=1)
+    blocks = block_count(cfg, cap, len(seeds))
+    parts = np.array_split(np.arange(len(seeds)), blocks) if blocks else []
+    return [rec for part in parts for rec in _run_block(
+        cfg, [seeds[i] for i in part], [sources[i] for i in part], [stops[i] for i in part])]
 
 
 def run_exploration(
@@ -355,80 +454,15 @@ def run_exploration(
     """Simulate the exploration birth process from ``source`` until ``stop``.
 
     ``selection`` chooses the newborn sampler: "thinning" (default, no
-    per-site field) or "scan" (the reference WeightField and cumulative scan);
-    the two agree in distribution but draw different random numbers.  Every
-    step asserts the deterministic rate sandwich; a violation raises
-    InvariantViolation.
+    per-site field; ``run_explorations`` of one replicate) or "scan" (the
+    reference WeightField and cumulative scan); the two agree in distribution
+    but draw different random numbers.  Every step asserts the deterministic
+    rate sandwich; a violation raises InvariantViolation.
     """
     if selection not in ("thinning", "scan"):
         raise ConfigError(f"unknown selection mode {selection!r}")
-    if stop.kind == "count" and stop.k > cfg.n - 1:
-        raise ConfigError(f"count {stop.k} exceeds n - 1 = {cfg.n - 1}")
-    if stop.kind == "target":
-        tgt: Optional[int] = torus.site_to_index(stop.site, cfg)
-    else:
-        tgt = None
-
-    src = torus.site_to_index(source, cfg)
-    if tgt is not None and tgt == src:
-        return ExplorationRecord(
-            cfg=cfg,
-            source=source,
-            site_indices=np.array([src], dtype=np.int64),
-            times=np.zeros(1),
-            rates=np.array([math.nan]),
-            horizon="target",
-            proposals=0,
-        )
-
-    gen = rng.generator(seed, rng.STREAM_EXPLORE)
-    rn, prefix = weights.total_rate(cfg), weights.nearest_prefix_sums(cfg)
-    if selection == "scan":
-        sampler = _ScanSampler(source, cfg, gen)
-    else:
-        sampler = _ThinningSampler(src, cfg, gen)
-    sites = [src]
-    times = [0.0]
-    rates = [math.nan]
-    t = 0.0
-    horizon = "exhausted"
-
-    while True:
-        if stop.kind == "count" and len(sites) - 1 >= stop.k:
-            horizon = "count"
-            break
-        if len(sites) == cfg.n:
-            horizon = "full"
-            break
-
-        rate = sampler.rate
-        if not (rate > 0.0):
-            break
-        _check_sandwich(len(sites), rate, rn, prefix)
-
-        t += sampler.wait() / rate
-        if stop.kind == "time" and t > stop.t:
-            horizon = "time"
-            break
-
-        z = sampler.birth()
-        sites.append(z)
-        times.append(t)
-        rates.append(rate)
-
-        if tgt is not None and z == tgt:
-            horizon = "target"
-            break
-
-    return ExplorationRecord(
-        cfg=cfg,
-        source=source,
-        site_indices=np.array(sites, dtype=np.int64),
-        times=np.array(times),
-        rates=np.array(rates),
-        horizon=horizon,
-        proposals=sampler.proposals,
-    )
+    sampler = _Lockstep if selection == "thinning" else _ScanSampler
+    return _run_block(cfg, [seed], [source], [stop], sampler)[0]
 
 
 def transmission_time(u: Site, v: Site, cfg: TorusConfig, seed: rng.SeedLike) -> float:

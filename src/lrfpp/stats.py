@@ -1,10 +1,12 @@
 """Monte Carlo estimators and distributional tests over exploration runs.
 
 Replicates are independently seeded from (root_seed, replicate index), so
-results are invariant to execution order and worker count; aggregation always
-happens in replicate order.  Scaled summaries report mean * total_rate / log n,
-the normalization under which typical, flooding, and diameter times approach
-1, 2, and 3.
+results are invariant to execution order, worker count and block size;
+aggregation always happens in replicate order.  Exploration replicates
+(typical, flooding, tau) run in lockstep blocks of ``explore.run_explorations``
+and diameters one at a time; each block is one task of the worker pool.
+Scaled summaries report mean * total_rate / log n, the normalization under
+which typical, flooding, and diameter times approach 1, 2, and 3.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.special
@@ -151,37 +153,49 @@ def _source(
     return u, gen
 
 
+def _block_samples(spec: ExperimentSpec, reps: Sequence[int]) -> Tuple[List[float], int, int]:
+    """Raw samples of replicates ``reps``, each deterministic in (seed, rep), and
+    the births and proposals of their explorations, which run as one batch."""
+    if spec.quantity == "diameter":
+        return [replicate_sample(spec, rep) for rep in reps], 0, 0
+    seeds = [(spec.root_seed, rep) for rep in reps]
+    picks = [_source(spec, seed) for seed in seeds]
+    stops = [explore.StopRule.target(_pick_distinct(gen, spec.cfg, u))
+             if spec.quantity == "typical" else explore.StopRule.full()
+             if spec.quantity == "flooding" else explore.StopRule.count(spec.tau_k())
+             for u, gen in picks]
+    records = explore.run_explorations(spec.cfg, seeds, [u for u, _ in picks], stops)
+    # Each sample is the time of the run's last birth.
+    vals = [rec.flooding() if spec.quantity == "flooding" else float(rec.times[-1])
+            for rec in records]
+    return vals, sum(rec.n_born - 1 for rec in records), sum(rec.proposals for rec in records)
+
+
 def replicate_sample(spec: ExperimentSpec, rep: int) -> float:
     """One raw sample of the spec's quantity, deterministic in (seed, rep)."""
-    seed = (spec.root_seed, rep)
-    cfg = spec.cfg
     if spec.quantity == "diameter":
-        return explore.diameter_exact(cfg, seed)
-    u, gen = _source(spec, seed)
-    if spec.quantity == "typical":
-        return explore.transmission_time(u, _pick_distinct(gen, cfg, u), cfg, seed)
-    if spec.quantity == "flooding":
-        return explore.flooding_time(u, cfg, seed)
-    # tau: time of the k-th birth from the source.
-    k = spec.tau_k()
-    return explore.run_exploration(u, explore.StopRule.count(k), cfg, seed).tau(k)
+        return explore.diameter_exact(spec.cfg, (spec.root_seed, rep))
+    return _block_samples(spec, [rep])[0][0]
 
 
-def _collect(spec: ExperimentSpec, jobs: int = 1) -> np.ndarray:
-    reps = range(spec.replicates)
+def _collect(spec: ExperimentSpec, jobs: int = 1) -> Tuple[np.ndarray, Dict[str, float]]:
+    """The spec's samples in replicate order, with the births and proposals of
+    its explorations; each block (one diameter) is one task of the pool."""
+    blocks = spec.replicates
+    if spec.quantity != "diameter":
+        cap = spec.tau_k() + 1 if spec.quantity == "tau" else spec.cfg.n
+        blocks = explore.block_count(spec.cfg, cap, blocks)
+    parts = [part.tolist() for part in np.array_split(np.arange(spec.replicates), blocks)]
     if jobs <= 1:
-        vals = [replicate_sample(spec, r) for r in reps]
+        out = [_block_samples(spec, part) for part in parts]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, spec.replicates // (jobs * 8))
-            vals = list(
-                pool.map(_replicate_star, ((spec, r) for r in reps), chunksize=chunk)
-            )
-    return np.asarray(vals, dtype=np.float64)
-
-
-def _replicate_star(args: Tuple[ExperimentSpec, int]) -> float:
-    return replicate_sample(*args)
+            chunk = max(1, len(parts) // (jobs * 8))
+            out = list(pool.map(_block_samples, [spec] * len(parts), parts, chunksize=chunk))
+    vals, births, proposals = zip(*out)
+    counts = {} if spec.quantity == "diameter" else {"births": sum(births),
+                                                     "proposals": sum(proposals)}
+    return np.asarray([v for part in vals for v in part], dtype=np.float64), counts
 
 
 def theorem_scale(cfg: TorusConfig) -> float:
@@ -193,8 +207,8 @@ def estimate_scaled(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
     """Replicated estimate of typical / flooding / diameter passage times."""
     if spec.quantity not in ("typical", "flooding", "diameter"):
         raise ConfigError("estimate_scaled handles typical, flooding, diameter")
-    samples = _collect(spec, jobs)
-    return _summary_from_samples(spec.quantity, samples, theorem_scale(spec.cfg))
+    samples, counts = _collect(spec, jobs)
+    return _summary_from_samples(spec.quantity, samples, theorem_scale(spec.cfg), details=counts)
 
 
 def gumbel_cdf(x: np.ndarray) -> np.ndarray:
@@ -214,7 +228,7 @@ def gumbel_test(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
         raise ConfigError("gumbel_test requires quantity='tau'")
     cfg = spec.cfg
     k = spec.tau_k()
-    taus = _collect(spec, jobs)
+    taus, counts = _collect(spec, jobs)
     rate = weights.total_rate(cfg)
     centered = rate * taus - math.log(k)
     stat, pval = ks_one_sample(centered, gumbel_cdf)
@@ -227,6 +241,7 @@ def gumbel_test(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
         "scaled_tau_se": float(np.std(centered, ddof=1) / math.sqrt(len(centered))) / logn,
         "gumbel_mean_target": float(np.euler_gamma),
         "location_shift": float(np.mean(centered)) - float(np.euler_gamma),
+        **counts,
     }
     summary = _summary_from_samples("tau", centered, 1.0 / logn, (stat, pval), details)
     # For tau the scaled columns report the growth-window estimate, not the

@@ -6,7 +6,7 @@ scales every limit theorem in this package.  ``rate_bounds`` turns it and the
 nearest-site prefix sums into the deterministic sandwich that every
 exploration step must satisfy.
 
-The thinning sampler of ``explore.run_exploration`` keeps no per-run field.
+The thinning sampler of ``explore.run_explorations`` keeps no per-site field.
 It draws an offset u with probability norm(u)**-alpha / R_n by inverting
 ``nearest_prefix_sums``, and reads the weight between two sites from
 ``difference_table`` at the difference of their base-2m keys, so the

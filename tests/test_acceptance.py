@@ -36,8 +36,8 @@ from lrfpp import (
     ks_two_sample,
     origin,
     run_exploration,
+    run_explorations,
     total_rate,
-    transmission_time,
 )
 from lrfpp import cli, explore, rng, stats, torus
 from lrfpp.constants import (
@@ -164,10 +164,8 @@ def test_c4_rate_sandwich_zero_violations():
     births = 0
     for i, alpha in enumerate((0.0, 0.5, 1.0)):
         cfg = TorusConfig(2, 32, 2.0, alpha)
-        for r in range(100):
-            rec = run_exploration(
-                origin(cfg), StopRule.full(), cfg, (ROOT_SEED, 4, i, r)
-            )
+        seeds = [(ROOT_SEED, 4, i, r) for r in range(100)]
+        for rec in run_explorations(cfg, seeds, [origin(cfg)] * 100, [StopRule.full()] * 100):
             births += rec.n_born - 1
     elapsed = time.perf_counter() - t0
     ok = births == 3 * 100 * (32 * 32 - 1)
@@ -196,16 +194,21 @@ def test_c6_exploration_equals_oracle():
     pvals = {}
     for tag, alpha in enumerate(cells):
         cfg = TorusConfig(2, 4, 2.0, alpha)
-        ex = np.empty(5000)
-        orc = np.empty(5000)
+        pairs = []
         for r in range(5000):
             gen = rng.generator((ROOT_SEED, 6, tag, r), rng.STREAM_CHOICE)
             iu = int(gen.integers(cfg.n))
             iv = iu
             while iv == iu:
                 iv = int(gen.integers(cfg.n))
-            u, v = torus.index_to_site(iu, cfg), torus.index_to_site(iv, cfg)
-            ex[r] = transmission_time(u, v, cfg, (ROOT_SEED, 6, tag, r, 0))
+            pairs.append((torus.index_to_site(iu, cfg), torus.index_to_site(iv, cfg)))
+        records = run_explorations(
+            cfg, [(ROOT_SEED, 6, tag, r, 0) for r in range(5000)], [u for u, _ in pairs],
+            [StopRule.target(v) for _, v in pairs],
+        )
+        ex = np.array([rec.times[-1] for rec in records])
+        orc = np.empty(5000)
+        for r, (u, v) in enumerate(pairs):
             orc[r] = explore.oracle_transmission_time(u, v, cfg, (ROOT_SEED, 6, tag, r, 1))
         _, pvals[alpha] = ks_two_sample(ex, orc)
     elapsed = time.perf_counter() - t0

@@ -167,6 +167,34 @@ def test_jobs_leave_values_unchanged(tmp_path):
     assert _read_rows(out1 / "00_quantity.csv") == _read_rows(out2 / "00_quantity.csv")
 
 
+def test_exploration_counts_head_the_results(tmp_path):
+    # Births and proposals, summed over replicates, go into the provenance of
+    # each exploration experiment, whatever the worker count; a constants
+    # file has neither.
+    doc = _minimal_manifest()
+    doc["experiments"] += [
+        {"kind": "tau", "d": 2, "m": 4, "alpha": 0.5, "k": 3, "replicates": 30},
+        {"kind": "quantity", "quantity": "flooding", "d": 1, "m": 4, "alpha": 0.0,
+         "replicates": 4},
+        {"kind": "constants", "d": [2], "p": [2], "alpha": [0.5], "methods": ["quadrature"]},
+    ]
+    man = cli.parse_manifest(json.dumps(doc))
+    counts = []
+    for jobs in (1, 2):
+        assert cli.run(man, out=str(tmp_path / str(jobs)), jobs=jobs) == 0
+        heads = [
+            dict(line[2:].split("=", 1) for line in path.read_text().splitlines()
+                 if line.startswith("# ") and line[2:].startswith(("births", "proposals")))
+            for path in sorted((tmp_path / str(jobs)).iterdir())
+        ]
+        counts.append(heads)
+    typical, tau, flooding, consts = counts[0]
+    assert counts[0] == counts[1]
+    assert (int(tau["births"]), int(flooding["births"])) == (30 * 3, 4 * 3)
+    assert 10 <= int(typical["births"]) <= int(typical["proposals"])
+    assert int(flooding["proposals"]) >= 12 and consts == {}
+
+
 def test_seed_override_changes_rows(tmp_path):
     man = cli.parse_manifest(json.dumps(_minimal_manifest()))
     out1 = tmp_path / "s0"
@@ -329,11 +357,11 @@ def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
 
 
 def test_constants_warns_on_unconverged_quadrature(tmp_path, capsys):
-    # At tolerance 1e-12 this cell, with alpha close to d, needs more than the
-    # quadrature's evaluation budget.
+    # At tolerance 1e-13 this cell, with alpha close to d, spends the
+    # quadrature's evaluation budget with an error estimate near 3.9e-13.
     cdoc = {"seed": 1, "experiments": [{"kind": "constants", "d": [4], "p": [1.5],
                                         "alpha": [3.5], "methods": ["quadrature"],
-                                        "tolerance": 1e-12}]}
+                                        "tolerance": 1e-13}]}
     cmanifest = tmp_path / "c.json"
     cmanifest.write_text(json.dumps(cdoc))
     cout = tmp_path / "cout"

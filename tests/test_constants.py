@@ -134,6 +134,17 @@ def test_quadrature_d4_near_alpha_d_converges_within_the_default_budget(p, alpha
     assert 4_000_000 < res.evaluations <= 16_000_000
 
 
+def test_quadrature_converged_once_the_summed_error_meets_the_tolerance():
+    # At tolerance 1e-12 this cell spends its budget with boxes still queued,
+    # but their summed error, about 3.9e-13, meets the tolerance.
+    res = limit_constant_quadrature(ConstantQuery(4, 1.5, 3.5, "quadrature", 1e-12))
+    assert res.evaluations > 15_000_000
+    assert res.converged and res.error <= 1e-12, res
+    # At 1e-13 the same error estimate misses the tolerance.
+    res = limit_constant_quadrature(ConstantQuery(4, 1.5, 3.5, "quadrature", 1e-13))
+    assert not res.converged and res.error > 1e-13, res
+
+
 def test_quadrature_non_integer_p_converges():
     res = _quad(3, 1.5, 0.5)
     assert res.converged and res.error <= 1e-9

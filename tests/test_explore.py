@@ -22,11 +22,18 @@ from lrfpp import (
     ks_two_sample,
     origin,
     run_exploration,
+    run_explorations,
     total_rate,
     transmission_time,
 )
 from lrfpp import explore, rng, stats, torus, weights
 from lrfpp.explore import THRESHOLD_SCALE
+
+
+def _runs(cfg, stop, seeds, sources=None):
+    """``run_explorations`` records, one per seed, from the origin unless ``sources`` says."""
+    sources = [origin(cfg)] * len(seeds) if sources is None else sources
+    return run_explorations(cfg, seeds, sources, [stop] * len(seeds))
 
 
 def _uniform_pair(cfg, seed):
@@ -91,7 +98,7 @@ def test_stop_time_horizon():
 def test_two_site_torus_single_birth():
     cfg = TorusConfig(1, 2, 2.0, 0.5)
     samples = np.array(
-        [run_exploration(origin(cfg), StopRule.full(), cfg, (5, r)).times[1] for r in range(2000)]
+        [rec.times[1] for rec in _runs(cfg, StopRule.full(), [(5, r) for r in range(2000)])]
     )
     # Single edge of norm 1: birth time is a rate-1 exponential.
     _, p = ks_one_sample(samples, lambda t: 1.0 - np.exp(-np.asarray(t)))
@@ -103,7 +110,7 @@ def test_first_interbirth_time_is_exponential_at_total_rate():
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     rn = total_rate(cfg)
     first = np.array(
-        [run_exploration(origin(cfg), StopRule.count(1), cfg, (6, r)).times[1] for r in range(2000)]
+        [rec.times[1] for rec in _runs(cfg, StopRule.count(1), [(6, r) for r in range(2000)])]
     )
     _, p = ks_one_sample(first, lambda t: 1.0 - np.exp(-rn * np.asarray(t)))
     assert p > 1e-4
@@ -116,18 +123,20 @@ def test_complete_graph_flooding_mean_identity():
     n = cfg.n
     target = sum(1.0 / (j * (n - j)) for j in range(1, n))
     reps = 3000
-    times = np.array([flooding_time(origin(cfg), cfg, (7, r)) for r in range(reps)])
+    records = _runs(cfg, StopRule.full(), [(7, r) for r in range(reps)])
+    times = np.array([rec.flooding() for rec in records])
     se = times.std(ddof=1) / math.sqrt(reps)
     assert abs(times.mean() - target) <= 3.5 * se
 
 
 def _tau_sample(cfg, k, tag, reps, selection):
-    return np.array(
-        [
-            run_exploration(origin(cfg), StopRule.count(k), cfg, (tag, r), selection=selection).tau(k)
-            for r in range(reps)
-        ]
-    )
+    seeds = [(tag, r) for r in range(reps)]
+    if selection == "thinning":
+        records = _runs(cfg, StopRule.count(k), seeds)
+    else:
+        records = [run_exploration(origin(cfg), StopRule.count(k), cfg, seed, selection)
+                   for seed in seeds]
+    return np.array([rec.tau(k) for rec in records])
 
 
 def test_thinning_matches_scan_on_tau():
@@ -152,10 +161,11 @@ def test_thinning_matches_scan_on_third_newborn():
     cfg = TorusConfig(2, 5, 1.0, 1.0)
     reps = 4000
     counts = np.zeros((2, cfg.n), dtype=np.int64)
-    for row, (selection, tag) in enumerate((("thinning", 32), ("scan", 33))):
-        for r in range(reps):
-            rec = run_exploration(origin(cfg), StopRule.count(3), cfg, (tag, r), selection=selection)
-            counts[row, rec.site_indices[3]] += 1
+    for rec in _runs(cfg, StopRule.count(3), [(32, r) for r in range(reps)]):
+        counts[0, rec.site_indices[3]] += 1
+    for r in range(reps):
+        rec = run_exploration(origin(cfg), StopRule.count(3), cfg, (33, r), selection="scan")
+        counts[1, rec.site_indices[3]] += 1
     counts = counts[:, counts.sum(axis=0) > 0]
     assert counts.shape[1] == cfg.n - 1
     _, p, _, _ = scipy.stats.chi2_contingency(counts)
@@ -187,13 +197,46 @@ def test_thinning_rates_equal_pair_sum(cfg):
 
 def test_thinning_resummation_check_catches_drift():
     cfg = TorusConfig(2, 6, 2.0, 1.0)
-    sampler = explore._ThinningSampler(0, cfg, rng.generator(0))
+    sampler = explore._Lockstep(cfg, [0, 1], [0, 5], cfg.n)
     for _ in range(10):
         sampler.birth()
     sampler.check_resummation()
     sampler.rate *= 1.0 + 1e-6
     with pytest.raises(InvariantViolation):
         sampler.check_resummation()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TorusConfig(1, 9, 1.0, 0.5),
+        TorusConfig(2, 4, 2.0, 0.0),
+        TorusConfig(2, 5, 2.0, 1.0),
+        TorusConfig(3, 4, 2.0, 2.0),
+    ],
+)
+def test_batched_runs_equal_lone_runs(cfg):
+    # Each replicate of one batched call, over two lockstep blocks and with
+    # count, full, per-replicate target and time stops mixed, equals a lone
+    # run at its seed.  m = 4 at full stop is rejection-heavy.
+    reps = explore.BLOCK_REPLICATES + 6
+    stops = [
+        [StopRule.count(1 + r % (cfg.n - 1)), StopRule.full(),
+         StopRule.target(torus.index_to_site((5 * r + 1) % cfg.n, cfg)),
+         StopRule.time(0.05 * (1 + r % 4))][r % 4]
+        for r in range(reps)
+    ]
+    sources = [torus.index_to_site(3 * r % cfg.n, cfg) for r in range(reps)]
+    seeds = [(35, r) for r in range(reps)]
+    assert explore.block_count(cfg, cfg.n, reps) == 2
+    records = run_explorations(cfg, seeds, sources, stops)
+    assert {rec.horizon for rec in records} >= {"count", "full", "target"}
+    for u, stop, seed, rec in zip(sources, stops, seeds, records):
+        lone = run_exploration(u, stop, cfg, seed)
+        assert rec.source == u and (rec.horizon, rec.proposals) == (lone.horizon, lone.proposals)
+        assert np.array_equal(rec.site_indices, lone.site_indices)
+        assert np.array_equal(rec.times, lone.times)
+        assert np.array_equal(rec.rates, lone.rates, equal_nan=True)
 
 
 def test_unknown_selection_mode_rejected():
@@ -213,7 +256,7 @@ def test_proposals_counted():
     assert scan.proposals == n - 1
     reps = 400
     counts = np.array(
-        [run_exploration(origin(cfg), StopRule.full(), cfg, (34, r)).proposals for r in range(reps)]
+        [rec.proposals for rec in _runs(cfg, StopRule.full(), [(34, r) for r in range(reps)])]
     )
     assert counts.min() >= n - 1
     exact = (n - 1) * sum(1.0 / i for i in range(1, n))
@@ -240,12 +283,8 @@ def test_monotone_coupling_mean_bracket():
     lower = sum(1.0 / (j * rn) for j in range(1, k + 1))
     upper = sum(1.0 / (j * (rn - float(prefix[j]))) for j in range(1, k + 1))
     reps = 10_000
-    taus = np.array(
-        [
-            run_exploration(origin(cfg), StopRule.count(k), cfg, (11, r)).tau(k)
-            for r in range(reps)
-        ]
-    )
+    records = _runs(cfg, StopRule.count(k), [(11, r) for r in range(reps)])
+    taus = np.array([rec.tau(k) for rec in records])
     se = taus.std(ddof=1) / math.sqrt(reps)
     assert taus.mean() >= lower - 3 * se
     assert taus.mean() <= upper + 3 * se
@@ -630,11 +669,14 @@ def test_exploration_matches_oracle_over_grid():
     level = 0.01 / len(cells)
     for cell_idx, (d, m, alpha) in enumerate(cells):
         cfg = TorusConfig(d, m, 2.0, alpha)
-        ex = np.empty(n_samples)
+        pairs = [_uniform_pair(cfg, (20, cell_idx, r)) for r in range(n_samples)]
+        records = run_explorations(
+            cfg, [(20, cell_idx, r, 0) for r in range(n_samples)], [u for u, _ in pairs],
+            [StopRule.target(v) for _, v in pairs],
+        )
+        ex = np.array([rec.times[-1] for rec in records])
         orc = np.empty(n_samples)
-        for r in range(n_samples):
-            u, v = _uniform_pair(cfg, (20, cell_idx, r))
-            ex[r] = transmission_time(u, v, cfg, (20, cell_idx, r, 0))
+        for r, (u, v) in enumerate(pairs):
             orc[r] = explore.oracle_transmission_time(u, v, cfg, (20, cell_idx, r, 1))
         _, p = ks_two_sample(ex, orc)
         assert p >= level, (d, m, alpha, p)
@@ -646,11 +688,10 @@ def test_ball_size_consistency_with_oracle():
     cfg = TorusConfig(2, 3, 2.0, 0.5)
     t_probe = 0.35
     reps = 2500
-    expl = np.empty(reps)
+    records = _runs(cfg, StopRule.time(t_probe), [(21, r, 0) for r in range(reps)])
+    expl = np.array([rec.ball_size(t_probe) for rec in records], dtype=float)
     orac = np.empty(reps)
     for r in range(reps):
-        rec = run_exploration(origin(cfg), StopRule.time(t_probe), cfg, (21, r, 0))
-        expl[r] = rec.ball_size(t_probe)
         dist = dijkstra_oracle(origin(cfg), cfg, (21, r, 1))
         orac[r] = int((dist <= t_probe).sum())
     se = math.sqrt(expl.var(ddof=1) / reps + orac.var(ddof=1) / reps)
@@ -661,8 +702,11 @@ def test_flooding_source_translation_invariance():
     # The flooding law does not depend on the source; spot-check via means.
     cfg = TorusConfig(2, 3, 2.0, 1.0)
     reps = 1500
-    a = np.array([flooding_time(origin(cfg), cfg, (22, r)) for r in range(reps)])
     u = torus.index_to_site(5, cfg)
-    b = np.array([flooding_time(u, cfg, (23, r)) for r in range(reps)])
+    a, b = (
+        np.array([rec.flooding() for rec in _runs(cfg, StopRule.full(), seeds, sources)])
+        for seeds, sources in (([(22, r) for r in range(reps)], None),
+                               ([(23, r) for r in range(reps)], [u] * reps))
+    )
     se = math.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
     assert abs(a.mean() - b.mean()) <= 3 * se

@@ -122,6 +122,34 @@ def test_jobs_do_not_change_samples():
     assert np.array_equal(seq.samples, par.samples)
 
 
+# Samples of the one-replicate-at-a-time sampler this package had before
+# replicates ran in lockstep blocks, as float.hex; the blocks must reproduce
+# them bit for bit.
+_GOLDEN = [
+    (ExperimentSpec(cfg=TorusConfig(2, 16, 2.0, 0.5), quantity="tau", replicates=3,
+                    root_seed=11, k=16),
+     ["0x1.b5d93ce3f157ep-6", "0x1.985e4eb7ad2a9p-6", "0x1.9dcc97c97ca3fp-6"]),
+    (ExperimentSpec(cfg=TorusConfig(2, 8, 2.0, 1.0), quantity="flooding", replicates=3,
+                    root_seed=12),
+     ["0x1.5f77a464a7ef9p-2", "0x1.6c244b06eb44ep-2", "0x1.c36081447f61cp-2"]),
+    (ExperimentSpec(cfg=TorusConfig(2, 8, 2.0, 0.0), quantity="typical", replicates=3,
+                    root_seed=13, source="uniform"),
+     ["0x1.34bec55cbf2aap-4", "0x1.d5d9ba8389cacp-4", "0x1.402710b5341aap-4"]),
+    (ExperimentSpec(cfg=TorusConfig(1, 9, 1.0, 0.5), quantity="flooding", replicates=2,
+                    root_seed=14, source="uniform"),
+     ["0x1.3891ba2bd5cb0p-1", "0x1.9cd1e6e85fc3cp+0"]),
+]
+
+
+@pytest.mark.parametrize("spec, golden", _GOLDEN, ids=lambda x: getattr(x, "quantity", ""))
+def test_samples_match_golden_values(spec, golden):
+    expected = [float.fromhex(h) for h in golden]
+    assert [stats.replicate_sample(spec, r) for r in range(spec.replicates)] == expected
+    samples, counts = stats._collect(spec)
+    assert samples.tolist() == expected
+    assert counts["births"] >= spec.replicates and counts["proposals"] >= counts["births"]
+
+
 def test_summary_fields():
     cfg = TorusConfig(2, 4, 2.0, 0.0)
     spec = ExperimentSpec(cfg=cfg, quantity="typical", replicates=60, root_seed=9, source="uniform")
