@@ -175,12 +175,19 @@ def _spec(cls, obj: dict, loc: str, **kwargs) -> ExperimentSpec:
     return cls(cfg=cfg, replicates=replicates, root_seed=0, **kwargs)
 
 
-def _parse_experiment(obj, idx: int) -> Experiment:
+def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
+    """The experiment at ``idx``; its label, which names its results file,
+    must be one path component and not among the ``taken`` labels."""
     loc = f"experiments[{idx}]"
     if not isinstance(obj, dict):
         raise ManifestError(loc, "expected an object")
     kind = _want(obj, "kind", loc, required=False, default="quantity")
     label = obj.get("label", f"{idx:02d}_{kind}")
+    if not isinstance(label, str) or label in ("", ".", "..") or set(label) & set("/\\\0"):
+        raise ManifestError(f"{loc}.label", f"expected a file name, got {label!r}")
+    if label in taken:
+        raise ManifestError(f"{loc}.label", f"label {label!r} is used by an earlier experiment")
+    taken.add(label)
     try:
         if kind == "quantity":
             quantity = _want(obj, "quantity", loc)
@@ -230,7 +237,8 @@ def parse_manifest(text: str) -> RunManifest:
     raw = _want(doc, "experiments", "$")
     if not isinstance(raw, list) or not raw:
         raise ManifestError("$.experiments", "must be a non-empty list")
-    experiments = tuple(_parse_experiment(obj, i) for i, obj in enumerate(raw))
+    taken: set = set()
+    experiments = tuple(_parse_experiment(obj, i, taken) for i, obj in enumerate(raw))
     return RunManifest(seed=seed, out=out, fmt=fmt, jobs=jobs, experiments=experiments)
 
 
@@ -560,6 +568,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else:
                 manifest = _tau_manifest(args)
         only_kinds = None if args.command == "simulate" else (args.command,)
+        if only_kinds and not any(exp.kind in only_kinds for exp in manifest.experiments):
+            raise ManifestError("$.experiments", f"no {args.command} experiment to run")
         return run(manifest, args.out, args.format, jobs, seed, only_kinds)
     except (ManifestError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ of z to D.  By memorylessness of the exponential edge weights this
 reproduces, exactly in distribution, the order and times at which
 first-passage percolation discovers the torus from the source.
 
-The default sampler finds the newborn by thinning (Lewis & Shedler 1979).
+The sampler finds the newborn by thinning (Lewis & Shedler 1979).
 Every discovered vertex emits at the same total rate R_n = total_rate(cfg),
 so a proposal is a uniform discovered parent plus an offset u drawn with
 probability norm(u)**-alpha / R_n; it is rejected when its target is already
@@ -21,17 +21,13 @@ rate_{j+1} = rate_j + R_n - 2 W_D(z), with W_D(z) gathered over the j
 discovered sites; the expected number of proposals per birth is
 j * R_n / rate_j, near 1 until most of the torus is discovered.
 
-``run_explorations`` runs replicates of the thinning sampler in lockstep
-blocks: a step is one birth in every run of the block, with the wait,
-proposals, W_D(z) gather, Kahan update and rate-sandwich check as array
-operations across it.  A birth costs O(j) per replicate plus a share of a
-fixed cost per step; ``run_exploration`` is a block of one.
-
-``selection="scan"`` is the reference path: a ``WeightField`` holds W_D(z)
-for every site, updated in O(n) per birth, and the newborn is found by a
-cumulative scan.  Both paths record rate_j before every birth, assert the
-deterministic rate sandwich on it, and re-sum it periodically; they agree in
-distribution.
+``run_explorations`` runs replicates in lockstep blocks: a step is one
+birth in every run of the block, with the wait, proposals, W_D(z) gather,
+Kahan update and rate-sandwich check as array operations across it.  A birth
+costs O(j) per replicate plus a share of a fixed cost per step;
+``run_exploration`` is a block of one.  Every run records rate_j before each
+birth, asserts the deterministic rate sandwich on it, and re-sums it every
+``weights.RESUM_INTERVAL`` births.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E``, and the oracles compute passage times on that
@@ -64,7 +60,6 @@ from scipy.sparse import csgraph, csr_matrix
 from . import rng, torus, weights
 from .errors import ConfigError, InvariantViolation
 from .torus import Site, TorusConfig
-from .weights import WeightField
 
 #: Caps for the oracles: the single-source oracle shares its cap with the
 #: dense edge matrix, n**2 floats (128 MB at the cap), and the uint16 row key
@@ -136,9 +131,8 @@ class ExplorationRecord:
 
     ``times[0] == 0`` is the source; ``rates[i]`` is the jump rate just
     before the i-th birth (``rates[0]`` is NaN).  ``proposals`` counts the
-    newborn proposals the sampler made, accepted or rejected; it equals the
-    births for the scan sampler.  A record with n births is a complete
-    flooding.
+    newborn proposals the thinning sampler made, accepted or rejected.  A
+    record with n births is a complete flooding.
     """
 
     cfg: TorusConfig
@@ -181,53 +175,6 @@ def _check_sandwich(j: int, rates: np.ndarray, rn: float, prefix: np.ndarray) ->
             raise InvariantViolation(
                 f"rate sandwich violated at j={j}: {lower!r} <= {rate!r} <= {upper!r}"
             )
-
-
-def _outputs(srcs: List[int], cap: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sites, times and pre-birth rates of runs from ``srcs``, a row of ``cap`` each."""
-    sites = np.empty((len(srcs), cap), dtype=np.int64)
-    times, rates = np.empty((len(srcs), cap)), np.empty((len(srcs), cap))
-    sites[:, 0], times[:, 0], rates[:, 0] = srcs, 0.0, math.nan
-    return sites, times, rates
-
-
-class _ScanSampler:
-    """Reference sampler of one run: the full WeightField, newborn by
-    cumulative scan; a block of one with the interface of ``_Lockstep``."""
-
-    def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs: List[int],
-                 cap: int) -> None:
-        self.field = WeightField.initial(torus.index_to_site(srcs[0], cfg), cfg)
-        self.gen = rng.generator(seeds[0], rng.STREAM_EXPLORE)
-        self.j, self.rn, self.rows, self.t = 1, weights.total_rate(cfg), np.arange(1), np.zeros(1)
-        self.sites, self.times, self.rates = _outputs(srcs, cap)
-        self.proposals, self.rate = np.zeros(1, dtype=np.int64), np.array([self.field.total])
-
-    def keep(self, live: np.ndarray) -> None:
-        self.rows = self.rows[live]
-
-    def wait(self) -> np.ndarray:
-        return np.array([-math.log(1.0 - self.gen.random())])
-
-    def birth(self) -> np.ndarray:
-        """Newborn by cumulative scan in deterministic site order (O(n))."""
-        j, values = self.j, self.field.values
-        cum = np.cumsum(values)
-        mass = cum[-1]
-        if not (mass > 0.0):
-            raise InvariantViolation("selection requested from an exhausted field")
-        z = int(np.searchsorted(cum, self.gen.random() * mass, side="right"))
-        # Float ties land on zero-weight (discovered) slots at most at
-        # boundaries; advance in site order, which is the documented tie-break.
-        while z < len(values) and values[z] <= 0.0:
-            z += 1
-        if z >= len(values):
-            z = int(np.max(np.nonzero(values > 0.0)[0]))
-        self.sites[0, j], self.times[0, j], self.rates[0, j] = z, self.t[0], self.field.total
-        self.field.discover_index(z)
-        self.proposals += 1
-        self.j, self.rate = j + 1, np.array([self.field.total])
-        return np.array([z])
 
 
 @lru_cache(maxsize=16)
@@ -276,7 +223,9 @@ class _Lockstep:
         self.free[self.rows, srcs] = False
         self.keys = np.empty((size, cap), dtype=np.int32)  # of the discovered sites
         self.keys[:, 0] = self._key_of[srcs]
-        self.sites, self.times, self.rates = _outputs(srcs, cap)
+        self.sites = np.empty((size, cap), dtype=np.int64)
+        self.times, self.rates = np.empty((size, cap)), np.empty((size, cap))
+        self.sites[:, 0], self.times[:, 0], self.rates[:, 0] = srcs, 0.0, math.nan
         self.increments = np.empty((size, cap))
         self.increments[:, 0] = self.rn
         self.waits, self._wait_pos = np.empty((size, batch)), batch
@@ -380,7 +329,7 @@ def block_count(cfg: TorusConfig, cap: int, count: int) -> int:
 
 def _run_block(
     cfg: TorusConfig, seeds: Sequence[rng.SeedLike], sources: Sequence[Site],
-    stops: Sequence[StopRule], sampler: type = _Lockstep,
+    stops: Sequence[StopRule],
 ) -> List[ExplorationRecord]:
     """The runs of one block, each stopped by its own rule."""
     n = cfg.n
@@ -392,7 +341,7 @@ def _run_block(
                        for stop in stops])
     until = np.array([stop.t if stop.kind == "time" else math.inf for stop in stops])
     srcs = [torus.site_to_index(u, cfg) for u in sources]
-    block = sampler(cfg, seeds, srcs, min(n, int(limit.max()) + 1))
+    block = _Lockstep(cfg, seeds, srcs, min(n, int(limit.max()) + 1))
     prefix = weights.nearest_prefix_sums(cfg)
     born, horizon = np.zeros(len(seeds), dtype=np.int64), np.empty(len(seeds), dtype=object)
 
@@ -445,24 +394,13 @@ def run_explorations(
 
 
 def run_exploration(
-    source: Site,
-    stop: StopRule,
-    cfg: TorusConfig,
-    seed: rng.SeedLike,
-    selection: str = "thinning",
+    source: Site, stop: StopRule, cfg: TorusConfig, seed: rng.SeedLike
 ) -> ExplorationRecord:
-    """Simulate the exploration birth process from ``source`` until ``stop``.
-
-    ``selection`` chooses the newborn sampler: "thinning" (default, no
-    per-site field; ``run_explorations`` of one replicate) or "scan" (the
-    reference WeightField and cumulative scan); the two agree in distribution
-    but draw different random numbers.  Every step asserts the deterministic
-    rate sandwich; a violation raises InvariantViolation.
+    """Simulate the exploration birth process from ``source`` until ``stop``:
+    ``run_explorations`` of one replicate.  Every step asserts the
+    deterministic rate sandwich; a violation raises InvariantViolation.
     """
-    if selection not in ("thinning", "scan"):
-        raise ConfigError(f"unknown selection mode {selection!r}")
-    sampler = _Lockstep if selection == "thinning" else _ScanSampler
-    return _run_block(cfg, [seed], [source], [stop], sampler)[0]
+    return run_explorations(cfg, [seed], [source], [stop])[0]
 
 
 def transmission_time(u: Site, v: Site, cfg: TorusConfig, seed: rng.SeedLike) -> float:

@@ -12,13 +12,14 @@ It draws an offset u with probability norm(u)**-alpha / R_n by inverting
 ``difference_table`` at the difference of their base-2m keys, so the
 attraction of a site to the discovered set is one gather and one sum.
 
-``WeightField`` is the reference path behind ``selection="scan"``.  It keeps,
-for a growing discovered set, the attraction weight of every undiscovered site
+``WeightField`` keeps, for a growing discovered set, the attraction weight
+of every undiscovered site
 
     W(z) = sum_i norm(z - v_i)**-alpha
 
 together with its aggregate ``total``, which equals the jump rate of the
-exploration process at every step.  Updates cost O(n) per discovery.
+exploration process at every step.  Updates cost O(n) per discovery; the
+sampler does not use it.
 """
 
 from __future__ import annotations

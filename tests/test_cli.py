@@ -410,3 +410,41 @@ def test_constants_grid_without_a_valid_cell_is_rejected(tmp_path):
         doc = {**bad, "p": [2], "methods": ["quadrature"], field: value}
         with pytest.raises(ManifestError):
             cli.parse_manifest(json.dumps({"seed": 1, "experiments": [doc]}))
+
+
+def test_labels_are_unique_file_names(tmp_path):
+    # A label names its results file: one non-empty path component, used by
+    # one experiment only, checked before anything runs.
+    exp = _minimal_manifest()["experiments"][0]
+    bad = [
+        ([{**exp, "label": "x"}, {**exp, "label": "x"}], 1),
+        ([{**exp, "label": "01_quantity"}, exp], 1),
+        ([{**exp, "label": "sub/dir/x"}], 0),
+        ([{**exp, "label": "..\\x"}], 0),
+        ([{**exp, "label": ".."}], 0),
+        ([{**exp, "label": ""}], 0),
+        ([{**exp, "label": 7}], 0),
+    ]
+    for experiments, idx in bad:
+        with pytest.raises(ManifestError) as err:
+            cli.parse_manifest(json.dumps(_minimal_manifest(experiments=experiments)))
+        assert err.value.location == f"experiments[{idx}].label", experiments
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(_minimal_manifest(experiments=bad[0][0])))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert not out.exists()
+    ok = [{**exp, "label": "a"}, {**exp, "label": "a.b"}, exp]
+    parsed = cli.parse_manifest(json.dumps(_minimal_manifest(experiments=ok)))
+    labels = [e.label for e in parsed.experiments]
+    assert labels == ["a", "a.b", "02_quantity"]
+
+
+def test_subcommand_that_selects_nothing_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(_minimal_manifest()))
+    out = tmp_path / "out"
+    for command in ("constants", "tau"):
+        assert cli.main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"no {command} experiment" in capsys.readouterr().err
+    assert not out.exists()

@@ -29,6 +29,8 @@ from lrfpp import (
 from lrfpp import explore, rng, stats, torus, weights
 from lrfpp.explore import THRESHOLD_SCALE
 
+from exact_laws import birth_chain, newborn_law, set_chain
+
 
 def _runs(cfg, stop, seeds, sources=None):
     """``run_explorations`` records, one per seed, from the origin unless ``sources`` says."""
@@ -129,46 +131,78 @@ def test_complete_graph_flooding_mean_identity():
     assert abs(times.mean() - target) <= 3.5 * se
 
 
-def _tau_sample(cfg, k, tag, reps, selection):
-    seeds = [(tag, r) for r in range(reps)]
-    if selection == "thinning":
-        records = _runs(cfg, StopRule.count(k), seeds)
-    else:
-        records = [run_exploration(origin(cfg), StopRule.count(k), cfg, seed, selection)
-                   for seed in seeds]
+def _tau_sample(cfg, k, tag, reps):
+    records = _runs(cfg, StopRule.count(k), [(tag, r) for r in range(reps)])
     return np.array([rec.tau(k) for rec in records])
 
 
-def test_thinning_matches_scan_on_tau():
+def test_exact_laws_agree_with_closed_forms():
+    # The reference itself: at alpha = 0 the set chain lumps onto the birth
+    # chain; at any alpha the first birth is Exp(R_n) and the first newborn
+    # is z with probability norm(z)**-alpha / R_n; on two sites the one birth
+    # is Exp(1).
+    t = np.linspace(0.0, 3.0, 61)
+    flat = TorusConfig(2, 3, 2.0, 0.0)
+    lumped = birth_chain(flat.n, flat.n - 1, 3.0)
+    law = set_chain(flat, flat.n - 1, 3.0)
+    assert np.abs(law.sizes(t) - lumped.sizes(t)).max() <= 1e-12
+    assert np.abs(law.typical_cdf(t) - lumped.typical_cdf(t)).max() <= 1e-12
     cfg = TorusConfig(2, 4, 2.0, 1.0)
-    a = _tau_sample(cfg, 6, 8, 1500, "thinning")
-    b = _tau_sample(cfg, 6, 9, 1500, "scan")
-    _, p = ks_two_sample(a, b)
+    rn = total_rate(cfg)
+    assert np.abs(set_chain(cfg, 3, 3.0).tau_cdf(1)(t) + np.expm1(-rn * t)).max() <= 1e-12
+    first = newborn_law(cfg, torus.origin_index(cfg), 1)
+    assert np.abs(first - weights._weight_table(cfg) / rn).max() <= 1e-15
+    assert np.abs(birth_chain(2, 1, 3.0).tau_cdf(1)(t) + np.expm1(-t)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k, tag", [(6, 8), (15, 36)], ids=["tau6", "flooding"])
+def test_thinning_matches_exact_law(k, tag):
+    cfg = TorusConfig(2, 4, 2.0, 1.0)
+    a = _tau_sample(cfg, k, tag, 1500)
+    _, p = ks_one_sample(a, set_chain(cfg, k, a.max()).tau_cdf(k))
     assert p > 1e-4
 
 
-def test_thinning_matches_scan_on_flooding():
+def test_exact_tau_law_rejects_a_raised_alpha():
+    # The reference has power: the tau_6 law of the same torus with alpha
+    # raised by 0.3 rejects the sample that ``[tau6]`` above accepts.
+    cfg = TorusConfig(2, 4, 2.0, 1.0)
+    a = _tau_sample(cfg, 6, 8, 1500)
+    raised = TorusConfig(cfg.d, cfg.m, cfg.p, cfg.alpha + 0.3)
+    _, p = ks_one_sample(a, set_chain(raised, 6, a.max()).tau_cdf(6))
+    assert p < 1e-4
+
+
+def test_thinning_matches_oracle_on_flooding():
+    # Beyond the set chain's reach: the largest single-source oracle distance.
     cfg = TorusConfig(2, 16, 2.0, 1.5)
-    a = _tau_sample(cfg, cfg.n - 1, 30, 600, "thinning")
-    b = _tau_sample(cfg, cfg.n - 1, 31, 600, "scan")
+    a = _tau_sample(cfg, cfg.n - 1, 30, 600)
+    b = np.array([dijkstra_oracle(origin(cfg), cfg, (31, r)).max() for r in range(600)])
     _, p = ks_two_sample(a, b)
     assert p > 1e-4
 
 
-def test_thinning_matches_scan_on_third_newborn():
-    # Where the third newborn lands, as a contingency table over the 24
-    # non-source sites: thinning against the scan reference.
+def test_thinning_matches_exact_law_on_third_newborn():
+    # Where the third newborn lands, over the 24 non-source sites: chi-square
+    # goodness of fit against the law summed over the first two newborns.
     cfg = TorusConfig(2, 5, 1.0, 1.0)
-    reps = 4000
-    counts = np.zeros((2, cfg.n), dtype=np.int64)
-    for rec in _runs(cfg, StopRule.count(3), [(32, r) for r in range(reps)]):
-        counts[0, rec.site_indices[3]] += 1
-    for r in range(reps):
-        rec = run_exploration(origin(cfg), StopRule.count(3), cfg, (33, r), selection="scan")
-        counts[1, rec.site_indices[3]] += 1
-    counts = counts[:, counts.sum(axis=0) > 0]
-    assert counts.shape[1] == cfg.n - 1
-    _, p, _, _ = scipy.stats.chi2_contingency(counts)
+    reps, src = 4000, torus.origin_index(cfg)
+    records = _runs(cfg, StopRule.count(3), [(32, r) for r in range(reps)])
+    counts = np.bincount([rec.site_indices[3] for rec in records], minlength=cfg.n)
+    law = newborn_law(cfg, src, 3)
+    others = np.arange(cfg.n) != src
+    assert counts[src] == 0 and (law[others] > 0).all()
+    _, p = scipy.stats.chisquare(counts[others], reps * law[others])
+    assert p > 1e-4
+
+
+@pytest.mark.parametrize("k", [16, 255])
+def test_thinning_matches_janson_at_alpha_zero(k):
+    # At alpha = 0 every W_D(z) is |D|, so tau_k is Janson's sum of
+    # independent Exp(j (n - j)), j <= k; k = n - 1 is the flooding time.
+    cfg = TorusConfig(2, 16, 2.0, 0.0)
+    a = _tau_sample(cfg, k, 37, 1000)
+    _, p = ks_one_sample(a, birth_chain(cfg.n, k, a.max()).tau_cdf(k))
     assert p > 1e-4
 
 
@@ -239,21 +273,12 @@ def test_batched_runs_equal_lone_runs(cfg):
         assert np.array_equal(rec.rates, lone.rates, equal_nan=True)
 
 
-def test_unknown_selection_mode_rejected():
-    cfg = TorusConfig(2, 4, 2.0, 1.0)
-    with pytest.raises(ConfigError):
-        run_exploration(origin(cfg), StopRule.count(1), cfg, 0, selection="bogus")
-
-
 def test_proposals_counted():
     # At alpha = 0 a proposal from a j-vertex cluster hits an undiscovered
     # site with probability (n - j)/(n - 1), so a full run makes
-    # (n - 1) * H_{n-1} proposals on average; the scan sampler makes one per
-    # birth.
+    # (n - 1) * H_{n-1} proposals on average.
     cfg = TorusConfig(2, 8, 2.0, 0.0)
     n = cfg.n
-    scan = run_exploration(origin(cfg), StopRule.full(), cfg, 0, selection="scan")
-    assert scan.proposals == n - 1
     reps = 400
     counts = np.array(
         [rec.proposals for rec in _runs(cfg, StopRule.full(), [(34, r) for r in range(reps)])]
@@ -657,7 +682,9 @@ def test_certified_graph_raises_a_small_threshold(monkeypatch):
 def test_exploration_matches_oracle_over_grid():
     # Same law two ways: exploration birth times vs shortest-path times on
     # edge realizations, two-sample KS per grid cell with a Bonferroni
-    # correction over the twelve cells.
+    # correction over the ten cells.  Each route's sample also meets the
+    # exact typical-time law of the set chain by one-sample KS, Bonferroni
+    # over both routes and the cells.
     cells = [
         (d, m, alpha)
         for d in (1, 2)
@@ -680,6 +707,10 @@ def test_exploration_matches_oracle_over_grid():
             orc[r] = explore.oracle_transmission_time(u, v, cfg, (20, cell_idx, r, 1))
         _, p = ks_two_sample(ex, orc)
         assert p >= level, (d, m, alpha, p)
+        law = set_chain(cfg, cfg.n - 1, max(ex.max(), orc.max()))
+        for route, sample in (("exploration", ex), ("oracle", orc)):
+            _, p = ks_one_sample(sample, law.typical_cdf)
+            assert p >= level / 2, (route, d, m, alpha, p)
 
 
 def test_ball_size_consistency_with_oracle():
