@@ -18,14 +18,14 @@ A manifest looks like this::
       ]
     }
 
-Parsing checks only the document's shape and JSON types, and builds the
-library's own validated types, which hold every model rule.  A quantity or
-tau experiment becomes an ``ExperimentSpec`` on a ``TorusConfig``; its size
-limits are part of that spec.  A constants experiment becomes one
-``ConstantQuery`` per cell of its d x p x alpha x method grid that the
-method applies to, in that order, and ``constants.evaluate`` computes each.
-A ``ConfigError`` is reported as a ``ManifestError`` at the experiment's
-path.  So a manifest that cannot run fails before any file is written.
+Parsing checks only the document's shape, field names and JSON types, and
+builds the library's own validated types, which hold every model rule.  A
+quantity or tau experiment becomes an ``ExperimentSpec`` on a ``TorusConfig``;
+its size limits are part of that spec.  A constants experiment becomes one
+``ConstantQuery`` per cell of its d x p x alpha x method grid that the method
+applies to, in that order, and ``constants.evaluate`` computes each.  A
+``ConfigError`` is reported as a ``ManifestError`` at the experiment's path.
+So a manifest that cannot run fails before any file is written.
 
 Data rows are byte reproducible for a fixed seed and do not depend on the
 worker count; each file starts with a provenance header.  Exit codes: 0
@@ -129,6 +129,13 @@ def _want(obj: dict, key: str, loc: str, required: bool = True, default=None):
     return obj[key]
 
 
+def _only(obj: dict, loc: str, known: Tuple[str, ...]) -> None:
+    """Reject a field of ``obj`` outside ``known``: nothing would read it."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ManifestError(f"{loc}.{unknown[0]}", f"unknown field; expected one of {known}")
+
+
 def _as_int(val, loc: str, minimum: Optional[int] = None) -> int:
     # bool is an int subclass, and the library types would take True as 1.
     if not isinstance(val, int) or isinstance(val, bool):
@@ -182,6 +189,12 @@ def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
     if not isinstance(obj, dict):
         raise ManifestError(loc, "expected an object")
     kind = _want(obj, "kind", loc, required=False, default="quantity")
+    spec = ("d", "m", "p", "alpha", "replicates", "source")  # read by _spec and below
+    fields = {"quantity": spec + ("quantity",), "tau": spec + ("k", "beta"),
+              "constants": ("d", "p", "alpha", "methods", "samples", "tolerance")}
+    if not isinstance(kind, str) or kind not in fields:
+        raise ManifestError(f"{loc}.kind", f"unknown experiment kind {kind!r}")
+    _only(obj, loc, ("kind", "label") + fields[kind])
     label = obj.get("label", f"{idx:02d}_{kind}")
     if not isinstance(label, str) or label in ("", ".", "..") or set(label) & set("/\\\0"):
         raise ManifestError(f"{loc}.label", f"expected a file name, got {label!r}")
@@ -205,19 +218,17 @@ def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
                 beta=None if beta is None else _as_number(beta, f"{loc}.beta"),
                 source=obj.get("source", "origin"),
             )
-        if kind == "constants":
-            return ConstantsExperiment(
-                label,
-                dims=_as_tuple(obj, "d", loc, _as_int),
-                ps=_as_tuple(obj, "p", loc, _as_p),
-                alphas=_as_tuple(obj, "alpha", loc, _as_number),
-                methods=_as_tuple(obj, "methods", loc, lambda v, _: v, list(constants._METHODS)),
-                samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples", minimum=10_000),
-                tolerance=_as_number(obj.get("tolerance", 1e-9), f"{loc}.tolerance"),
-            )
+        return ConstantsExperiment(
+            label,
+            dims=_as_tuple(obj, "d", loc, _as_int),
+            ps=_as_tuple(obj, "p", loc, _as_p),
+            alphas=_as_tuple(obj, "alpha", loc, _as_number),
+            methods=_as_tuple(obj, "methods", loc, lambda v, _: v, list(constants._METHODS)),
+            samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples", minimum=10_000),
+            tolerance=_as_number(obj.get("tolerance", 1e-9), f"{loc}.tolerance"),
+        )
     except ConfigError as exc:
         raise ManifestError(loc, str(exc)) from exc
-    raise ManifestError(f"{loc}.kind", f"unknown experiment kind {kind!r}")
 
 
 def parse_manifest(text: str) -> RunManifest:
@@ -228,6 +239,7 @@ def parse_manifest(text: str) -> RunManifest:
         raise ManifestError(f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ManifestError("$", "manifest must be a JSON object")
+    _only(doc, "$", ("seed", "out", "format", "jobs", "experiments"))
     seed = _as_seed(_want(doc, "seed", "$"), "$.seed")
     out = doc.get("out", "results")
     fmt = doc.get("format", "csv")
@@ -282,7 +294,7 @@ def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> Tuple[List[dict], dic
             "ks_pvalue": s.ks_pvalue,
             "mean_centered": s.mean,
             "se_centered": s.se,
-            "scaled_tau_mean": s.details["scaled_tau_mean"],
+            "scaled_tau_mean": s.scaled_mean,
         }
     ], s.details
 

@@ -15,11 +15,11 @@ probability norm(u)**-alpha / R_n; it is rejected when its target is already
 discovered, and the first accepted target has the newborn law exactly.  The
 waiting time is drawn once per birth at the exact rate_j; the holding time
 and the newborn are independent, so this equals in law the sum of Exp(j R_n)
-waits over the proposals.  A run keeps no per-site field, only the keys of
-its discovered sites and a one-byte mask.  rate_j follows exactly from
-rate_{j+1} = rate_j + R_n - 2 W_D(z), with W_D(z) gathered over the j
-discovered sites; the expected number of proposals per birth is
-j * R_n / rate_j, near 1 until most of the torus is discovered.
+waits over the proposals.  A run keeps no per-site field, only the keys of its
+discovered sites, in the one key format ``weights.site_keys``, and a one-byte
+mask.  rate_j follows exactly from rate_{j+1} = rate_j + R_n - 2 W_D(z), with
+W_D(z) gathered over the j discovered sites; the expected number of proposals
+per birth is j * R_n / rate_j, near 1 until most of the torus is discovered.
 
 ``run_explorations`` runs replicates in lockstep blocks: a step is one
 birth in every run of the block, with the wait, proposals, W_D(z) gather,
@@ -31,20 +31,21 @@ birth, asserts the deterministic rate sandwich on it, and re-sums it every
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E``, and the oracles compute passage times on that
-realization as an independent route to the same law.  The pairs {u, u + z}
-are grouped by difference class {z, -z}, whose pairs share one scale, and
-only the pairs below a threshold are drawn: on a fixed ladder of thresholds,
-each rung draws its pairs' number, positions and weights for all classes at
-once from its own stream, so an oracle costs about the edges it keeps, not
-n(n-1)/2 pairs.  Both oracles keep only edges no heavier than a threshold
-that Dijkstra from one source certifies, so no shortest path loses an edge;
-the single-source oracle returns that run's distances.  ``distance_matrix``
-also drops edges heavier than a bound on the distance between their ends, keeping about 6-8 per
-vertex of the 1023 at n = 1024, and runs Dijkstra from every source.  The
-diameter is the largest directed distance (no ``min`` of a pair's two
-directions) and needs a few dozen sources: eccentricity bounds (Takes &
-Kosters 2011) drop every vertex whose row cannot hold it, with a margin
-above the float error of path sums that keeps the result exact.
+realization as an independent route to the same law.  The pairs {u, u + z},
+placed by the same keys, are grouped by difference class {z, -z}, whose pairs
+share one scale, and only the pairs below a threshold are drawn: on a fixed
+ladder of thresholds, each rung draws its pairs' number, positions and weights
+for all classes at once from its own stream, so an oracle costs about the
+edges it keeps, not n(n-1)/2 pairs.  Both oracles keep only edges no heavier
+than a threshold that Dijkstra from one source certifies, so no shortest path
+loses an edge; the single-source oracle returns that run's distances.
+``distance_matrix`` also drops edges heavier than a bound on the distance
+between their ends, keeping about 6-8 per vertex of the 1023 at n = 1024, and
+runs Dijkstra from every source.  The diameter is the largest directed
+distance (no ``min`` of a pair's two directions) and needs a few dozen
+sources: eccentricity bounds (Takes & Kosters 2011) drop every vertex whose
+row cannot hold it, with a margin above the float error of path sums that
+keeps the result exact.
 """
 
 from __future__ import annotations
@@ -177,23 +178,6 @@ def _check_sandwich(j: int, rates: np.ndarray, rn: float, prefix: np.ndarray) ->
             )
 
 
-@lru_cache(maxsize=16)
-def _key_tables(cfg: TorusConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Keys of the sites by flat index, and the flat index of every key.
-
-    The key of grid coordinates g plus the key of c + floor(m/2), c an offset,
-    has digits below 2m, so the second table gives the site g + c.
-    """
-    m, wrap = cfg.m, ((np.arange(2 * cfg.m) - cfg.half) % cfg.m).astype(np.int32)
-    key_of, site_of = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
-    for _ in range(cfg.d):
-        key_of = (key_of[:, None] * (2 * m) + np.arange(m, dtype=np.int32)).ravel()
-        site_of = (site_of[:, None] * m + wrap).ravel()
-    key_of.setflags(write=False)
-    site_of.setflags(write=False)
-    return key_of, site_of
-
-
 class _Lockstep:
     """Thinning runs of a block of replicates, advanced together one birth per step.
 
@@ -212,11 +196,9 @@ class _Lockstep:
         self.cfg, self.j, self.rn = cfg, 1, weights.total_rate(cfg)
         self.gens = [rng.generator(seed, rng.STREAM_EXPLORE) for seed in seeds]
         self._cdf, self._diff = weights.nearest_prefix_sums(cfg), weights.difference_table(cfg)
-        self._key_of, self._site_of = _key_tables(cfg)
-        # Offsets by distance rank as keys of c + floor(m/2), and the key with
-        # every digit m, which ``weights.difference_table`` reads as zero.
+        self._key_of, self._site_of, self._key_zero = weights.site_keys(cfg)
+        # Offsets c by distance rank as key_of[c], which a site's key adds to.
         self._offset_of_rank = self._key_of[torus.sorted_order(cfg)]
-        self._key_zero = cfg.m * int(((2 * cfg.m) ** np.arange(cfg.d)).sum())
         self.rows, self.t, self.comp = np.arange(size), np.zeros(size), np.zeros(size)
         self.rate, self.proposals = np.full(size, self.rn), np.zeros(size, dtype=np.int64)
         self.free = np.ones((size, cfg.n), dtype=bool)
@@ -420,23 +402,6 @@ def flooding_time(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _norm_power_table(cfg: TorusConfig) -> np.ndarray:
-    """Flat array of norm(u)**alpha per site; 0 at the origin (read-only).
-
-    The factor that turns a unit exponential into an edge weight, shared by
-    every ``EdgeWeightSample`` of the configuration.
-    """
-    table = torus.norm_table(cfg)
-    if cfg.alpha == 0.0:
-        out = np.ones_like(table)
-        out[torus.origin_index(cfg)] = 0.0
-    else:
-        out = table**cfg.alpha
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class _DifferenceClasses:
     """The unordered pairs {u, u + z} of the torus, one class per difference {z, -z}.
@@ -448,7 +413,7 @@ class _DifferenceClasses:
     """
 
     n: int
-    step: np.ndarray  # (d, C) grid offset z, int32
+    offset: np.ndarray  # key of z + floor(m/2): u + z is site_of[key_of[u] + offset]
     scale: np.ndarray  # norm(z)**alpha
     size: np.ndarray
     fold: np.ndarray
@@ -465,8 +430,10 @@ def _difference_classes(cfg: TorusConfig) -> _DifferenceClasses:
     site = np.ravel_multi_index(tuple(((step + cfg.half) % m).T), shape)
     first = np.argmax(step == m // 2, axis=1)
     fold = np.where(own, (m // 2) * m ** (cfg.d - 1 - first), n)
-    scale = _norm_power_table(cfg)[site]
-    return _DifferenceClasses(n, step.T.astype(np.int32), scale, np.where(own, n // 2, n), fold)
+    # x ** 0.0 == 1.0, and no class is the origin.
+    scale = torus.norm_table(cfg)[site] ** cfg.alpha
+    offset = weights.site_keys(cfg)[0][site]
+    return _DifferenceClasses(n, offset, scale, np.where(own, n // 2, n), fold)
 
 
 def _ladder(cfg: TorusConfig) -> np.ndarray:
@@ -568,18 +535,13 @@ class EdgeWeightSample:
         Costs about the number of edges kept plus the number of classes per
         rung read, not n(n-1)/2.
         """
-        m, classes = self.cfg.m, _difference_classes(self.cfg)
+        classes, (key_of, site_of, _) = _difference_classes(self.cfg), weights.site_keys(self.cfg)
         cls, pos, w = (np.concatenate(part) for part in zip(*self._rungs(threshold)))
         keep = w <= threshold
         cls, pos, fold = cls[keep], pos[keep], classes.fold[cls[keep]]
         # Site indices fit in int32, like the CSR indices built from them.
         u = (pos + pos // fold * fold).astype(np.int32)
-        v, rest, place = np.zeros_like(u), u, 1
-        for step in classes.step[::-1]:
-            rest, g = np.divmod(rest, m)
-            g += step[cls]
-            v += np.where(g < m, g, g - m) * place
-            place *= m
+        v = site_of.take(key_of.take(u) + classes.offset[cls])
         return np.minimum(u, v), np.maximum(u, v), w[keep]
 
     def dense_matrix(self) -> np.ndarray:

@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import ConfigError, EnumerationCapError
 
-#: Largest volume accepted for dense enumeration (norm tables, weight fields).
-#: Memory is roughly 16 bytes per site for a field (values + mask).
+#: Largest table accepted for dense enumeration: n entries for the norm tables,
+#: and (2m)**d = 2**d * n for the thinning sampler's key and weight tables
+#: (``weights.site_keys``, ``weights.difference_table``), 12 bytes per entry.
 ENUMERATION_CAP = 2**26
 
 

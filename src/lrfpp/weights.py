@@ -8,9 +8,9 @@ exploration step must satisfy.
 
 The thinning sampler of ``explore.run_explorations`` keeps no per-site field.
 It draws an offset u with probability norm(u)**-alpha / R_n by inverting
-``nearest_prefix_sums``, and reads the weight between two sites from
-``difference_table`` at the difference of their base-2m keys, so the
-attraction of a site to the discovered set is one gather and one sum.
+``nearest_prefix_sums``.  ``site_keys`` is the one key format for "site plus
+offset"; ``difference_table`` holds the weight between two sites at the
+difference of their keys, so a site's attraction is one gather and one sum.
 
 ``WeightField`` keeps, for a growing discovered set, the attraction weight
 of every undiscovered site
@@ -89,11 +89,9 @@ def nearest_prefix_sums(cfg: TorusConfig) -> np.ndarray:
 
 
 def check_thinning_size(cfg: TorusConfig) -> None:
-    """Raise EnumerationCapError unless ``difference_table(cfg)`` fits the cap.
-
-    The thinning sampler needs the table, so this is the size limit of every
-    exploration run on its default path: (2m)**d <= ENUMERATION_CAP.
-    """
+    """Raise EnumerationCapError unless (2m)**d <= ENUMERATION_CAP: the size of
+    the ``site_keys`` and ``difference_table`` tables that every exploration
+    run reads, so the size limit of every run."""
     if (2 * cfg.m) ** cfg.d > torus.ENUMERATION_CAP:
         raise EnumerationCapError(
             f"(2m)**d = {(2 * cfg.m) ** cfg.d} exceeds the dense enumeration cap "
@@ -102,21 +100,37 @@ def check_thinning_size(cfg: TorusConfig) -> None:
 
 
 @lru_cache(maxsize=16)
-def difference_table(cfg: TorusConfig) -> np.ndarray:
-    """Weight between two sites, indexed by the difference of their keys.
+def site_keys(cfg: TorusConfig) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The base-2m site keys ``(key_of, site_of, key_zero)``, read-only int32.
 
-    The key of a site with grid coordinates g is sum_a g_a * (2m)**(d-1-a).
-    For sites y and z, key(y) - key(z) + K, where K is the key with every
-    digit m, has base-2m digits g_y,a - g_z,a + m in [1, 2m - 1], so no digit
-    borrows, and the entry there is norm(y - z)**-alpha (0 when y == z).  The
-    table holds (2m)**d = 2**d * n entries (read-only).
+    ``key_of[i]`` is sum_a g_a * (2m)**(d-1-a) for the grid coordinates g of
+    flat index i, and ``site_of`` maps a key of digits e_a in [0, 2m) to the
+    site of grid coordinates (e_a - floor(m/2)) mod m.  So for a site u and an
+    offset c, ``site_of[key_of[u] + key_of[c]]`` is u + c: no digit carries.
+    For sites y and z, key(y) - key(z) + ``key_zero`` (every digit m) has
+    digits in [1, 2m - 1], where ``difference_table`` holds the weight of y - z.
     """
+    check_thinning_size(cfg)
+    m, wrap = cfg.m, ((np.arange(2 * cfg.m) - cfg.half) % cfg.m).astype(np.int32)
+    key_of, site_of = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
+    for _ in range(cfg.d):
+        key_of = (key_of[:, None] * (2 * m) + np.arange(m, dtype=np.int32)).ravel()
+        site_of = (site_of[:, None] * m + wrap).ravel()
+    key_of.setflags(write=False)
+    site_of.setflags(write=False)
+    return key_of, site_of, m * sum((2 * m) ** a for a in range(cfg.d))
+
+
+@lru_cache(maxsize=16)
+def difference_table(cfg: TorusConfig) -> np.ndarray:
+    """Weight norm(y - z)**-alpha (0 when y == z) at key(y) - key(z) + key_zero
+    of ``site_keys``, for all sites y and z; (2m)**d entries, read-only."""
     check_thinning_size(cfg)
     m, d = cfg.m, cfg.d
     # Digit e on an axis is the difference e - m, whose grid index is
     # (e - m + floor(m/2)) mod m.
     axis = (np.arange(2 * m) - m + cfg.half) % m
-    grid = _weight_table(cfg).reshape(_grid_shape(cfg))[np.ix_(*([axis] * d))]
+    grid = _weight_table(cfg).reshape((m,) * d)[np.ix_(*([axis] * d))]
     table = np.ascontiguousarray(grid).ravel()
     table.setflags(write=False)
     return table
@@ -160,7 +174,7 @@ class WeightField:
     def initial(cls, source: Site, cfg: TorusConfig) -> "WeightField":
         """Field with only ``source`` discovered; total equals total_rate(cfg)."""
         src = torus.site_to_index(source, cfg)
-        values = _rolled_weights(cfg, src).copy()
+        values = _rolled_weights(cfg, src)
         mask = np.zeros(cfg.n, dtype=bool)
         mask[src] = True
         return cls(cfg=cfg, values=values, discovered_mask=mask, total=math.fsum(values))
@@ -192,23 +206,11 @@ class WeightField:
             )
 
 
-@lru_cache(maxsize=8)
-def _grid_shape(cfg: TorusConfig):
-    return (cfg.m,) * cfg.d
-
-
 def _rolled_weights(cfg: TorusConfig, center: int) -> np.ndarray:
-    """Weight of every site toward ``center``: the origin table rolled by it.
-
-    Entry y is norm(y - center)**-alpha (0 at y == center), obtained by a
-    circular shift of the origin-centered table, O(n) per call.
-    """
-    base = _weight_table(cfg)
-    shift = tuple(torus.index_to_site(center, cfg).coords)
-    if all(s == 0 for s in shift):
-        return base
-    grid = base.reshape(_grid_shape(cfg))
-    return np.roll(grid, shift, axis=tuple(range(cfg.d))).ravel()
+    """Weight of every site y toward ``center``, norm(y - center)**-alpha (0 at
+    y == center), as a new array: one gather from ``difference_table``."""
+    key_of, _, key_zero = site_keys(cfg)
+    return difference_table(cfg).take(key_of - (key_of[center] - key_zero))
 
 
 def rate_bounds(cfg: TorusConfig, j: int) -> tuple[float, float]:

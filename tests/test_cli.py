@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from lrfpp import cli, constants
-from lrfpp.errors import ManifestError
+from lrfpp.errors import ConfigError, ManifestError
+from lrfpp.stats import ExperimentSpec
+from lrfpp.torus import TorusConfig
 
 #: The documented results columns, in file order, for each experiment kind.
 COLUMNS = {
@@ -393,6 +395,50 @@ def test_size_limits_fail_at_parse_time_before_any_file(tmp_path):
     doc["experiments"][1].update({"quantity": "diameter", "m": 64})
     with pytest.raises(ManifestError, match="diameter requires n <= "):
         cli.parse_manifest(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("$", "sede"),
+    ("flooding", "replicate"),
+    ("flooding", "sourse"),
+    ("flooding", "k"),
+    ("tau", "quantity"),
+    ("constants", "m"),
+    ("constants", "source"),
+])
+def test_fields_nothing_reads_are_rejected_before_any_file(tmp_path, kind, field):
+    # A misspelt field, or one its experiment's kind does not read, is an
+    # error at its own path, not a silent default.
+    exps = {
+        "flooding": {"kind": "quantity", "quantity": "flooding", "d": 1, "m": 4, "alpha": 0.0,
+                     "replicates": 5},
+        "tau": {"kind": "tau", "d": 2, "m": 4, "alpha": 0.5, "k": 3, "replicates": 30},
+        "constants": {"kind": "constants", "d": [2], "p": [2], "alpha": [0.5]},
+    }
+    doc = {"seed": 1, "experiments": [exps.get(kind, exps["flooding"])]}
+    (doc if kind == "$" else doc["experiments"][0])[field] = 500
+    with pytest.raises(ManifestError) as err:
+        cli.parse_manifest(json.dumps(doc))
+    assert err.value.location == ("$" if kind == "$" else "experiments[0]") + f".{field}"
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_diameter_rejects_a_source():
+    # A diameter is a maximum over all pairs, so it has no source to draw.
+    doc = _minimal_manifest()
+    doc["experiments"][0].update({"quantity": "diameter", "source": "uniform"})
+    with pytest.raises(ManifestError, match="source must be 'origin'") as err:
+        cli.parse_manifest(json.dumps(doc))
+    assert err.value.location == "experiments[0]"
+    doc["experiments"][0]["source"] = "origin"
+    assert cli.parse_manifest(json.dumps(doc)).experiments[0].quantity == "diameter"
+    with pytest.raises(ConfigError):
+        ExperimentSpec(cfg=TorusConfig(1, 4, 2.0, 0.0), quantity="diameter", replicates=1,
+                       root_seed=0, source="uniform")
 
 
 def test_constants_grid_without_a_valid_cell_is_rejected(tmp_path):

@@ -331,14 +331,6 @@ def test_edge_sample_symmetry_positivity_reproducibility():
     assert (off > 0.0).all()
 
 
-def test_norm_power_table_is_shared_and_read_only():
-    cfg = TorusConfig(2, 6, 2.0, 1.0)
-    table = explore._norm_power_table(cfg)
-    assert table is explore._norm_power_table(cfg)
-    assert not table.flags.writeable
-    assert np.array_equal(table, torus.norm_table(cfg) ** cfg.alpha)
-
-
 def test_edge_sample_alpha_zero_is_plain_exponential():
     cfg = TorusConfig(2, 5, 2.0, 0.0)
     s = EdgeWeightSample.from_seed(cfg, 7)
@@ -547,6 +539,13 @@ def test_edges_up_to_is_the_dense_matrix_below_the_threshold(cfg):
     i, j, w = sample.edges_up_to(math.inf)
     assert i.size == n * (n - 1) // 2 and (i < j).all()
     assert np.unique(i.astype(np.int64) * n + j).size == i.size
+    # Each pair lies in the class _rungs gave it: its difference, by the
+    # torus arithmetic, is the class's z (the site whose key is the class
+    # offset) or -z.
+    cls = np.concatenate([part for part, _, _ in sample._rungs(math.inf)])
+    z = np.searchsorted(weights.site_keys(cfg)[0], explore._difference_classes(cfg).offset)[cls]
+    assert ((torus.pair_difference_index(j, i, cfg) == z)
+            | (torus.pair_difference_index(i, j, cfg) == z)).all()
     ladder = explore._ladder(cfg)[:-1]
     thresholds = np.sort(np.concatenate([
         ladder, 0.3 * ladder, 1.5 * ladder, np.nextafter(ladder, 0.0), [2.0 * ladder[-1], math.inf]
@@ -618,7 +617,8 @@ class _HashedSample:
 
     def edges_up_to(self, threshold):
         i, j = np.triu_indices(self.cfg.n, k=1)
-        scale = explore._norm_power_table(self.cfg)[torus.pair_difference_index(i, j, self.cfg)]
+        diff = torus.pair_difference_index(i, j, self.cfg)
+        scale = torus.norm_table(self.cfg)[diff] ** self.cfg.alpha
         w = scale * -np.log(rng.pair_uniform(i, j, self.key))
         keep = w <= threshold
         return i[keep].astype(np.int32), j[keep].astype(np.int32), w[keep]
