@@ -30,10 +30,8 @@ from .explore import (
     diameter_exact,
     dijkstra_oracle,
     distance_matrix,
-    flooding_time,
     run_exploration,
     run_explorations,
-    transmission_time,
 )
 from .stats import (
     ExperimentSpec,
@@ -44,10 +42,9 @@ from .stats import (
     ks_one_sample,
     ks_two_sample,
 )
-from .torus import Site, TorusConfig, canonicalize, origin, sites_by_distance, torus_norm
+from .torus import Site, TorusConfig, canonicalize, origin, torus_norm
 from .weights import (
     WeightField,
-    nearest_rate_sum,
     rate_bounds,
     total_rate,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "dijkstra_oracle",
     "distance_matrix",
     "estimate_scaled",
-    "flooding_time",
     "gumbel_cdf",
     "gumbel_test",
     "ks_one_sample",
@@ -82,13 +78,10 @@ __all__ = [
     "limit_constant_max_norm",
     "limit_constant_planar",
     "limit_constant_quadrature",
-    "nearest_rate_sum",
     "origin",
     "rate_bounds",
     "run_exploration",
     "run_explorations",
-    "sites_by_distance",
     "torus_norm",
     "total_rate",
-    "transmission_time",
 ]

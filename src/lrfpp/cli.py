@@ -55,7 +55,9 @@ from .stats import ExperimentSpec
 from .torus import TorusConfig
 
 _FORMATS = ("csv", "json")
-_QUANTITY_KINDS = ("typical", "flooding", "diameter")
+#: The ``tau`` flags, which build the experiment run without --manifest: type, default.
+_TAU_FLAGS = {"d": (int, 2), "m": (int, 64), "p": (float, 2.0), "alpha": (float, 0.0),
+              "beta": (float, None), "k": (int, None), "replicates": (int, 2000)}
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,8 @@ def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
     try:
         if kind == "quantity":
             quantity = _want(obj, "quantity", loc)
-            if quantity not in _QUANTITY_KINDS:
-                raise ManifestError(f"{loc}.quantity", f"must be one of {_QUANTITY_KINDS}")
+            if quantity not in stats.PASSAGE_QUANTITIES:
+                raise ManifestError(f"{loc}.quantity", f"must be one of {stats.PASSAGE_QUANTITIES}")
             source = obj.get("source", "uniform" if quantity == "typical" else "origin")
             return _spec(
                 QuantityExperiment, obj, loc, label=label, quantity=quantity, source=source
@@ -224,7 +226,8 @@ def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
             ps=_as_tuple(obj, "p", loc, _as_p),
             alphas=_as_tuple(obj, "alpha", loc, _as_number),
             methods=_as_tuple(obj, "methods", loc, lambda v, _: v, list(constants._METHODS)),
-            samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples", minimum=10_000),
+            samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples",
+                            minimum=constants.MC_MIN_SAMPLES),
             tolerance=_as_number(obj.get("tolerance", 1e-9), f"{loc}.tolerance"),
         )
     except ConfigError as exc:
@@ -242,6 +245,8 @@ def parse_manifest(text: str) -> RunManifest:
     _only(doc, "$", ("seed", "out", "format", "jobs", "experiments"))
     seed = _as_seed(_want(doc, "seed", "$"), "$.seed")
     out = doc.get("out", "results")
+    if not isinstance(out, str) or not out:
+        raise ManifestError("$.out", f"expected a directory name, got {out!r}")
     fmt = doc.get("format", "csv")
     if fmt not in _FORMATS:
         raise ManifestError("$.format", f"must be one of {_FORMATS}")
@@ -511,13 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=desc)
         _add_common(sp)
         if name == "tau":
-            sp.add_argument("--d", type=int, default=2)
-            sp.add_argument("--m", type=int, default=64)
-            sp.add_argument("--p", type=float, default=2.0, help='a number, or "inf"')
-            sp.add_argument("--alpha", type=float, default=0.0)
-            sp.add_argument("--beta", type=float, default=None)
-            sp.add_argument("--k", type=int, default=None)
-            sp.add_argument("--replicates", type=int, default=2000)
+            for flag, (kind, default) in _TAU_FLAGS.items():
+                sp.add_argument(f"--{flag}", type=kind,
+                                help=None if default is None else f"default {default}")
 
     vp = sub.add_parser("validate", help="run the built-in invariant suite")
     vp.add_argument("--seed", type=int, default=0)
@@ -549,10 +550,13 @@ def _default_constants_manifest() -> RunManifest:
 
 
 def _tau_manifest(args: argparse.Namespace) -> RunManifest:
-    beta = 0.5 if args.k is None and args.beta is None else args.beta
+    """The experiment the ``tau`` flags describe; beta is 0.5 unless k or beta is set."""
+    val = {flag: default if getattr(args, flag) is None else getattr(args, flag)
+           for flag, (_, default) in _TAU_FLAGS.items()}
+    beta = 0.5 if val["k"] is None and val["beta"] is None else val["beta"]
     exp = TauExperiment(
-        cfg=TorusConfig(d=args.d, m=args.m, p=args.p, alpha=args.alpha), quantity="tau",
-        replicates=args.replicates, root_seed=0, k=args.k, beta=beta, label="00_tau",
+        cfg=TorusConfig(d=val["d"], m=val["m"], p=val["p"], alpha=val["alpha"]), quantity="tau",
+        replicates=val["replicates"], root_seed=0, k=val["k"], beta=beta, label="00_tau",
     )
     return RunManifest(seed=0, out="results", fmt="csv", jobs=1, experiments=(exp,))
 
@@ -570,6 +574,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 failed |= not ok
             return 3 if failed else 0
         jobs = None if args.jobs is None else _as_int(args.jobs, "--jobs", minimum=1)
+        given = [f"--{flag}" for flag in _TAU_FLAGS if getattr(args, flag, None) is not None]
+        if given and args.manifest is not None:
+            raise ManifestError(given[0], "builds the experiment run without --manifest only")
         manifest = _load_manifest(args.manifest)
         if manifest is None:
             if args.command == "simulate":

@@ -49,6 +49,8 @@ _METHODS = ("quadrature", "closed-p-infinity", "hypergeometric-d2", "gamma-max-m
 
 # Share of Monte Carlo draws taken from the power-law component near 0.
 _MC_DEFENSIVE_EPS = 0.5
+#: Fewest samples a Monte Carlo estimate takes.
+MC_MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -290,8 +292,8 @@ def limit_constant_gamma_mc(
     yet log x and the weight stay finite.
     """
     ConstantQuery(d, p, alpha, "gamma-max-mc")
-    if samples < 10_000:
-        raise ConfigError(f"samples must be >= 10000, got {samples}")
+    if samples < MC_MIN_SAMPLES:
+        raise ConfigError(f"samples must be >= {MC_MIN_SAMPLES}, got {samples}")
     if seed is None:
         seed = 0
 

@@ -167,9 +167,9 @@ class ExplorationRecord:
         return float(self.times[-1])
 
 
-def _check_sandwich(j: int, rates: np.ndarray, rn: float, prefix: np.ndarray) -> None:
-    """Assert the rate sandwich on rates of j-site clusters, R_n and prefix given."""
-    lower, upper = weights.sandwich_bounds(rn, prefix, j)
+def _check_sandwich(j: int, rates: np.ndarray, cfg: TorusConfig) -> None:
+    """Assert the rate sandwich ``weights.rate_bounds`` on rates of j-site clusters."""
+    lower, upper = weights.rate_bounds(cfg, j)
     slack = SANDWICH_RTOL * upper
     for rate in (float(rates.max()), float(rates.min())):
         if rate > upper + slack or rate < lower - slack:
@@ -324,7 +324,6 @@ def _run_block(
     until = np.array([stop.t if stop.kind == "time" else math.inf for stop in stops])
     srcs = [torus.site_to_index(u, cfg) for u in sources]
     block = _Lockstep(cfg, seeds, srcs, min(n, int(limit.max()) + 1))
-    prefix = weights.nearest_prefix_sums(cfg)
     born, horizon = np.zeros(len(seeds), dtype=np.int64), np.empty(len(seeds), dtype=object)
 
     def finish(done: np.ndarray, why: str) -> None:
@@ -342,7 +341,7 @@ def _run_block(
             finish(~(block.rate > 0.0), "exhausted")
         if not block.rows.size:
             break
-        _check_sandwich(block.j, block.rate, block.rn, prefix)
+        _check_sandwich(block.j, block.rate, cfg)
         block.t = block.t + block.wait() / block.rate
         if "time" in kinds:
             finish(block.t > until[block.rows], "time")
@@ -383,18 +382,6 @@ def run_exploration(
     deterministic rate sandwich; a violation raises InvariantViolation.
     """
     return run_explorations(cfg, [seed], [source], [stop])[0]
-
-
-def transmission_time(u: Site, v: Site, cfg: TorusConfig, seed: rng.SeedLike) -> float:
-    """Passage time from u to v: birth time of v when exploring from u."""
-    record = run_exploration(u, StopRule.target(v), cfg, seed)
-    return float(record.times[-1])
-
-
-def flooding_time(u: Site, cfg: TorusConfig, seed: rng.SeedLike) -> float:
-    """Time to discover every site from u: final birth time of a full run."""
-    record = run_exploration(u, StopRule.full(), cfg, seed)
-    return record.flooding()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,7 +25,8 @@ from . import explore, rng, torus, weights
 from .errors import ConfigError
 from .torus import Site, TorusConfig
 
-_QUANTITIES = ("typical", "flooding", "diameter", "tau")
+#: The passage times of the 1-2-3 law; an experiment measures one of them or tau.
+PASSAGE_QUANTITIES = ("typical", "flooding", "diameter")
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 
@@ -41,8 +43,8 @@ class ExperimentSpec:
     source: str = "origin"  # "origin" | "uniform"
 
     def __post_init__(self):
-        if self.quantity not in _QUANTITIES:
-            raise ConfigError(f"quantity must be one of {_QUANTITIES}")
+        if self.quantity not in PASSAGE_QUANTITIES and self.quantity != "tau":
+            raise ConfigError(f"quantity must be 'tau' or one of {PASSAGE_QUANTITIES}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.root_seed < 0:
@@ -182,17 +184,19 @@ def replicate_sample(spec: ExperimentSpec, rep: int) -> float:
 
 def _collect(spec: ExperimentSpec, jobs: int = 1) -> Tuple[np.ndarray, Dict[str, float]]:
     """The spec's samples in replicate order, with the births and proposals of
-    its explorations; each block (one diameter) is one task of the pool."""
+    its explorations; each block (one diameter) is one task of the pool, which
+    starts no more workers than there are blocks or cores."""
     blocks = spec.replicates
     if spec.quantity != "diameter":
         cap = spec.tau_k() + 1 if spec.quantity == "tau" else spec.cfg.n
         blocks = explore.block_count(spec.cfg, cap, blocks)
     parts = [part.tolist() for part in np.array_split(np.arange(spec.replicates), blocks)]
-    if jobs <= 1:
+    workers = min(jobs, len(parts), os.cpu_count() or 1)
+    if workers <= 1:
         out = [_block_samples(spec, part) for part in parts]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(parts) // (jobs * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(parts) // (workers * 8))
             out = list(pool.map(_block_samples, [spec] * len(parts), parts, chunksize=chunk))
     vals, births, proposals = zip(*out)
     counts = {} if spec.quantity == "diameter" else {"births": sum(births),
@@ -207,8 +211,8 @@ def theorem_scale(cfg: TorusConfig) -> float:
 
 def estimate_scaled(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
     """Replicated estimate of typical / flooding / diameter passage times."""
-    if spec.quantity not in ("typical", "flooding", "diameter"):
-        raise ConfigError("estimate_scaled handles typical, flooding, diameter")
+    if spec.quantity not in PASSAGE_QUANTITIES:
+        raise ConfigError(f"estimate_scaled handles {PASSAGE_QUANTITIES}")
     samples, counts = _collect(spec, jobs)
     return _summary_from_samples(spec.quantity, samples, theorem_scale(spec.cfg), details=counts)
 

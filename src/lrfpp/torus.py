@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -147,16 +147,8 @@ def norm_table(cfg: TorusConfig) -> np.ndarray:
         grid = axis
         for _ in range(cfg.d - 1):
             grid = np.maximum(grid[..., None], axis)
-    elif cfg.p == 1.0:
-        grid = axis
-        for _ in range(cfg.d - 1):
-            grid = grid[..., None] + axis
-    elif cfg.p == 2.0:
-        grid = axis**2
-        for _ in range(cfg.d - 1):
-            grid = grid[..., None] + axis**2
-        grid = np.sqrt(grid)
     else:
+        # numpy takes x**1.0, x**2.0, x**0.5 as copy, square, sqrt: p = 1, 2 need no branch.
         grid = axis**cfg.p
         for _ in range(cfg.d - 1):
             grid = grid[..., None] + axis**cfg.p
@@ -216,17 +208,4 @@ def pair_difference_index(i: np.ndarray, j: np.ndarray, cfg: TorusConfig) -> np.
         gj = (j // scale) % m
         out += ((gi - gj + half) % m) * scale
         scale *= m
-    return out
-
-
-def sites_by_distance(cfg: TorusConfig) -> List[Tuple[Site, float]]:
-    """All n-1 nonzero sites, ascending by norm, ties by lexicographic coords."""
-    order = sorted_order(cfg)
-    norms = norm_table(cfg)
-    o = origin_index(cfg)
-    out: List[Tuple[Site, float]] = []
-    for idx in order:
-        if idx == o:
-            continue
-        out.append((index_to_site(int(idx), cfg), float(norms[idx])))
     return out

@@ -49,13 +49,10 @@ def _weight_table(cfg: TorusConfig) -> np.ndarray:
     Read-only shared cache; callers must not mutate the returned array.
     """
     norms = torus.norm_table(cfg)
-    o = torus.origin_index(cfg)
-    if cfg.alpha == 0.0:
-        w = np.ones_like(norms)
-    else:
-        with np.errstate(divide="ignore"):
-            w = norms**-cfg.alpha
-    w[o] = 0.0
+    # x**-0.0 == 1.0 for every x, so alpha = 0 needs no branch of its own.
+    with np.errstate(divide="ignore"):
+        w = norms**-cfg.alpha
+    w[torus.origin_index(cfg)] = 0.0
     w.setflags(write=False)
     return w
 
@@ -71,19 +68,11 @@ def total_rate(cfg: TorusConfig) -> float:
 
 
 @lru_cache(maxsize=64)
-def _sorted_weights(cfg: TorusConfig) -> np.ndarray:
-    """Weights of the nonzero sites in sites_by_distance order (nearest first)."""
-    order = torus.sorted_order(cfg)
-    w = _weight_table(cfg)[order]
-    # The origin sorts first (norm 0, weight slot 0); drop it.
-    return w[1:]
-
-
-@lru_cache(maxsize=64)
 def nearest_prefix_sums(cfg: TorusConfig) -> np.ndarray:
-    """prefix[k] = sum of the k nearest nonzero-site weights, k = 0 .. n-1."""
+    """prefix[k] = sum of the weights of the first k nonzero sites of ``torus.sorted_order``."""
     out = np.zeros(cfg.n, dtype=np.float64)
-    np.cumsum(_sorted_weights(cfg), out=out[1:])
+    # The origin sorts first (norm 0, weight 0); drop it.
+    np.cumsum(_weight_table(cfg)[torus.sorted_order(cfg)[1:]], out=out[1:])
     out.setflags(write=False)
     return out
 
@@ -134,16 +123,6 @@ def difference_table(cfg: TorusConfig) -> np.ndarray:
     table = np.ascontiguousarray(grid).ravel()
     table.setflags(write=False)
     return table
-
-
-def nearest_rate_sum(cfg: TorusConfig, k: int) -> float:
-    """Sum of norm(u)**-alpha over the k nearest nonzero sites.
-
-    Ties at the cut are resolved by the deterministic sites_by_distance order.
-    """
-    if not (1 <= k <= cfg.n - 1):
-        raise ConfigError(f"k must be in [1, n-1] = [1, {cfg.n - 1}], got {k}")
-    return math.fsum(_sorted_weights(cfg)[:k])
 
 
 def kahan_add(total: float, comp: float, delta: float) -> Tuple[float, float]:
@@ -216,13 +195,9 @@ def _rolled_weights(cfg: TorusConfig, center: int) -> np.ndarray:
 def rate_bounds(cfg: TorusConfig, j: int) -> tuple[float, float]:
     """Deterministic sandwich for the jump rate from a j-vertex cluster.
 
-    Lower bound j * (total_rate - nearest_rate_sum(j)), upper bound
+    Lower bound j * (total_rate - nearest_prefix_sums[j]), upper bound
     j * total_rate; every exploration step must land inside (up to 1e-9
     relative float slack).
     """
-    return sandwich_bounds(total_rate(cfg), nearest_prefix_sums(cfg), j)
-
-
-def sandwich_bounds(rn: float, prefix: np.ndarray, j: int) -> tuple[float, float]:
-    """``rate_bounds`` from R_n and ``nearest_prefix_sums``, fetched once per run."""
-    return j * (rn - float(prefix[j])), j * rn
+    rn = total_rate(cfg)
+    return j * (rn - float(nearest_prefix_sums(cfg)[j])), j * rn

@@ -306,6 +306,28 @@ def test_main_tau_flags(tmp_path):
     assert lines[0].split(",") == COLUMNS["tau"]
 
 
+def test_tau_flags_are_refused_with_a_manifest(tmp_path, capsys):
+    # The tau flags build the experiment run without a manifest; with one,
+    # they would be ignored.
+    args = cli._build_parser().parse_args(["tau"])
+    exp = cli._tau_manifest(args).experiments[0]
+    assert (exp.cfg, exp.replicates, exp.k, exp.beta) == (TorusConfig(2, 64, 2.0, 0.0), 2000,
+                                                          None, 0.5)
+    exp = cli._tau_manifest(cli._build_parser().parse_args(["tau", "--k", "8"])).experiments[0]
+    assert (exp.k, exp.beta) == (8, None)
+    doc = {"seed": 1, "experiments": [{"kind": "tau", "d": 2, "m": 4, "alpha": 0.5, "k": 3,
+                                       "replicates": 30}]}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for flag, value in [("--d", "1"), ("--m", "8"), ("--p", "inf"), ("--alpha", "0"),
+                        ("--beta", "0.5"), ("--k", "5"), ("--replicates", "40")]:
+        assert cli.main(["tau", "--manifest", str(manifest), "--out", str(out), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["tau", "--manifest", str(manifest), "--out", str(out)]) == 0
+
+
 def test_unreadable_manifest_exit_4(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--manifest", str(tmp_path / "missing.json")])
@@ -425,6 +447,20 @@ def test_fields_nothing_reads_are_rejected_before_any_file(tmp_path, kind, field
     out = tmp_path / "out"
     assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", [5, None, "", ["results"]], ids=["int", "null", "empty", "list"])
+def test_out_must_be_a_directory_name(tmp_path, monkeypatch, out):
+    # $.out names the results directory; anything else fails at parse time,
+    # not as a traceback once the run starts.
+    doc = _minimal_manifest(out=out)
+    with pytest.raises(ManifestError) as err:
+        cli.parse_manifest(json.dumps(doc))
+    assert err.value.location == "$.out"
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--manifest", "m.json"]) == 2
+    assert os.listdir(tmp_path) == ["m.json"]
 
 
 def test_diameter_rejects_a_source():

@@ -17,14 +17,12 @@ from lrfpp import (
     diameter_exact,
     dijkstra_oracle,
     distance_matrix,
-    flooding_time,
     ks_one_sample,
     ks_two_sample,
     origin,
     run_exploration,
     run_explorations,
     total_rate,
-    transmission_time,
 )
 from lrfpp import explore, rng, stats, torus, weights
 from lrfpp.explore import THRESHOLD_SCALE
@@ -83,7 +81,7 @@ def test_stop_target_and_self_target():
     rec = run_exploration(origin(cfg), StopRule.target(v), cfg, 2)
     assert rec.horizon == "target"
     assert rec.site(rec.n_born - 1) == v
-    assert transmission_time(origin(cfg), origin(cfg), cfg, 3) == 0.0
+    assert run_exploration(origin(cfg), StopRule.target(origin(cfg)), cfg, 3).times[-1] == 0.0
 
 
 def test_stop_time_horizon():
@@ -378,7 +376,7 @@ def test_two_site_oracle_is_the_single_edge():
     edge = EdgeWeightSample.from_seed(cfg, 10).dense_matrix()[torus.origin_index(cfg), 0]
     dist = dijkstra_oracle(origin(cfg), cfg, 10)[0]
     assert dist == pytest.approx(edge, rel=1e-15)
-    assert flooding_time(origin(cfg), cfg, 10) > 0.0
+    assert run_exploration(origin(cfg), StopRule.full(), cfg, 10).flooding() > 0.0
     assert diameter_exact(cfg, 10) == pytest.approx(dist, rel=1e-15)
 
 

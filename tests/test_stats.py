@@ -116,10 +116,47 @@ def test_seed_determinism_bit_identical():
 
 def test_jobs_do_not_change_samples():
     cfg = TorusConfig(2, 3, 2.0, 0.5)
-    spec = ExperimentSpec(cfg=cfg, quantity="typical", replicates=24, root_seed=5, source="uniform")
-    seq = estimate_scaled(spec, jobs=1)
-    par = estimate_scaled(spec, jobs=2)
-    assert np.array_equal(seq.samples, par.samples)
+    # The typical runs are one block, which runs in this process whatever the
+    # jobs; each diameter is a block of its own, so two jobs start a pool.
+    for spec in (ExperimentSpec(cfg=cfg, quantity="typical", replicates=24, root_seed=5,
+                                source="uniform"),
+                 ExperimentSpec(cfg=cfg, quantity="diameter", replicates=6, root_seed=5)):
+        seq = estimate_scaled(spec, jobs=1)
+        par = estimate_scaled(spec, jobs=2)
+        assert np.array_equal(seq.samples, par.samples)
+
+
+def test_pool_starts_no_more_workers_than_blocks_or_cores(monkeypatch):
+    # A pool started with the fork method launches every worker at once, so
+    # jobs above the blocks or the cores must not reach it.  The fake pool
+    # records its size and maps in this process.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", FakePool)
+    cfg = TorusConfig(2, 3, 2.0, 0.5)
+    diameters = ExperimentSpec(cfg=cfg, quantity="diameter", replicates=4, root_seed=8)
+    typical = ExperimentSpec(cfg=cfg, quantity="typical", replicates=24, root_seed=5,
+                             source="uniform")
+    serial = {spec: stats._collect(spec, 1)[0] for spec in (diameters, typical)}
+    for cores, spec, jobs, size in [(8, diameters, 64, 4), (2, diameters, 64, 2),
+                                    (None, diameters, 64, None), (8, typical, 64, None)]:
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: cores)
+        sizes.clear()
+        assert np.array_equal(stats._collect(spec, jobs)[0], serial[spec])
+        assert sizes == ([] if size is None else [size])
 
 
 # Samples of the one-replicate-at-a-time sampler this package had before

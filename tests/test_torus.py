@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrfpp import ConfigError, Site, TorusConfig, canonicalize, sites_by_distance, torus_norm
+from lrfpp import ConfigError, Site, TorusConfig, canonicalize, torus_norm
 from lrfpp import torus
 from lrfpp.errors import EnumerationCapError
 
@@ -82,9 +82,17 @@ def test_noncanonical_input_rejected():
         torus_norm(Site((0,)), cfg)
 
 
-def test_sites_by_distance_line_of_five():
+def _nearest_sites(cfg):
+    """(site, norm) of the n - 1 nonzero sites in ``sorted_order``, which puts
+    the origin first."""
+    order, norms = torus.sorted_order(cfg), torus.norm_table(cfg)
+    assert order[0] == torus.origin_index(cfg)
+    return [(torus.index_to_site(int(i), cfg), float(norms[i])) for i in order[1:]]
+
+
+def test_sorted_order_line_of_five():
     cfg = TorusConfig(1, 5, 2.0, 0.5)
-    got = sites_by_distance(cfg)
+    got = _nearest_sites(cfg)
     assert got == [
         (Site((-1,)), 1.0),
         (Site((1,)), 1.0),
@@ -93,16 +101,16 @@ def test_sites_by_distance_line_of_five():
     ]
 
 
-def test_sites_by_distance_all_neighbors():
+def test_sorted_order_all_neighbors():
     cfg = TorusConfig(2, 3, math.inf, 0.0)
-    got = sites_by_distance(cfg)
+    got = _nearest_sites(cfg)
     assert len(got) == 8
     assert all(norm == 1.0 for _, norm in got)
 
 
-def test_sites_by_distance_two_point_torus():
+def test_sorted_order_two_point_torus():
     cfg = TorusConfig(1, 2, 2.0, 0.5)
-    got = sites_by_distance(cfg)
+    got = _nearest_sites(cfg)
     # The canonical representative of the single nonzero class is -1.
     assert got == [(Site((-1,)), 1.0)]
 
@@ -110,7 +118,7 @@ def test_sites_by_distance_two_point_torus():
 def test_enumeration_cap():
     cfg = TorusConfig(1, 2**27, 2.0, 0.5)
     with pytest.raises(EnumerationCapError):
-        sites_by_distance(cfg)
+        torus.sorted_order(cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,6 +166,15 @@ def test_residue_form_matches_enumeration(d, m, p):
         assert torus_norm(u, cfg) == pytest.approx(
             _norm_enumerated(u, cfg), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d,m", [(1, 5), (1, 8), (2, 5), (2, 6), (3, 3), (3, 4)])
+def test_norm_table_equals_scalar_norm_exactly(d, m, p):
+    # The table uses one p-norm formula for every finite p; numpy's fast paths
+    # for x**1.0, x**2.0 and x**0.5 make it equal the scalar norm bit for bit.
+    cfg = TorusConfig(d, m, p, 0.0)
+    assert torus.norm_table(cfg).tolist() == [torus_norm(u, cfg) for u in _all_sites(cfg)]
 
 
 @pytest.mark.parametrize("d,m", [(1, 5), (1, 6), (2, 4), (2, 5), (2, 6)])

@@ -10,7 +10,6 @@ from lrfpp import (
     InvariantViolation,
     TorusConfig,
     WeightField,
-    nearest_rate_sum,
     origin,
     rate_bounds,
     total_rate,
@@ -32,19 +31,17 @@ def test_total_rate_line_of_five_hand_enumeration():
     assert total_rate(cfg) == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
 
 
-def test_nearest_rate_sum_examples():
+def test_nearest_prefix_sums_examples():
     cfg = TorusConfig(1, 5, 2.0, 0.5)
+    prefix = weights.nearest_prefix_sums(cfg)
+    assert prefix.shape == (cfg.n,) and prefix[0] == 0.0
     # The two norm-1 sites have weight 1 regardless of the exponent.
-    assert nearest_rate_sum(cfg, 2) == 2.0
-    # k = n - 1 recovers the full sum exactly (fsum is order-independent).
-    assert nearest_rate_sum(cfg, cfg.n - 1) == total_rate(cfg)
+    assert prefix[2] == 2.0
+    # k = n - 1 recovers the full sum.
+    assert prefix[cfg.n - 1] == total_rate(cfg)
     cfg0 = TorusConfig(2, 4, 2.0, 0.0)
     for k in (1, 5, 15):
-        assert nearest_rate_sum(cfg0, k) == float(k)
-    with pytest.raises(ConfigError):
-        nearest_rate_sum(cfg0, 0)
-    with pytest.raises(ConfigError):
-        nearest_rate_sum(cfg0, cfg0.n)
+        assert weights.nearest_prefix_sums(cfg0)[k] == float(k)
 
 
 def test_scaled_rate_approaches_limit_constant():
