@@ -111,11 +111,13 @@ Experiment = Union[QuantityExperiment, TauExperiment, ConstantsExperiment]
 
 @dataclass(frozen=True)
 class RunManifest:
+    """A validated manifest; ``out``, ``fmt`` and ``jobs`` hold every command's defaults."""
+
     seed: int
-    out: str
-    fmt: str
-    jobs: int
     experiments: Tuple[Experiment, ...]
+    out: str = "results"
+    fmt: str = "csv"
+    jobs: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +246,13 @@ def parse_manifest(text: str) -> RunManifest:
         raise ManifestError("$", "manifest must be a JSON object")
     _only(doc, "$", ("seed", "out", "format", "jobs", "experiments"))
     seed = _as_seed(_want(doc, "seed", "$"), "$.seed")
-    out = doc.get("out", "results")
+    out = doc.get("out", RunManifest.out)
     if not isinstance(out, str) or not out:
         raise ManifestError("$.out", f"expected a directory name, got {out!r}")
-    fmt = doc.get("format", "csv")
+    fmt = doc.get("format", RunManifest.fmt)
     if fmt not in _FORMATS:
         raise ManifestError("$.format", f"must be one of {_FORMATS}")
-    jobs = _as_int(doc.get("jobs", 1), "$.jobs", minimum=1)
+    jobs = _as_int(doc.get("jobs", RunManifest.jobs), "$.jobs", minimum=1)
     raw = _want(doc, "experiments", "$")
     if not isinstance(raw, list) or not raw:
         raise ManifestError("$.experiments", "must be a non-empty list")
@@ -546,7 +548,7 @@ def _default_constants_manifest() -> RunManifest:
         samples=200_000,
         tolerance=1e-9,
     )
-    return RunManifest(seed=0, out="results", fmt="csv", jobs=1, experiments=(exp,))
+    return RunManifest(seed=0, experiments=(exp,))
 
 
 def _tau_manifest(args: argparse.Namespace) -> RunManifest:
@@ -558,7 +560,7 @@ def _tau_manifest(args: argparse.Namespace) -> RunManifest:
         cfg=TorusConfig(d=val["d"], m=val["m"], p=val["p"], alpha=val["alpha"]), quantity="tau",
         replicates=val["replicates"], root_seed=0, k=val["k"], beta=beta, label="00_tau",
     )
-    return RunManifest(seed=0, out="results", fmt="csv", jobs=1, experiments=(exp,))
+    return RunManifest(seed=0, experiments=(exp,))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

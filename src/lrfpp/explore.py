@@ -18,13 +18,15 @@ and the newborn are independent, so this equals in law the sum of Exp(j R_n)
 waits over the proposals.  A run keeps no per-site field, only the keys of its
 discovered sites, in the one key format ``weights.site_keys``, and a one-byte
 mask.  rate_j follows exactly from rate_{j+1} = rate_j + R_n - 2 W_D(z), with
-W_D(z) gathered over the j discovered sites; the expected number of proposals
-per birth is j * R_n / rate_j, near 1 until most of the torus is discovered.
+W_D(z) gathered over the j discovered sites while 2j <= n, and past that from
+R_n = W_D(z) + W_U(z), with W_U(z) gathered over the n - j undiscovered ones;
+the expected number of proposals per birth is j * R_n / rate_j, near 1 until
+most of the torus is discovered.
 
 ``run_explorations`` runs replicates in lockstep blocks: a step is one
-birth in every run of the block, with the wait, proposals, W_D(z) gather,
+birth in every run of the block, with the wait, proposals, two-sided gather,
 Kahan update and rate-sandwich check as array operations across it.  A birth
-costs O(j) per replicate plus a share of a fixed cost per step;
+costs O(min(j, n - j)) per replicate plus a share of a fixed cost per step;
 ``run_exploration`` is a block of one.  Every run records rate_j before each
 birth, asserts the deterministic rate sandwich on it, and re-sums it every
 ``weights.RESUM_INTERVAL`` births.
@@ -167,9 +169,8 @@ class ExplorationRecord:
         return float(self.times[-1])
 
 
-def _check_sandwich(j: int, rates: np.ndarray, cfg: TorusConfig) -> None:
-    """Assert the rate sandwich ``weights.rate_bounds`` on rates of j-site clusters."""
-    lower, upper = weights.rate_bounds(cfg, j)
+def _check_sandwich(j: int, rates: np.ndarray, lower: float, upper: float) -> None:
+    """Assert lower <= rate <= upper, ``weights.rate_bounds`` of j-site clusters."""
     slack = SANDWICH_RTOL * upper
     for rate in (float(rates.max()), float(rates.min())):
         if rate > upper + slack or rate < lower - slack:
@@ -185,6 +186,8 @@ class _Lockstep:
     the outputs are by replicate.  Each run draws from its own stream as alone:
     waits, parent uniforms and offsets in batches of THINNING_BATCH, each when
     the run first needs a number past the last, whatever the stop rule.
+    ``keys[r, :j]`` holds the keys of the discovered sites in birth order and,
+    once 2j > n, ``keys[r, j:]`` those of the undiscovered ones.
     """
 
     _LIVE = ("rows", "rate", "comp", "t", "free", "keys", "waits", "parent_u", "offsets",
@@ -203,9 +206,9 @@ class _Lockstep:
         self.rate, self.proposals = np.full(size, self.rn), np.zeros(size, dtype=np.int64)
         self.free = np.ones((size, cfg.n), dtype=bool)
         self.free[self.rows, srcs] = False
-        self.keys = np.empty((size, cap), dtype=np.int32)  # of the discovered sites
+        self.keys = np.empty((size, _key_width(cfg.n, cap)), dtype=np.int32)
         self.keys[:, 0] = self._key_of[srcs]
-        self.sites = np.empty((size, cap), dtype=np.int64)
+        self.sites = np.empty((size, cap), dtype=np.int32)
         self.times, self.rates = np.empty((size, cap)), np.empty((size, cap))
         self.sites[:, 0], self.times[:, 0], self.rates[:, 0] = srcs, 0.0, math.nan
         self.increments = np.empty((size, cap))
@@ -270,11 +273,18 @@ class _Lockstep:
 
     def birth(self) -> np.ndarray:
         """One birth in every live run, at its time ``t``; the newborns' flat indices."""
-        j, rows = self.j, self.rows
+        j, rows, n = self.j, self.rows, self.cfg.n
         z = self._select()
         key = self._key_of[z]
-        w_dz = self._diff.take(self.keys[:, :j] - (key - self._key_zero)[:, None]).sum(axis=1)
-        delta = self.rn - 2.0 * w_dz
+        late = 2 * j > n
+        if j == n // 2 + 1:
+            self.keys[:, j:] = self._key_of[self.free.nonzero()[1]].reshape(len(rows), n - j)
+        at = (self.keys[:, j:] if late else self.keys[:, :j]) - (key - self._key_zero)[:, None]
+        w_side = self._diff.take(at).sum(axis=1)
+        # R_n - 2 W_D(z) = 2 W_U(z) - R_n, where z's own entry weighs 0.
+        delta = 2.0 * w_side - self.rn if late else self.rn - 2.0 * w_side
+        if late:  # z's key, the one at key_zero, swaps with the key at j.
+            self.keys[np.arange(len(rows)), (at == self._key_zero).argmax(1) + j] = self.keys[:, j]
         self.sites[rows, j], self.times[rows, j], self.rates[rows, j] = z, self.t, self.rate
         self.increments[rows, j] = delta
         # rate_{j+1} = rate_j + R_n - 2 W_D(z), Kahan-compensated.
@@ -301,11 +311,18 @@ class _Lockstep:
                 )
 
 
+def _key_width(n: int, cap: int) -> int:
+    """Width of ``_Lockstep.keys``: n, for the undiscovered keys, if a run can pass n/2."""
+    return n if 2 * (cap - 1) > n else cap
+
+
 def block_count(cfg: TorusConfig, cap: int, count: int) -> int:
     """Blocks of equal size, each within BLOCK_REPLICATES and BLOCK_BYTES, for
-    ``count`` runs of at most ``cap`` sites: the mask, per-site state, outputs
-    and W_D gather, and the draw buffers."""
-    per_run = cfg.n + 48 * cap + 32 * THINNING_BATCH
+    ``count`` runs of at most ``cap`` sites: the mask, keys, outputs, the draw
+    buffers and the two-sided gather over min(j, n - j) <= n/2 sites, whose
+    int32 index ``take`` copies to intp before it gathers float64 weights."""
+    n = cfg.n
+    per_run = n + 4 * _key_width(n, cap) + 28 * cap + 20 * min(cap, n // 2) + 32 * THINNING_BATCH
     return -(-count // max(1, min(BLOCK_REPLICATES, BLOCK_BYTES // per_run)))
 
 
@@ -323,7 +340,9 @@ def _run_block(
                        for stop in stops])
     until = np.array([stop.t if stop.kind == "time" else math.inf for stop in stops])
     srcs = [torus.site_to_index(u, cfg) for u in sources]
-    block = _Lockstep(cfg, seeds, srcs, min(n, int(limit.max()) + 1))
+    cap = min(n, int(limit.max()) + 1)
+    block = _Lockstep(cfg, seeds, srcs, cap)
+    lower, upper = weights.rate_bounds(cfg, np.arange(cap))
     born, horizon = np.zeros(len(seeds), dtype=np.int64), np.empty(len(seeds), dtype=object)
 
     def finish(done: np.ndarray, why: str) -> None:
@@ -341,7 +360,7 @@ def _run_block(
             finish(~(block.rate > 0.0), "exhausted")
         if not block.rows.size:
             break
-        _check_sandwich(block.j, block.rate, cfg)
+        _check_sandwich(block.j, block.rate, lower[block.j], upper[block.j])
         block.t = block.t + block.wait() / block.rate
         if "time" in kinds:
             finish(block.t > until[block.rows], "time")

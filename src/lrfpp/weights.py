@@ -192,12 +192,13 @@ def _rolled_weights(cfg: TorusConfig, center: int) -> np.ndarray:
     return difference_table(cfg).take(key_of - (key_of[center] - key_zero))
 
 
-def rate_bounds(cfg: TorusConfig, j: int) -> tuple[float, float]:
+def rate_bounds(cfg: TorusConfig, j):
     """Deterministic sandwich for the jump rate from a j-vertex cluster.
 
     Lower bound j * (total_rate - nearest_prefix_sums[j]), upper bound
     j * total_rate; every exploration step must land inside (up to 1e-9
-    relative float slack).
+    relative float slack).  ``j`` is an int, or an integer array for a table
+    of bounds.
     """
     rn = total_rate(cfg)
-    return j * (rn - float(nearest_prefix_sums(cfg)[j])), j * rn
+    return j * (rn - nearest_prefix_sums(cfg)[j]), j * rn

@@ -54,6 +54,13 @@ def test_parse_minimal_manifest():
     assert exp.cfg.n == 4
 
 
+def test_manifest_defaults_are_the_same_for_every_command():
+    doc = {key: _minimal_manifest()[key] for key in ("seed", "experiments")}
+    manifests = [cli.parse_manifest(json.dumps(doc)), cli._default_constants_manifest(),
+                 cli._tau_manifest(cli._build_parser().parse_args(["tau"]))]
+    assert {(man.seed, man.out, man.fmt, man.jobs) for man in manifests} == {(0, "results", "csv", 1)}
+
+
 def test_alpha_at_least_d_rejected_with_message():
     doc = _minimal_manifest()
     doc["experiments"][0].update({"d": 2, "m": 4, "alpha": 2})

@@ -238,6 +238,47 @@ def test_thinning_resummation_check_catches_drift():
         sampler.check_resummation()
 
 
+@pytest.mark.parametrize("cfg", [TorusConfig(1, 9, 1.0, 0.5), TorusConfig(2, 6, 2.0, 1.5)])
+def test_late_births_gather_over_the_undiscovered_tail(cfg):
+    # Past n/2 a birth gathers W_U(z) over keys[:, j:]: the discovered keys
+    # stay in birth order before it and the undiscovered ones fill it.  Every
+    # increment R_n - 2 W_D(z) matches an exactly rounded sum over D.
+    n, rn, reps = cfg.n, total_rate(cfg), 3
+    key_of, _, key_zero = weights.site_keys(cfg)
+    diff = weights.difference_table(cfg)
+    block = explore._Lockstep(cfg, [3, 4, 5], [0, 1, n - 1], n)
+    for j in range(1, n):
+        block.birth()
+        for r in range(reps):
+            born = block.sites[r, : j + 1]
+            w_dz = math.fsum(diff[key_of[born[:j]] - key_of[born[j]] + key_zero])
+            assert abs(block.increments[r, j] - (rn - 2.0 * w_dz)) <= 1e-12 * rn
+            if 2 * j > n:
+                assert np.array_equal(block.keys[r, : j + 1], key_of[born])
+                assert np.array_equal(np.sort(block.keys[r, j + 1 :]),
+                                      np.sort(key_of[np.flatnonzero(block.free[r])]))
+
+
+@pytest.mark.parametrize(
+    "cfg", [TorusConfig(1, 9, 1.0, 0.5), TorusConfig(2, 16, 2.0, 1.0), TorusConfig(2, 64, 2.0, 1.0),
+            TorusConfig(3, 10, 2.0, 0.5)])
+def test_block_count_holds_every_array_of_a_block(cfg):
+    # The largest block block_count allows for runs of at most cap sites:
+    # its arrays, less the shared read-only tables, and its largest gather
+    # fit.  Per site of min(j, n - j) the gather holds an int32 index, the
+    # intp copy ``take`` makes of it, and a float64 weight.
+    n = cfg.n
+    for cap in (n, 3 * n // 4, math.isqrt(n) + 1):
+        size = max(s for s in range(1, explore.BLOCK_REPLICATES + 1)
+                   if explore.block_count(cfg, cap, s) == 1)
+        block = explore._Lockstep(cfg, list(range(size)), [0] * size, cap)
+        held = sum(a.nbytes for a in vars(block).values()
+                   if isinstance(a, np.ndarray) and a.flags.writeable)
+        assert held + 20 * size * min(cap - 1, n // 2) <= explore.BLOCK_BYTES, (cap, size)
+    if cfg.n == 4096:
+        assert [explore.block_count(cfg, n, c) for c in (14, 15)] == [1, 2]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -144,6 +144,12 @@ def test_rate_bounds_bracket_complete_graph():
         assert hi == pytest.approx(j * (n - 1), rel=1e-12)
 
 
+def test_rate_bounds_table_equals_the_scalar_bounds():
+    cfg = TorusConfig(2, 8, 2.0, 1.0)
+    lower, upper = rate_bounds(cfg, np.arange(1, cfg.n))
+    assert [rate_bounds(cfg, j) for j in range(1, cfg.n)] == list(zip(lower, upper))
+
+
 def test_weight_table_cache_not_mutated_by_field_use():
     cfg = TorusConfig(2, 4, 2.0, 1.0)
     before = weights._weight_table(cfg).copy()
