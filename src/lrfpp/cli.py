@@ -75,6 +75,11 @@ class TauExperiment(ExperimentSpec):
     label: str = field(kw_only=True)
     kind: ClassVar[str] = "tau"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.replicates < stats._KS_MIN_SAMPLES:  # the floor of its KS test
+            raise ConfigError(f"a tau experiment needs replicates >= {stats._KS_MIN_SAMPLES}")
+
 
 @dataclass(frozen=True)
 class ConstantsExperiment:
@@ -101,6 +106,10 @@ class ConstantsExperiment:
         for d, p, alpha, method in grid:
             with contextlib.suppress(NotApplicable):
                 cells.append(constants.ConstantQuery(d, p, alpha, method, self.tolerance))
+        axes = {"d": self.dims, "p": self.ps, "alpha": self.alphas, "methods": self.methods}
+        for key, values in axes.items():
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} lists a value twice: {values}, which would repeat rows")
         if not cells:
             raise ConfigError("no (d, p, alpha, method) cell of the grid applies")
         object.__setattr__(self, "cells", tuple(cells))

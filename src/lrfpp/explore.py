@@ -29,7 +29,8 @@ Kahan update and rate-sandwich check as array operations across it.  A birth
 costs O(min(j, n - j)) per replicate plus a share of a fixed cost per step;
 ``run_exploration`` is a block of one.  Every run records rate_j before each
 birth, asserts the deterministic rate sandwich on it, and re-sums it every
-``weights.RESUM_INTERVAL`` births.
+``weights.RESUM_INTERVAL`` births; a rate outside the sandwich, NaN included,
+raises InvariantViolation.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E``, and the oracles compute passage times on that
@@ -102,10 +103,9 @@ BLOCK_REPLICATES = 64
 class StopRule:
     """When to stop an exploration run."""
 
-    kind: str  # "count" | "target" | "full" | "time"
+    kind: str  # "count" | "target" | "full"
     k: Optional[int] = None
     site: Optional[Site] = None
-    t: Optional[float] = None
 
     @classmethod
     def count(cls, k: int) -> "StopRule":
@@ -121,24 +121,17 @@ class StopRule:
     def full(cls) -> "StopRule":
         return cls("full")
 
-    @classmethod
-    def time(cls, t: float) -> "StopRule":
-        if not (t >= 0.0):
-            raise ConfigError(f"time horizon must be >= 0, got {t}")
-        return cls("time", t=t)
-
 
 @dataclass(frozen=True)
 class ExplorationRecord:
     """Births of one exploration run: sites, times, and pre-birth rates.
 
     ``times[0] == 0`` is the source; ``rates[i]`` is the jump rate just
-    before the i-th birth (``rates[0]`` is NaN).  ``proposals`` counts the
-    newborn proposals the thinning sampler made, accepted or rejected.  A
-    record with n births is a complete flooding.
+    before the i-th birth (``rates[0]`` is NaN).  ``horizon`` is the stop
+    that ended the run: "count", "target" or "full" (all n sites born).
+    ``proposals`` counts the newborn proposals the thinning sampler made.
     """
 
-    cfg: TorusConfig
     source: Site
     site_indices: np.ndarray
     times: np.ndarray
@@ -150,30 +143,12 @@ class ExplorationRecord:
     def n_born(self) -> int:
         return len(self.times)
 
-    def site(self, i: int) -> Site:
-        return torus.index_to_site(int(self.site_indices[i]), self.cfg)
-
-    def tau(self, k: int) -> float:
-        """Time of the k-th birth (cluster reaches size k + 1)."""
-        if not (0 <= k < self.n_born):
-            raise ConfigError(f"k = {k} out of range, record has {self.n_born} births")
-        return float(self.times[k])
-
-    def ball_size(self, t: float) -> int:
-        """Number of sites discovered by time t (including the source)."""
-        return int(np.searchsorted(self.times, t, side="right"))
-
-    def flooding(self) -> float:
-        if self.n_born != self.cfg.n:
-            raise ConfigError("flooding time requires a complete run")
-        return float(self.times[-1])
-
 
 def _check_sandwich(j: int, rates: np.ndarray, lower: float, upper: float) -> None:
-    """Assert lower <= rate <= upper, ``weights.rate_bounds`` of j-site clusters."""
+    """Assert lower <= rate <= upper, ``weights.rate_bounds`` of j sites; NaN fails."""
     slack = SANDWICH_RTOL * upper
     for rate in (float(rates.max()), float(rates.min())):
-        if rate > upper + slack or rate < lower - slack:
+        if not lower - slack <= rate <= upper + slack:
             raise InvariantViolation(
                 f"rate sandwich violated at j={j}: {lower!r} <= {rate!r} <= {upper!r}"
             )
@@ -330,7 +305,8 @@ def _run_block(
     cfg: TorusConfig, seeds: Sequence[rng.SeedLike], sources: Sequence[Site],
     stops: Sequence[StopRule],
 ) -> List[ExplorationRecord]:
-    """The runs of one block, each stopped by its own rule."""
+    """The runs of one block, each ended by its own rule: "count" after k births,
+    "target" at the target's birth or "full" at n; a rate fault raises."""
     n = cfg.n
     for stop in stops:
         if stop.kind == "count" and stop.k > n - 1:
@@ -338,11 +314,10 @@ def _run_block(
     limit = np.array([stop.k if stop.kind == "count" else n for stop in stops])
     target = np.array([torus.site_to_index(stop.site, cfg) if stop.kind == "target" else -1
                        for stop in stops])
-    until = np.array([stop.t if stop.kind == "time" else math.inf for stop in stops])
     srcs = [torus.site_to_index(u, cfg) for u in sources]
     cap = min(n, int(limit.max()) + 1)
     block = _Lockstep(cfg, seeds, srcs, cap)
-    lower, upper = weights.rate_bounds(cfg, np.arange(cap))
+    lower, upper = (bound.tolist() for bound in weights.rate_bounds(cfg, np.arange(cap)))
     born, horizon = np.zeros(len(seeds), dtype=np.int64), np.empty(len(seeds), dtype=object)
 
     def finish(done: np.ndarray, why: str) -> None:
@@ -356,20 +331,15 @@ def _run_block(
         finish(limit[block.rows] < block.j, "count")
         if block.j == n:
             finish(np.ones(block.rows.size, dtype=bool), "full")
-        if block.rows.size and not block.rate.min() > 0.0:
-            finish(~(block.rate > 0.0), "exhausted")
         if not block.rows.size:
             break
         _check_sandwich(block.j, block.rate, lower[block.j], upper[block.j])
         block.t = block.t + block.wait() / block.rate
-        if "time" in kinds:
-            finish(block.t > until[block.rows], "time")
-        if block.rows.size:
-            z = block.birth()
-            if "target" in kinds:
-                finish(z == target[block.rows], "target")
+        z = block.birth()
+        if "target" in kinds:
+            finish(z == target[block.rows], "target")
     return [
-        ExplorationRecord(cfg, u, block.sites[r, :b], block.times[r, :b], block.rates[r, :b],
+        ExplorationRecord(u, block.sites[r, :b], block.times[r, :b], block.rates[r, :b],
                           horizon[r], int(block.proposals[r]))
         for r, (u, b) in enumerate(zip(sources, born))
     ]

@@ -170,8 +170,7 @@ def _block_samples(spec: ExperimentSpec, reps: Sequence[int]) -> Tuple[List[floa
              for u, gen in picks]
     records = explore.run_explorations(spec.cfg, seeds, [u for u, _ in picks], stops)
     # Each sample is the time of the run's last birth.
-    vals = [rec.flooding() if spec.quantity == "flooding" else float(rec.times[-1])
-            for rec in records]
+    vals = [float(rec.times[-1]) for rec in records]
     return vals, sum(rec.n_born - 1 for rec in records), sum(rec.proposals for rec in records)
 
 

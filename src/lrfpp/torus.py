@@ -157,20 +157,10 @@ def norm_table(cfg: TorusConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def coordinate_table(cfg: TorusConfig) -> np.ndarray:
-    """(n, d) int array of canonical coordinates, row i = site with flat index i."""
-    _check_cap(cfg)
-    idx = np.indices((cfg.m,) * cfg.d).reshape(cfg.d, -1).T
-    return (idx - cfg.half).astype(np.int64)
-
-
-@lru_cache(maxsize=64)
 def sorted_order(cfg: TorusConfig) -> np.ndarray:
-    """Flat indices of all n sites sorted by (norm, lexicographic coordinates)."""
-    norms = norm_table(cfg)
-    coords = coordinate_table(cfg)
-    keys = tuple(coords[:, i] for i in reversed(range(cfg.d))) + (norms,)
-    return np.lexsort(keys)
+    """Flat indices of all n sites sorted by (norm, lexicographic coordinates):
+    C-order flat indices are lexicographic, so a stable sort keeps that order."""
+    return np.argsort(norm_table(cfg), kind="stable")
 
 
 def site_to_index(u: Site, cfg: TorusConfig) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lrfpp import cli, constants
+from lrfpp import cli, constants, stats
 from lrfpp.errors import ConfigError, ManifestError
 from lrfpp.stats import ExperimentSpec
 from lrfpp.torus import TorusConfig
@@ -499,6 +499,40 @@ def test_constants_grid_without_a_valid_cell_is_rejected(tmp_path):
         doc = {**bad, "p": [2], "methods": ["quadrature"], field: value}
         with pytest.raises(ManifestError):
             cli.parse_manifest(json.dumps({"seed": 1, "experiments": [doc]}))
+
+
+def test_tau_below_the_ks_floor_is_rejected_before_any_file(tmp_path, capsys):
+    # Its KS test needs stats._KS_MIN_SAMPLES samples; the check must come
+    # before the flooding experiment ahead of it writes its file.
+    floor = stats._KS_MIN_SAMPLES
+    doc = {"seed": 1, "experiments": [
+        {"kind": "quantity", "quantity": "flooding", "d": 1, "m": 4, "alpha": 0.0,
+         "replicates": 5, "label": "first"},
+        {"kind": "tau", "d": 2, "m": 4, "alpha": 0.5, "k": 3, "replicates": floor - 1},
+    ]}
+    with pytest.raises(ManifestError, match=f"replicates >= {floor}") as err:
+        cli.parse_manifest(json.dumps(doc))
+    assert err.value.location == "experiments[1]"
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert not out.exists()
+    args = ["tau", "--m", "4", "--k", "3", "--replicates", str(floor - 1), "--out", str(out)]
+    assert cli.main(args) == 2
+    assert f"replicates >= {floor}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_constants_grid_with_a_repeated_value_is_rejected():
+    # Repeats are found after conversion: 2 and 2.0, "inf" and "Infinity".
+    grid = {"kind": "constants", "d": [2], "p": [2], "alpha": [0.5], "methods": ["quadrature"]}
+    for field, value in (("d", [2, 2]), ("p", ["inf", "Infinity"]), ("alpha", [1, 1.0]),
+                         ("methods", ["quadrature", "closed-p-infinity", "quadrature"])):
+        doc = {"seed": 1, "experiments": [{**grid, field: value}]}
+        with pytest.raises(ManifestError, match=f"{field} lists a value twice") as err:
+            cli.parse_manifest(json.dumps(doc))
+        assert err.value.location == "experiments[0]"
 
 
 def test_labels_are_unique_file_names(tmp_path):

@@ -57,14 +57,13 @@ def test_record_structure_and_monotone_times():
     assert rec.n_born == cfg.n
     assert rec.times[0] == 0.0 and math.isnan(rec.rates[0])
     assert (np.diff(rec.times) > 0).all()
-    assert rec.site(0) == origin(cfg)
+    assert rec.site_indices[0] == torus.origin_index(cfg)
     # rate before the j-th birth comes from a j-vertex cluster
     for j in range(1, rec.n_born):
         lo, hi = weights.rate_bounds(cfg, j)
         assert lo - 1e-9 * hi <= rec.rates[j] <= hi + 1e-9 * hi
-    assert rec.ball_size(0.0) == 1
-    assert rec.ball_size(float(rec.times[-1])) == cfg.n
-    assert rec.tau(3) == float(rec.times[3])
+    assert np.searchsorted(rec.times, 0.0, side="right") == 1
+    assert np.searchsorted(rec.times, rec.times[-1], side="right") == cfg.n
 
 
 def test_stop_count():
@@ -80,19 +79,38 @@ def test_stop_target_and_self_target():
     v = torus.index_to_site(7, cfg)
     rec = run_exploration(origin(cfg), StopRule.target(v), cfg, 2)
     assert rec.horizon == "target"
-    assert rec.site(rec.n_born - 1) == v
+    assert rec.site_indices[-1] == torus.site_to_index(v, cfg)
     assert run_exploration(origin(cfg), StopRule.target(origin(cfg)), cfg, 3).times[-1] == 0.0
 
 
-def test_stop_time_horizon():
+def test_count_stop_is_the_prefix_of_the_full_run():
+    # Same seed, same stream: a run stopped after k births reproduces the
+    # first k + 1 entries of the full run, bit for bit.
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     full = run_exploration(origin(cfg), StopRule.full(), cfg, 4)
-    t_half = float(full.times[cfg.n // 2])
-    rec = run_exploration(origin(cfg), StopRule.time(t_half), cfg, 4)
-    # Same seed, same stream: the truncated run reproduces the full prefix.
-    assert rec.horizon in ("time", "full")
-    assert (rec.times <= t_half).all()
-    assert np.array_equal(rec.site_indices, full.site_indices[: rec.n_born])
+    for k in (1, cfg.n // 2, cfg.n - 1):
+        rec = run_exploration(origin(cfg), StopRule.count(k), cfg, 4)
+        assert np.array_equal(rec.site_indices, full.site_indices[: k + 1])
+        assert np.array_equal(rec.times, full.times[: k + 1])
+        assert np.array_equal(rec.rates, full.rates[: k + 1], equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_a_rate_outside_the_sandwich_raises(monkeypatch, bad):
+    # A NaN, zero or negative rate after the third birth must stop the run
+    # with InvariantViolation, not end it early as if it were done.
+    cfg = TorusConfig(2, 4, 2.0, 0.5)
+    kahan_add, calls = weights.kahan_add, []
+
+    def faulty(total, comp, delta):
+        calls.append(None)
+        total, comp = kahan_add(total, comp, delta)
+        return (np.full_like(total, bad) if len(calls) == 3 else total), comp
+
+    monkeypatch.setattr(weights, "kahan_add", faulty)
+    with pytest.raises(InvariantViolation, match="rate sandwich violated at j=4") as exc:
+        run_exploration(origin(cfg), StopRule.full(), cfg, 4)
+    assert "np.float64" not in str(exc.value)
 
 
 def test_two_site_torus_single_birth():
@@ -124,14 +142,14 @@ def test_complete_graph_flooding_mean_identity():
     target = sum(1.0 / (j * (n - j)) for j in range(1, n))
     reps = 3000
     records = _runs(cfg, StopRule.full(), [(7, r) for r in range(reps)])
-    times = np.array([rec.flooding() for rec in records])
+    times = np.array([rec.times[-1] for rec in records])
     se = times.std(ddof=1) / math.sqrt(reps)
     assert abs(times.mean() - target) <= 3.5 * se
 
 
 def _tau_sample(cfg, k, tag, reps):
     records = _runs(cfg, StopRule.count(k), [(tag, r) for r in range(reps)])
-    return np.array([rec.tau(k) for rec in records])
+    return np.array([rec.times[k] for rec in records])
 
 
 def test_exact_laws_agree_with_closed_forms():
@@ -290,13 +308,13 @@ def test_block_count_holds_every_array_of_a_block(cfg):
 )
 def test_batched_runs_equal_lone_runs(cfg):
     # Each replicate of one batched call, over two lockstep blocks and with
-    # count, full, per-replicate target and time stops mixed, equals a lone
-    # run at its seed.  m = 4 at full stop is rejection-heavy.
+    # two count stops, full and per-replicate target stops mixed, equals a
+    # lone run at its seed.  m = 4 at full stop is rejection-heavy.
     reps = explore.BLOCK_REPLICATES + 6
     stops = [
         [StopRule.count(1 + r % (cfg.n - 1)), StopRule.full(),
          StopRule.target(torus.index_to_site((5 * r + 1) % cfg.n, cfg)),
-         StopRule.time(0.05 * (1 + r % 4))][r % 4]
+         StopRule.count(1 + 7 * r % (cfg.n - 1))][r % 4]
         for r in range(reps)
     ]
     sources = [torus.index_to_site(3 * r % cfg.n, cfg) for r in range(reps)]
@@ -348,7 +366,7 @@ def test_monotone_coupling_mean_bracket():
     upper = sum(1.0 / (j * (rn - float(prefix[j]))) for j in range(1, k + 1))
     reps = 10_000
     records = _runs(cfg, StopRule.count(k), [(11, r) for r in range(reps)])
-    taus = np.array([rec.tau(k) for rec in records])
+    taus = np.array([rec.times[k] for rec in records])
     se = taus.std(ddof=1) / math.sqrt(reps)
     assert taus.mean() >= lower - 3 * se
     assert taus.mean() <= upper + 3 * se
@@ -417,7 +435,7 @@ def test_two_site_oracle_is_the_single_edge():
     edge = EdgeWeightSample.from_seed(cfg, 10).dense_matrix()[torus.origin_index(cfg), 0]
     dist = dijkstra_oracle(origin(cfg), cfg, 10)[0]
     assert dist == pytest.approx(edge, rel=1e-15)
-    assert run_exploration(origin(cfg), StopRule.full(), cfg, 10).flooding() > 0.0
+    assert run_exploration(origin(cfg), StopRule.full(), cfg, 10).times[-1] > 0.0
     assert diameter_exact(cfg, 10) == pytest.approx(dist, rel=1e-15)
 
 
@@ -754,12 +772,14 @@ def test_exploration_matches_oracle_over_grid():
 
 def test_ball_size_consistency_with_oracle():
     # Mean cardinality of the time-t ball agrees between the exploration
-    # record and the oracle metric (3 combined standard errors).
+    # record and the oracle metric (3 combined standard errors).  A full run
+    # holds every ball: a stopped run would be its prefix.
     cfg = TorusConfig(2, 3, 2.0, 0.5)
     t_probe = 0.35
     reps = 2500
-    records = _runs(cfg, StopRule.time(t_probe), [(21, r, 0) for r in range(reps)])
-    expl = np.array([rec.ball_size(t_probe) for rec in records], dtype=float)
+    records = _runs(cfg, StopRule.full(), [(21, r, 0) for r in range(reps)])
+    expl = np.array([np.searchsorted(rec.times, t_probe, side="right") for rec in records],
+                    dtype=float)
     orac = np.empty(reps)
     for r in range(reps):
         dist = dijkstra_oracle(origin(cfg), cfg, (21, r, 1))
@@ -774,7 +794,7 @@ def test_flooding_source_translation_invariance():
     reps = 1500
     u = torus.index_to_site(5, cfg)
     a, b = (
-        np.array([rec.flooding() for rec in _runs(cfg, StopRule.full(), seeds, sources)])
+        np.array([rec.times[-1] for rec in _runs(cfg, StopRule.full(), seeds, sources)])
         for seeds, sources in (([(22, r) for r in range(reps)], None),
                                ([(23, r) for r in range(reps)], [u] * reps))
     )

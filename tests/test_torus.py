@@ -115,6 +115,16 @@ def test_sorted_order_two_point_torus():
     assert got == [(Site((-1,)), 1.0)]
 
 
+@pytest.mark.parametrize("d, m", [(1, 7), (2, 6), (2, 9), (3, 4), (3, 5), (4, 4), (4, 5)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_sorted_order_breaks_norm_ties_by_coordinates(d, m, p):
+    # Reference: sort by norm, then lexicographically by canonical coordinates.
+    cfg = TorusConfig(d, m, p, 0.5)
+    coords = np.indices((m,) * d).reshape(d, -1).T - cfg.half
+    key = tuple(coords[:, i] for i in reversed(range(d))) + (torus.norm_table(cfg),)
+    assert np.array_equal(torus.sorted_order(cfg), np.lexsort(key))
+
+
 def test_enumeration_cap():
     cfg = TorusConfig(1, 2**27, 2.0, 0.5)
     with pytest.raises(EnumerationCapError):
