@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .constants import (
     ConstantQuery,
-    MonteCarloResult,
-    QuadratureResult,
+    ConstantResult,
     limit_constant_gamma_mc,
     limit_constant_max_norm,
     limit_constant_planar,
@@ -52,14 +51,13 @@ from .weights import (
 __all__ = [
     "ConfigError",
     "ConstantQuery",
+    "ConstantResult",
     "EdgeWeightSample",
     "EnumerationCapError",
     "ExperimentSpec",
     "ExplorationRecord",
     "InvariantViolation",
     "ManifestError",
-    "MonteCarloResult",
-    "QuadratureResult",
     "Site",
     "StatSummary",
     "StopRule",

@@ -316,40 +316,34 @@ def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> Tuple[List[dict], dic
 
 
 def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict]:
-    """One row per grid cell.
+    """One row per grid cell, from the cell's ``constants.ConstantResult``.
 
     Each Monte Carlo cell draws from its own stream, seeded by the cell's
     index in the grid.  ``converged`` is False for a quadrature cell that ran
     out of its evaluation budget above its tolerance (a warning goes to
-    stderr) and empty for Monte Carlo cells; ``effective_samples`` is filled
-    for Monte Carlo cells only.
+    stderr), True for a closed form and empty for Monte Carlo;
+    ``effective_samples`` is filled for Monte Carlo cells only.
     """
     rows = []
     for cell, q in enumerate(exp.cells):
         res = constants.evaluate(q, exp.samples, _experiment_seed(seed, cell))
-        if isinstance(res, constants.MonteCarloResult):
-            value, err, converged, ess = res.value, res.std_error, None, res.effective_samples
-        elif isinstance(res, constants.QuadratureResult):
-            value, err, converged, ess = res.value, res.error, res.converged, None
-            if not converged:
-                print(
-                    f"warning: {exp.label}: quadrature at d={q.d}, p={q.p}, alpha={q.alpha} "
-                    f"did not converge after {res.evaluations} evaluations "
-                    f"(error estimate {err!r}, tolerance {exp.tolerance!r})",
-                    file=sys.stderr,
-                )
-        else:
-            value, err, converged, ess = res, 0.0, True, None
+        if res.converged is False:
+            print(
+                f"warning: {exp.label}: quadrature at d={q.d}, p={q.p}, alpha={q.alpha} "
+                f"did not converge after {res.evaluations} evaluations "
+                f"(error estimate {res.error!r}, tolerance {exp.tolerance!r})",
+                file=sys.stderr,
+            )
         rows.append(
             {
                 "d": q.d,
                 "p": q.p if q.p != math.inf else "inf",
                 "alpha": q.alpha,
                 "method": q.method,
-                "value": value,
-                "error_estimate": err,
-                "converged": converged,
-                "effective_samples": ess,
+                "value": res.value,
+                "error_estimate": res.error,
+                "converged": res.converged,
+                "effective_samples": res.effective_samples,
             }
         )
     return rows

@@ -93,19 +93,22 @@ class ConstantQuery:
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
+class ConstantResult:
+    """A limit constant, in one shape for every method.
+
+    ``error`` is quadrature's certified estimate, Monte Carlo's standard error
+    and 0.0 for a closed form.  ``converged`` says whether quadrature met its
+    tolerance within budget; it is None for Monte Carlo and True for a closed
+    form.  ``evaluations`` (quadrature), ``samples`` and ``effective_samples``
+    (Monte Carlo) keep their defaults for the other methods.
+    """
+
     value: float
     error: float
-    converged: bool
-    evaluations: int
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    value: float
-    std_error: float
-    effective_samples: float
-    samples: int
+    converged: Optional[bool]
+    evaluations: int = 0
+    samples: int = 0
+    effective_samples: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +194,7 @@ def _adaptive_boxes(
 
 def unit_cube_integral(
     d: int, p: float, alpha: float, tolerance: float, max_evals: int = 16_000_000
-) -> QuadratureResult:
+) -> ConstantResult:
     """Integral of ``norm(y)_p**-alpha`` over the unit cube, certified error.
 
     Exploits exact self-similarity of the integrand under dyadic scaling: only
@@ -201,7 +204,7 @@ def unit_cube_integral(
     """
     ConstantQuery(d, p, alpha, "quadrature", tolerance)
     if alpha == 0.0:
-        return QuadratureResult(1.0, 0.0, True, 0)
+        return ConstantResult(1.0, 0.0, True)
 
     scale = 1.0 / (1.0 - 2.0 ** (alpha - d))
     shell_tol = tolerance / scale
@@ -226,14 +229,14 @@ def unit_cube_integral(
         ]
         outer = lambda s: s ** (-alpha / p)
     val, err, ok, ev = _adaptive_boxes(outer, p, boxes, shell_tol, max_evals)
-    return QuadratureResult(scale * val, scale * err, ok, ev)
+    return ConstantResult(scale * val, scale * err, ok, ev)
 
 
-def limit_constant_quadrature(query: ConstantQuery) -> QuadratureResult:
+def limit_constant_quadrature(query: ConstantQuery) -> ConstantResult:
     """Limit constant by singular quadrature: 2**alpha times the cube integral."""
     inner = unit_cube_integral(query.d, query.p, query.alpha, query.tolerance / 2**query.alpha)
     factor = 2.0**query.alpha
-    return QuadratureResult(
+    return ConstantResult(
         factor * inner.value, factor * inner.error, inner.converged, inner.evaluations
     )
 
@@ -264,8 +267,8 @@ def limit_constant_gamma_mc(
     p: float,
     alpha: float,
     samples: int = 1_000_000,
-    seed: Optional[int] = None,
-) -> MonteCarloResult:
+    seed: int = 0,
+) -> ConstantResult:
     """Monte Carlo identity through the max of d independent Gamma(1/p, 1).
 
     The constant is a closed-form prefactor times E[M**((alpha - d)/p)], where
@@ -294,8 +297,6 @@ def limit_constant_gamma_mc(
     ConstantQuery(d, p, alpha, "gamma-max-mc")
     if samples < MC_MIN_SAMPLES:
         raise ConfigError(f"samples must be >= {MC_MIN_SAMPLES}, got {samples}")
-    if seed is None:
-        seed = 0
 
     shape = 1.0 / p
     a = alpha / p
@@ -340,15 +341,17 @@ def limit_constant_gamma_mc(
     se = float(np.std(w, ddof=1) / math.sqrt(samples))
     ssum = float(np.sum(w))
     ess = ssum * ssum / float(np.sum(w * w))
-    return MonteCarloResult(pref * mean, pref * se, ess, samples)
+    return ConstantResult(pref * mean, pref * se, None, samples=samples, effective_samples=ess)
 
 
-def evaluate(query: ConstantQuery, samples: int = 1_000_000, seed: Optional[int] = None):
-    """Dispatch a ConstantQuery to its method; returns the method's result type."""
+def evaluate(query: ConstantQuery, samples: int = 1_000_000, seed: int = 0) -> ConstantResult:
+    """Dispatch a ConstantQuery to its method; a closed form has error 0.0."""
     if query.method == "quadrature":
         return limit_constant_quadrature(query)
+    if query.method == "gamma-max-mc":
+        return limit_constant_gamma_mc(query.d, query.p, query.alpha, samples, seed)
     if query.method == "closed-p-infinity":
-        return limit_constant_max_norm(query.d, query.alpha)
-    if query.method == "hypergeometric-d2":
-        return limit_constant_planar(query.p, query.alpha)
-    return limit_constant_gamma_mc(query.d, query.p, query.alpha, samples, seed)
+        value = limit_constant_max_norm(query.d, query.alpha)
+    else:
+        value = limit_constant_planar(query.p, query.alpha)
+    return ConstantResult(value, 0.0, True)

@@ -101,9 +101,9 @@ BLOCK_REPLICATES = 64
 
 @dataclass(frozen=True)
 class StopRule:
-    """When to stop an exploration run."""
+    """When an exploration run ends: after ``k`` births or at the birth of
+    ``site``, whichever is first.  ``k = None`` means n - 1 births, as in ``full()``."""
 
-    kind: str  # "count" | "target" | "full"
     k: Optional[int] = None
     site: Optional[Site] = None
 
@@ -111,32 +111,29 @@ class StopRule:
     def count(cls, k: int) -> "StopRule":
         if k < 1:
             raise ConfigError(f"count must be >= 1, got {k}")
-        return cls("count", k=k)
+        return cls(k=k)
 
     @classmethod
     def target(cls, site: Site) -> "StopRule":
-        return cls("target", site=site)
+        return cls(site=site)
 
     @classmethod
     def full(cls) -> "StopRule":
-        return cls("full")
+        return cls()
 
 
 @dataclass(frozen=True)
 class ExplorationRecord:
-    """Births of one exploration run: sites, times, and pre-birth rates.
+    """Births of one exploration run up to its stop: its k-th birth or its target's.
 
-    ``times[0] == 0`` is the source; ``rates[i]`` is the jump rate just
-    before the i-th birth (``rates[0]`` is NaN).  ``horizon`` is the stop
-    that ended the run: "count", "target" or "full" (all n sites born).
-    ``proposals`` counts the newborn proposals the thinning sampler made.
+    ``site_indices[0]`` is the source's flat index, at ``times[0] == 0``;
+    ``rates[i]`` is the jump rate just before the i-th birth (``rates[0]`` is
+    NaN); ``proposals`` counts the thinning sampler's newborn proposals.
     """
 
-    source: Site
     site_indices: np.ndarray
     times: np.ndarray
     rates: np.ndarray
-    horizon: str
     proposals: int
 
     @property
@@ -305,43 +302,37 @@ def _run_block(
     cfg: TorusConfig, seeds: Sequence[rng.SeedLike], sources: Sequence[Site],
     stops: Sequence[StopRule],
 ) -> List[ExplorationRecord]:
-    """The runs of one block, each ended by its own rule: "count" after k births,
-    "target" at the target's birth or "full" at n; a rate fault raises."""
+    """The runs of one block, each ending when its stop's count of births is
+    reached or its stop's target is born; a rate fault raises."""
     n = cfg.n
-    for stop in stops:
-        if stop.kind == "count" and stop.k > n - 1:
-            raise ConfigError(f"count {stop.k} exceeds n - 1 = {n - 1}")
-    limit = np.array([stop.k if stop.kind == "count" else n for stop in stops])
-    target = np.array([torus.site_to_index(stop.site, cfg) if stop.kind == "target" else -1
+    limit = np.array([n - 1 if stop.k is None else stop.k for stop in stops])
+    cap = int(limit.max()) + 1
+    if cap > n:
+        raise ConfigError(f"count {cap - 1} exceeds n - 1 = {n - 1}")
+    target = np.array([-1 if stop.site is None else torus.site_to_index(stop.site, cfg)
                        for stop in stops])
     srcs = [torus.site_to_index(u, cfg) for u in sources]
-    cap = min(n, int(limit.max()) + 1)
     block = _Lockstep(cfg, seeds, srcs, cap)
     lower, upper = (bound.tolist() for bound in weights.rate_bounds(cfg, np.arange(cap)))
-    born, horizon = np.zeros(len(seeds), dtype=np.int64), np.empty(len(seeds), dtype=object)
+    born = np.zeros(len(seeds), dtype=np.int64)
 
-    def finish(done: np.ndarray, why: str) -> None:
+    def finish(done: np.ndarray) -> None:
         if done.any():
-            born[block.rows[done]], horizon[block.rows[done]] = block.j, why
+            born[block.rows[done]] = block.j
             block.keep(~done)
 
-    kinds = {stop.kind for stop in stops}
-    finish(target == srcs, "target")
-    while block.rows.size:
-        finish(limit[block.rows] < block.j, "count")
-        if block.j == n:
-            finish(np.ones(block.rows.size, dtype=bool), "full")
+    newborn = np.array(srcs)
+    while True:
+        finish((newborn == target[block.rows]) | (limit[block.rows] < block.j))
         if not block.rows.size:
             break
         _check_sandwich(block.j, block.rate, lower[block.j], upper[block.j])
         block.t = block.t + block.wait() / block.rate
-        z = block.birth()
-        if "target" in kinds:
-            finish(z == target[block.rows], "target")
+        newborn = block.birth()
     return [
-        ExplorationRecord(u, block.sites[r, :b], block.times[r, :b], block.rates[r, :b],
-                          horizon[r], int(block.proposals[r]))
-        for r, (u, b) in enumerate(zip(sources, born))
+        ExplorationRecord(block.sites[r, :b], block.times[r, :b], block.rates[r, :b],
+                          int(block.proposals[r]))
+        for r, b in enumerate(born)
     ]
 
 
@@ -356,7 +347,7 @@ def run_explorations(
     stops[i], cfg, seeds[i])`` bit for bit."""
     if not len(seeds) == len(sources) == len(stops):
         raise ConfigError("run_explorations needs one seed, source and stop per replicate")
-    cap = max((stop.k + 1 if stop.kind == "count" else cfg.n for stop in stops), default=1)
+    cap = max((cfg.n if stop.k is None else stop.k + 1 for stop in stops), default=1)
     blocks = block_count(cfg, cap, len(seeds))
     parts = np.array_split(np.arange(len(seeds)), blocks) if blocks else []
     return [rec for part in parts for rec in _run_block(

@@ -231,6 +231,8 @@ def gumbel_test(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
     """
     if spec.quantity != "tau":
         raise ConfigError("gumbel_test requires quantity='tau'")
+    if spec.replicates < _KS_MIN_SAMPLES:
+        raise ConfigError(f"need at least {_KS_MIN_SAMPLES} samples, got {spec.replicates}")
     cfg = spec.cfg
     k = spec.tau_k()
     taus, counts = _collect(spec, jobs)

@@ -101,7 +101,7 @@ def test_c1_gamma_max_mc_within_three_se():
                     continue
                 quad = _quad(d, p, alpha).value
                 mc = limit_constant_gamma_mc(d, p, alpha, 1_000_000, seed=0)
-                z = abs(mc.value - quad) / mc.std_error
+                z = abs(mc.value - quad) / mc.error
                 rows.append(f"(d={d},p={p:g},a={alpha}) z={z:.2f} ess={mc.effective_samples:.0f}")
                 ok &= z <= 3.0
     elapsed = time.perf_counter() - t0

@@ -7,11 +7,12 @@ deletes one of these names fails here, not only in a traced benchmark run.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from lrfpp import cli
+from lrfpp import cli, constants, explore, torus
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,6 +30,35 @@ def test_traced_layer_exists(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+_CFG = torus.TorusConfig(2, 4, 2.0, 0.5)
+#: A tiny call of each traced layer whose work count reads its result's fields.
+_WORK_CALLS = {
+    ("explore", "run_exploration"): lambda: explore.run_exploration(
+        torus.origin(_CFG), explore.StopRule.count(3), _CFG, 0),
+    ("constants", "limit_constant_quadrature"): lambda: constants.limit_constant_quadrature(
+        constants.ConstantQuery(2, 2.0, 0.5, "quadrature", 1e-6)),
+    ("constants", "limit_constant_gamma_mc"): lambda: constants.limit_constant_gamma_mc(
+        2, 2.0, 0.5, constants.MC_MIN_SAMPLES, seed=0),
+}
+
+
+@pytest.mark.parametrize("module,attr", list(_WORK_CALLS))
+def test_work_counts_read_fields_that_exist(module, attr):
+    # The span's work lambda, applied to a real result: a renamed field
+    # raises here, not only in a traced benchmark run.
+    work = {(m, a): w for m, a, w in _load("spans").LAYERS}[(module, attr)]
+    out = _WORK_CALLS[(module, attr)]()
+    count = work((), out)
+    assert math.isfinite(count) and count > 0
+    if attr == "run_exploration":
+        assert out.n_born - 1 == count == 3
+    elif attr == "limit_constant_quadrature":
+        assert out.evaluations == count
+    else:
+        assert out.samples == constants.MC_MIN_SAMPLES
+        assert 0 < out.effective_samples <= out.samples
 
 
 def test_other_names_the_bench_calls_exist():

@@ -383,7 +383,7 @@ def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
                 cli._experiment_seed(77, cell),
             )
             assert row["converged"] is None
-            assert (row["value"], row["error_estimate"]) == (mc.value, mc.std_error)
+            assert (row["value"], row["error_estimate"]) == (mc.value, mc.error)
             assert row["effective_samples"] == mc.effective_samples
 
 

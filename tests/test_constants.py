@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from lrfpp import ConfigError, ConstantQuery
+from lrfpp import ConfigError, ConstantQuery, ConstantResult
 from lrfpp.errors import NotApplicable
 from lrfpp.constants import (
     evaluate,
@@ -227,17 +227,17 @@ def test_mc_d1_matches_elementary_constant():
     # d = 1 collapses to 2**a/(1 - a).
     mc = limit_constant_gamma_mc(1, 2.0, 0.5, 200_000, seed=0)
     target = 2.0**0.5 / 0.5
-    assert abs(mc.value - target) <= 4.0 * mc.std_error
+    assert abs(mc.value - target) <= 4.0 * mc.error
 
 
 def test_mc_d2_p1_matches_four_ln_two():
     mc = limit_constant_gamma_mc(2, 1.0, 1.0, 1_000_000, seed=0)
-    assert abs(mc.value - FOUR_LN_2) <= 3.0 * mc.std_error
+    assert abs(mc.value - FOUR_LN_2) <= 3.0 * mc.error
 
 
 def test_mc_d2_p2_matches_quadrature():
     mc = limit_constant_gamma_mc(2, 2.0, 0.5, 1_000_000, seed=0)
-    assert abs(mc.value - _quad(2, 2.0, 0.5).value) <= 3.0 * mc.std_error
+    assert abs(mc.value - _quad(2, 2.0, 0.5).value) <= 3.0 * mc.error
 
 
 def test_mc_reports_effective_sample_size():
@@ -264,8 +264,8 @@ def test_mc_weights_keep_effective_sample_size():
 def test_mc_small_alpha_is_finite_and_accurate(d, p, alpha):
     mc = limit_constant_gamma_mc(d, p, alpha, 100_000, seed=0)
     target = 2.0**alpha / (1.0 - alpha) if d == 1 else limit_constant_planar(p, alpha)
-    assert math.isfinite(mc.value) and math.isfinite(mc.std_error)
-    assert abs(mc.value - target) <= 3.0 * mc.std_error
+    assert math.isfinite(mc.value) and math.isfinite(mc.error)
+    assert abs(mc.value - target) <= 3.0 * mc.error
 
 
 @pytest.mark.parametrize("d, p, alpha", [(1, 500.0, 0.5), (2, 200.0, 1.0)])
@@ -273,8 +273,8 @@ def test_mc_large_p_is_finite_and_accurate(d, p, alpha):
     # Gamma(1/p) variates below 1e-323 would be 0 in linear space (log x = -inf).
     mc = limit_constant_gamma_mc(d, p, alpha, 100_000, seed=0)
     target = 2.0**alpha / (1.0 - alpha) if d == 1 else limit_constant_planar(p, alpha)
-    assert math.isfinite(mc.value) and math.isfinite(mc.std_error)
-    assert abs(mc.value - target) <= 3.0 * mc.std_error
+    assert math.isfinite(mc.value) and math.isfinite(mc.error)
+    assert abs(mc.value - target) <= 3.0 * mc.error
 
 
 def test_mc_default_seed_is_zero():
@@ -292,13 +292,36 @@ def test_mc_validation():
         limit_constant_gamma_mc(2, 2.0, 1.0, 5_000)
 
 
-def test_evaluate_dispatch():
-    assert evaluate(ConstantQuery(2, math.inf, 1.0, "closed-p-infinity")) == 4.0
-    assert evaluate(ConstantQuery(2, 1.0, 1.0, "hypergeometric-d2")) == pytest.approx(
-        FOUR_LN_2, rel=1e-14
-    )
-    res = evaluate(ConstantQuery(2, 2.0, 0.5, "quadrature"))
-    assert res.converged
+_DISPATCH = {
+    "closed-p-infinity": (2, math.inf, 1.0),
+    "hypergeometric-d2": (2, 1.0, 1.0),
+    "quadrature": (2, 2.0, 0.5),
+    "gamma-max-mc": (2, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("method", list(_DISPATCH))
+def test_evaluate_dispatch(method):
+    # Every method returns one ConstantResult; the fields a method does not
+    # fill keep their defaults.
+    res = evaluate(ConstantQuery(*_DISPATCH[method], method), samples=50_000, seed=0)
+    assert isinstance(res, ConstantResult)
+    if method == "gamma-max-mc":
+        assert res == limit_constant_gamma_mc(2, 1.0, 1.0, 50_000, seed=0)
+        assert res.converged is None and res.evaluations == 0 and res.samples == 50_000
+        assert 0 < res.effective_samples < 50_000 and res.error > 0
+    elif method == "quadrature":
+        assert res == _quad(2, 2.0, 0.5)
+        assert res.converged is True and res.evaluations > 0
+        assert res.samples == 0 and res.effective_samples is None
+    else:
+        assert res.error == 0.0 and res.converged is True
+        assert (res.evaluations, res.samples, res.effective_samples) == (0, 0, None)
+        expect = 4.0 if method == "closed-p-infinity" else pytest.approx(FOUR_LN_2, rel=1e-14)
+        assert res.value == expect
+
+
+def test_query_validation():
     with pytest.raises(ConfigError):
         ConstantQuery(2, 2.0, 1.0, "closed-p-infinity")
     with pytest.raises(ConfigError):

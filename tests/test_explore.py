@@ -53,7 +53,6 @@ def _uniform_pair(cfg, seed):
 def test_record_structure_and_monotone_times():
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     rec = run_exploration(origin(cfg), StopRule.full(), cfg, 0)
-    assert rec.horizon == "full"
     assert rec.n_born == cfg.n
     assert rec.times[0] == 0.0 and math.isnan(rec.rates[0])
     assert (np.diff(rec.times) > 0).all()
@@ -69,7 +68,7 @@ def test_record_structure_and_monotone_times():
 def test_stop_count():
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     rec = run_exploration(origin(cfg), StopRule.count(5), cfg, 1)
-    assert rec.horizon == "count" and rec.n_born == 6
+    assert rec.n_born == 6
     with pytest.raises(ConfigError):
         run_exploration(origin(cfg), StopRule.count(cfg.n), cfg, 1)
 
@@ -78,7 +77,6 @@ def test_stop_target_and_self_target():
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     v = torus.index_to_site(7, cfg)
     rec = run_exploration(origin(cfg), StopRule.target(v), cfg, 2)
-    assert rec.horizon == "target"
     assert rec.site_indices[-1] == torus.site_to_index(v, cfg)
     assert run_exploration(origin(cfg), StopRule.target(origin(cfg)), cfg, 3).times[-1] == 0.0
 
@@ -321,10 +319,14 @@ def test_batched_runs_equal_lone_runs(cfg):
     seeds = [(35, r) for r in range(reps)]
     assert explore.block_count(cfg, cfg.n, reps) == 2
     records = run_explorations(cfg, seeds, sources, stops)
-    assert {rec.horizon for rec in records} >= {"count", "full", "target"}
     for u, stop, seed, rec in zip(sources, stops, seeds, records):
+        if stop.site is None:
+            assert rec.n_born == (cfg.n if stop.k is None else stop.k + 1)
+        else:
+            assert rec.site_indices[-1] == torus.site_to_index(stop.site, cfg)
         lone = run_exploration(u, stop, cfg, seed)
-        assert rec.source == u and (rec.horizon, rec.proposals) == (lone.horizon, lone.proposals)
+        assert rec.site_indices[0] == torus.site_to_index(u, cfg)
+        assert (rec.n_born, rec.proposals) == (lone.n_born, lone.proposals)
         assert np.array_equal(rec.site_indices, lone.site_indices)
         assert np.array_equal(rec.times, lone.times)
         assert np.array_equal(rec.rates, lone.rates, equal_nan=True)

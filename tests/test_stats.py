@@ -241,6 +241,19 @@ def test_estimate_scaled_rejects_tau():
         gumbel_test(ExperimentSpec(cfg=cfg, quantity="typical", replicates=50, root_seed=0))
 
 
+def test_gumbel_test_checks_the_ks_floor_before_any_run(monkeypatch):
+    # Ten replicates are below the KS floor, so the spec is rejected before a
+    # single birth of its 10 x 64 is run.
+    def no_run(*args, **kwargs):
+        raise AssertionError("gumbel_test ran replicates it cannot test")
+
+    monkeypatch.setattr(stats, "_collect", no_run)
+    cfg = TorusConfig(2, 64, 2.0, 1.0)
+    spec = ExperimentSpec(cfg=cfg, quantity="tau", replicates=10, root_seed=0, k=64)
+    with pytest.raises(ConfigError, match=f"at least {stats._KS_MIN_SAMPLES} samples"):
+        gumbel_test(spec)
+
+
 def test_gumbel_test_small_scale():
     # Complete-graph case at modest size: centered discovery-time fluctuations
     # already sit close to the standard Gumbel law.
