@@ -27,9 +27,11 @@ applies to, in that order, and ``constants.evaluate`` computes each.  A
 ``ConfigError`` is reported as a ``ManifestError`` at the experiment's path.
 So a manifest that cannot run fails before any file is written.
 
-Data rows are byte reproducible for a fixed seed and do not depend on the
-worker count; each file starts with a provenance header.  Exit codes: 0
-success, 2 validation failure, 3 invariant assertion failure, 4 I/O failure.
+The command line's --seed, --jobs, --format and --out override the manifest's
+settings before anything runs.  Data rows are byte reproducible for a fixed
+seed and do not depend on the worker count; each file starts with a provenance
+header.  Exit codes: 0 success, 2 validation failure, 3 invariant assertion
+failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import __version__, constants, explore, rng, stats, torus
+from . import __version__, constants, explore, rng, stats
 from .errors import ConfigError, InvariantViolation, ManifestError, NotApplicable
 from .stats import ExperimentSpec
 from .torus import TorusConfig
@@ -101,6 +103,7 @@ class ConstantsExperiment:
     kind: ClassVar[str] = "constants"
 
     def __post_init__(self):
+        constants.check_mc_samples(self.samples)
         cells = []
         grid = itertools.product(self.dims, self.ps, self.alphas, self.methods)
         for d, p, alpha, method in grid:
@@ -237,8 +240,7 @@ def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
             ps=_as_tuple(obj, "p", loc, _as_p),
             alphas=_as_tuple(obj, "alpha", loc, _as_number),
             methods=_as_tuple(obj, "methods", loc, lambda v, _: v, list(constants._METHODS)),
-            samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples",
-                            minimum=constants.MC_MIN_SAMPLES),
+            samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples"),
             tolerance=_as_number(obj.get("tolerance", 1e-9), f"{loc}.tolerance"),
         )
     except ConfigError as exc:
@@ -277,7 +279,7 @@ def parse_manifest(text: str) -> RunManifest:
 
 def _experiment_seed(root_seed: int, index: int) -> int:
     """Stable 64-bit seed for experiment #index under the manifest root seed."""
-    return int(np.random.SeedSequence((root_seed, index)).generate_state(1, np.uint64)[0])
+    return int(rng.seed_sequence(root_seed, index).generate_state(1, np.uint64)[0])
 
 
 def _quantity_rows(exp: QuantityExperiment, seed: int, jobs: int) -> Tuple[List[dict], dict]:
@@ -315,8 +317,8 @@ def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> Tuple[List[dict], dic
     ], s.details
 
 
-def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict]:
-    """One row per grid cell, from the cell's ``constants.ConstantResult``.
+def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> Tuple[List[dict], dict]:
+    """One row per grid cell, from the cell's ``constants.ConstantResult``, and no details.
 
     Each Monte Carlo cell draws from its own stream, seeded by the cell's
     index in the grid.  ``converged`` is False for a quadrature cell that ran
@@ -346,7 +348,7 @@ def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> List[dict
                 "effective_samples": res.effective_samples,
             }
         )
-    return rows
+    return rows, {}
 
 
 def _format_cell(val) -> str:
@@ -378,20 +380,12 @@ def _write_output(path: Path, fmt: str, rows: List[dict], provenance: Dict[str, 
         tmp.unlink(missing_ok=True)
 
 
-def run(
-    manifest: RunManifest,
-    out: Optional[str] = None,
-    fmt: Optional[str] = None,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    only_kinds: Optional[Tuple[str, ...]] = None,
-) -> int:
-    """Execute all experiments, writing one results file per experiment."""
+def run(manifest: RunManifest, out: Optional[str] = None,
+        only_kinds: Optional[Tuple[str, ...]] = None) -> int:
+    """Run the experiments of ``only_kinds`` (all by default), one results file each,
+    at the manifest's seed, format and worker count.  ``out``, if given, replaces
+    ``manifest.out``; it stays because the benchmark calls ``run(manifest, out=...)``."""
     out_dir = Path(out if out is not None else manifest.out)
-    use_fmt = fmt if fmt is not None else manifest.fmt
-    use_jobs = jobs if jobs is not None else manifest.jobs
-    root_seed = seed if seed is not None else manifest.seed
-
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -399,32 +393,31 @@ def run(
         return 4
 
     # Each gives an experiment's rows and details, whose counts join its provenance.
-    rows_of = {"quantity": _quantity_rows, "tau": _tau_rows,
-               "constants": lambda *args: (_constants_rows(*args), {})}
+    rows_of = {"quantity": _quantity_rows, "tau": _tau_rows, "constants": _constants_rows}
     failures: List[str] = []
     io_failed = False
     for idx, exp in enumerate(manifest.experiments):
         if only_kinds is not None and exp.kind not in only_kinds:
             continue
-        exp_seed = _experiment_seed(root_seed, idx)
+        exp_seed = _experiment_seed(manifest.seed, idx)
         started = time.perf_counter()
         try:
-            rows, details = rows_of[exp.kind](exp, exp_seed, use_jobs)
+            rows, details = rows_of[exp.kind](exp, exp_seed, manifest.jobs)
         except InvariantViolation as exc:
             failures.append(f"{exp.label}: invariant violation: {exc}")
             continue
         provenance = {
             "tool": f"lrfpp {__version__}",
-            "root_seed": str(root_seed),
+            "root_seed": str(manifest.seed),
             "experiment_index": str(idx),
             "experiment_seed": str(exp_seed),
             "label": exp.label,
             "wall_time_s": f"{time.perf_counter() - started:.3f}",
             **{key: str(details[key]) for key in ("births", "proposals") if key in details},
         }
-        path = out_dir / f"{exp.label}.{use_fmt}"
+        path = out_dir / f"{exp.label}.{manifest.fmt}"
         try:
-            _write_output(path, use_fmt, rows, provenance)
+            _write_output(path, manifest.fmt, rows, provenance)
         except OSError as exc:
             failures.append(f"{exp.label}: I/O failure: {exc}")
             io_failed = True
@@ -446,49 +439,40 @@ def run(
 def _validate_checks(seed: int) -> List[Tuple[str, bool, str]]:
     checks: List[Tuple[str, bool, str]] = []
 
+    def counts(runs: List[stats.StatSummary]) -> str:
+        births, proposals = (sum(s.details[key] for s in runs) for key in ("births", "proposals"))
+        return f"{births} births, {proposals} proposals"
+
     # Rate sandwich: full explorations assert the bounds at every step.
-    ok, detail = True, ""
     try:
-        for i, alpha in enumerate((0.0, 0.5, 1.0)):
-            cfg = TorusConfig(d=2, m=16, p=2.0, alpha=alpha)
-            explore.run_explorations(cfg, [(seed, i, r) for r in range(5)],
-                                     [torus.origin(cfg)] * 5, [explore.StopRule.full()] * 5)
-        detail = "15 full explorations, every step inside the bounds"
+        runs = [stats.estimate_scaled(ExperimentSpec(TorusConfig(d=2, m=16, p=2.0, alpha=alpha),
+                                                     "flooding", 5, root_seed=seed + i))
+                for i, alpha in enumerate((0.0, 0.5, 1.0))]
+        ok, detail = True, f"15 full explorations, every step inside the bounds; {counts(runs)}"
     except InvariantViolation as exc:
         ok, detail = False, str(exc)
     checks.append(("rate-sandwich", ok, detail))
 
-    # Exploration law equals the shortest-path oracle law (two-sample KS).
-    cells = [(0.0, 10), (1.0, 11)]
-    level = 0.01 / len(cells)
-    worst = 1.0
-    for alpha, tag in cells:
+    # Exploration law equals the shortest-path oracle law (two-sample KS); the
+    # oracle's pairs and edges come from streams the explorations do not use.
+    runs, pvals = [], []
+    for alpha, tag in ((0.0, 10), (1.0, 11)):
         cfg = TorusConfig(d=2, m=3, p=2.0, alpha=alpha)
-        gens = [rng.generator((seed, tag, r), rng.STREAM_CHOICE) for r in range(800)]
-        sources = [stats._pick_site(gen, cfg) for gen in gens]
-        targets = [stats._pick_distinct(gen, cfg, u) for gen, u in zip(gens, sources)]
-        records = explore.run_explorations(cfg, [(seed, tag, r, 0) for r in range(800)], sources,
-                                           [explore.StopRule.target(v) for v in targets])
-        expl = np.array([rec.times[-1] for rec in records])
-        orac = np.array([explore.oracle_transmission_time(u, v, cfg, (seed, tag, r, 1))
-                         for r, (u, v) in enumerate(zip(sources, targets))])
-        _, pval = stats.ks_two_sample(expl, orac)
-        worst = min(worst, pval)
-    ok = worst >= level
-    checks.append(
-        ("exploration-vs-oracle", ok, f"min KS p-value {worst:.4f} at level {level:.4f}")
-    )
+        runs.append(stats.estimate_scaled(ExperimentSpec(cfg, "typical", 800, root_seed=seed + tag,
+                                                         source="uniform")))
+        pairs = [stats._pair(cfg, (seed, tag, r)) for r in range(800)]
+        orac = [explore.oracle_transmission_time(u, v, cfg, (seed, tag, r, 1))
+                for r, (u, v) in enumerate(pairs)]
+        pvals.append(stats.ks_two_sample(runs[-1].samples, orac)[1])
+    level = 0.01 / len(pvals)
+    checks.append(("exploration-vs-oracle", min(pvals) >= level,
+                   f"min KS p-value {min(pvals):.4f} at level {level:.4f}; {counts(runs)}"))
 
     # Gumbel fluctuations of the k-th discovery time.
     cfg = TorusConfig(d=2, m=32, p=2.0, alpha=0.0)
-    spec = ExperimentSpec(
-        cfg=cfg, quantity="tau", replicates=400, root_seed=seed + 17, k=32
-    )
-    s = stats.gumbel_test(spec)
-    ok = s.ks_pvalue is not None and s.ks_pvalue > 0.001
-    checks.append(
-        ("gumbel-fluctuation", ok, f"KS p-value {s.ks_pvalue:.4f}, mean {s.mean:.4f}")
-    )
+    s = stats.gumbel_test(ExperimentSpec(cfg, "tau", 400, root_seed=seed + 17, k=32))
+    checks.append(("gumbel-fluctuation", s.ks_pvalue > 0.001,
+                   f"KS p-value {s.ks_pvalue:.4f}, mean {s.mean:.4f}; {counts([s])}"))
     return checks
 
 
@@ -530,28 +514,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_manifest(path: Optional[str]) -> Optional[RunManifest]:
-    if path is None:
-        return None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        raise SystemExit(4)
-    return parse_manifest(text)
-
-
 def _default_constants_manifest() -> RunManifest:
-    exp = ConstantsExperiment(
-        label="00_constants",
-        dims=(1, 2),
-        ps=(1.0, 2.0, math.inf),
-        alphas=(0.25, 0.5, 1.0, 1.5),
-        methods=constants._METHODS,
-        samples=200_000,
-        tolerance=1e-9,
-    )
-    return RunManifest(seed=0, experiments=(exp,))
+    """The grid ``lrfpp constants`` evaluates without --manifest, parsed as one."""
+    grid = {"kind": "constants", "d": [1, 2], "p": [1, 2, "inf"], "alpha": [0.25, 0.5, 1.0, 1.5]}
+    return RunManifest(seed=0, experiments=(_parse_experiment(grid, 0, set()),))
 
 
 def _tau_manifest(args: argparse.Namespace) -> RunManifest:
@@ -559,10 +525,7 @@ def _tau_manifest(args: argparse.Namespace) -> RunManifest:
     val = {flag: default if getattr(args, flag) is None else getattr(args, flag)
            for flag, (_, default) in _TAU_FLAGS.items()}
     beta = 0.5 if val["k"] is None and val["beta"] is None else val["beta"]
-    exp = TauExperiment(
-        cfg=TorusConfig(d=val["d"], m=val["m"], p=val["p"], alpha=val["alpha"]), quantity="tau",
-        replicates=val["replicates"], root_seed=0, k=val["k"], beta=beta, label="00_tau",
-    )
+    exp = _spec(TauExperiment, val, "tau", label="00_tau", quantity="tau", k=val["k"], beta=beta)
     return RunManifest(seed=0, experiments=(exp,))
 
 
@@ -582,19 +545,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         given = [f"--{flag}" for flag in _TAU_FLAGS if getattr(args, flag, None) is not None]
         if given and args.manifest is not None:
             raise ManifestError(given[0], "builds the experiment run without --manifest only")
-        manifest = _load_manifest(args.manifest)
-        if manifest is None:
-            if args.command == "simulate":
-                print("error: simulate requires --manifest", file=sys.stderr)
-                return 2
-            if args.command == "constants":
-                manifest = _default_constants_manifest()
-            else:
-                manifest = _tau_manifest(args)
+        if args.manifest is not None:
+            try:
+                text = Path(args.manifest).read_text(encoding="utf-8")
+            except OSError as exc:
+                print(f"error: cannot read manifest: {exc}", file=sys.stderr)
+                raise SystemExit(4)
+            manifest = parse_manifest(text)
+        elif args.command == "simulate":
+            print("error: simulate requires --manifest", file=sys.stderr)
+            return 2
+        elif args.command == "constants":
+            manifest = _default_constants_manifest()
+        else:
+            manifest = _tau_manifest(args)
         only_kinds = None if args.command == "simulate" else (args.command,)
         if only_kinds and not any(exp.kind in only_kinds for exp in manifest.experiments):
             raise ManifestError("$.experiments", f"no {args.command} experiment to run")
-        return run(manifest, args.out, args.format, jobs, seed, only_kinds)
+        overrides = {"seed": seed, "jobs": jobs, "fmt": args.format, "out": args.out}
+        manifest = dataclasses.replace(
+            manifest, **{key: val for key, val in overrides.items() if val is not None})
+        return run(manifest, only_kinds=only_kinds)
     except (ManifestError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -142,6 +142,13 @@ def _pick_distinct(gen: np.random.Generator, cfg: TorusConfig, u: Site) -> Site:
             return v
 
 
+def _pair(cfg: TorusConfig, seed: rng.SeedLike) -> Tuple[Site, Site]:
+    """A uniform pair of distinct sites, the first draws of the seed's choice stream."""
+    gen = rng.generator(seed, rng.STREAM_CHOICE)
+    u = _pick_site(gen, cfg)
+    return u, _pick_distinct(gen, cfg, u)
+
+
 def _source(
     spec: ExperimentSpec, seed: Tuple[int, int]
 ) -> Tuple[Site, Optional[np.random.Generator]]:
@@ -257,9 +264,7 @@ def oracle_ordering_sample(
     ``min`` of two directions), and the loop's margin makes it exact, equal
     to ``explore.diameter_exact`` at the same seed from any start.
     """
-    gen = rng.generator(seed, rng.STREAM_CHOICE)
-    u = _pick_site(gen, cfg)
-    iu, iv = (torus.site_to_index(site, cfg) for site in (u, _pick_distinct(gen, cfg, u)))
+    iu, iv = (torus.site_to_index(site, cfg) for site in _pair(cfg, seed))
     diameter, row, _ = explore._bounded_diameter(explore._all_pairs_graph(cfg, seed), iu)
     return float(row[iv]), float(row.max()), diameter
 

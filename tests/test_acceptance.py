@@ -18,6 +18,7 @@ Two checks need a note:
   1/log n), and that bound drops below 0.55 only once n exceeds about 10^5.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -458,9 +459,9 @@ def test_c9_reproducibility(tmp_path):
         return collected
 
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert cli.run(manifest, out=str(out_a), jobs=1) == 0
-    assert cli.run(manifest, out=str(out_b), jobs=1) == 0
-    assert cli.run(manifest, out=str(out_c), jobs=2) == 0
+    assert cli.run(dataclasses.replace(manifest, jobs=1), out=str(out_a)) == 0
+    assert cli.run(dataclasses.replace(manifest, jobs=1), out=str(out_b)) == 0
+    assert cli.run(dataclasses.replace(manifest, jobs=2), out=str(out_c)) == 0
     same_rerun = rows(out_a) == rows(out_b)
     same_jobs = rows(out_a) == rows(out_c)
     ok = same_rerun and same_jobs

@@ -7,6 +7,7 @@ deletes one of these names fails here, not only in a traced benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
@@ -94,3 +95,5 @@ def test_workload_experiments_expose_what_the_checks_read():
                 assert exp.cfg.n > 0 and exp.replicates >= 1
     assert kinds == {"constants", "tau", "typical", "flooding", "diameter"}
     assert callable(cli.run)
+    # bench/worker.py and bench/selftest.py call it as run(manifest, out=...).
+    inspect.signature(cli.run).bind(manifest, out="x")

@@ -1,5 +1,6 @@
 """Manifest parsing, output emission, determinism, and exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -59,6 +60,28 @@ def test_manifest_defaults_are_the_same_for_every_command():
     manifests = [cli.parse_manifest(json.dumps(doc)), cli._default_constants_manifest(),
                  cli._tau_manifest(cli._build_parser().parse_args(["tau"]))]
     assert {(man.seed, man.out, man.fmt, man.jobs) for man in manifests} == {(0, "results", "csv", 1)}
+
+
+def test_command_line_settings_land_in_the_manifest(tmp_path):
+    # --seed, --jobs, --format and --out fold into the manifest before
+    # anything runs, so main and run on the replaced manifest agree.
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(_minimal_manifest()))
+    out1, out2 = tmp_path / "main", tmp_path / "run"
+    assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out1),
+                     "--seed", "5", "--jobs", "2", "--format", "json"]) == 0
+    man = cli.parse_manifest(manifest.read_text())
+    assert cli.run(dataclasses.replace(man, seed=5, jobs=2, fmt="json"), out=str(out2)) == 0
+    rows = [json.loads((out / "00_quantity.json").read_text()) for out in (out1, out2)]
+    assert rows[0]["rows"] == rows[1]["rows"]
+    assert rows[0]["provenance"]["root_seed"] == "5"
+
+
+def test_default_constants_grid_is_the_documented_one():
+    # The grid `lrfpp constants` evaluates without --manifest, equal field by field.
+    assert cli._default_constants_manifest().experiments[0] == cli.ConstantsExperiment(
+        label="00_constants", dims=(1, 2), ps=(1.0, 2.0, math.inf), alphas=(0.25, 0.5, 1.0, 1.5),
+        methods=constants._METHODS, samples=200_000, tolerance=1e-9)
 
 
 def test_alpha_at_least_d_rejected_with_message():
@@ -171,8 +194,8 @@ def test_jobs_leave_values_unchanged(tmp_path):
     man = cli.parse_manifest(json.dumps(doc))
     out1 = tmp_path / "seq"
     out2 = tmp_path / "par"
-    assert cli.run(man, out=str(out1), jobs=1) == 0
-    assert cli.run(man, out=str(out2), jobs=3) == 0
+    assert cli.run(dataclasses.replace(man, jobs=1), out=str(out1)) == 0
+    assert cli.run(dataclasses.replace(man, jobs=3), out=str(out2)) == 0
     assert _read_rows(out1 / "00_quantity.csv") == _read_rows(out2 / "00_quantity.csv")
 
 
@@ -190,7 +213,7 @@ def test_exploration_counts_head_the_results(tmp_path):
     man = cli.parse_manifest(json.dumps(doc))
     counts = []
     for jobs in (1, 2):
-        assert cli.run(man, out=str(tmp_path / str(jobs)), jobs=jobs) == 0
+        assert cli.run(dataclasses.replace(man, jobs=jobs), out=str(tmp_path / str(jobs))) == 0
         heads = [
             dict(line[2:].split("=", 1) for line in path.read_text().splitlines()
                  if line.startswith("# ") and line[2:].startswith(("births", "proposals")))
@@ -209,7 +232,7 @@ def test_seed_override_changes_rows(tmp_path):
     out1 = tmp_path / "s0"
     out2 = tmp_path / "s1"
     assert cli.run(man, out=str(out1)) == 0
-    assert cli.run(man, out=str(out2), seed=99) == 0
+    assert cli.run(dataclasses.replace(man, seed=99), out=str(out2)) == 0
     assert _read_rows(out1 / "00_quantity.csv") != _read_rows(out2 / "00_quantity.csv")
 
 
@@ -371,8 +394,8 @@ def _constants_experiment(**fields):
 
 def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
     exp = _constants_experiment()
-    rows = cli._constants_rows(exp, 77, jobs=1)
-    assert len(rows) == 8
+    rows, details = cli._constants_rows(exp, 77, jobs=1)
+    assert len(rows) == 8 and details == {}
     for cell, row in enumerate(rows):
         assert set(row) == set(COLUMNS["constants"])
         if row["method"] == "quadrature":
@@ -385,6 +408,25 @@ def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
             assert row["converged"] is None
             assert (row["value"], row["error_estimate"]) == (mc.value, mc.error)
             assert row["effective_samples"] == mc.effective_samples
+
+
+def test_monte_carlo_samples_above_the_cap_fail_before_any_file(tmp_path, capsys):
+    # The cap is checked when the experiment is built; nothing is drawn.
+    doc = {"seed": 1, "experiments": [
+        {"kind": "quantity", "quantity": "flooding", "d": 1, "m": 4, "alpha": 0.0,
+         "replicates": 5},
+        {"kind": "constants", "d": [2], "p": [2], "alpha": [0.5], "methods": ["gamma-max-mc"],
+         "samples": constants.MC_MAX_SAMPLES + 1},
+    ]}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "experiments[1]" in capsys.readouterr().err
+    assert not out.exists()
+    doc["experiments"][1]["samples"] = constants.MC_MIN_SAMPLES - 1
+    with pytest.raises(ManifestError, match="samples must lie in"):
+        cli.parse_manifest(json.dumps(doc))
 
 
 def test_constants_warns_on_unconverged_quadrature(tmp_path, capsys):

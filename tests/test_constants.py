@@ -17,6 +17,7 @@ import pytest
 from lrfpp import ConfigError, ConstantQuery, ConstantResult
 from lrfpp.errors import NotApplicable
 from lrfpp.constants import (
+    MC_MAX_SAMPLES,
     evaluate,
     limit_constant_gamma_mc,
     limit_constant_max_norm,
@@ -290,6 +291,9 @@ def test_mc_validation():
         limit_constant_gamma_mc(2, 2.0, 0.0, 50_000)
     with pytest.raises(ConfigError):
         limit_constant_gamma_mc(2, 2.0, 1.0, 5_000)
+    # The cap is checked before any draw, so this allocates nothing.
+    with pytest.raises(ConfigError, match="samples must lie in"):
+        limit_constant_gamma_mc(2, 2.0, 1.0, MC_MAX_SAMPLES + 1)
 
 
 _DISPATCH = {
