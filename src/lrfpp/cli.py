@@ -443,12 +443,15 @@ def _validate_checks(seed: int) -> List[Tuple[str, bool, str]]:
         births, proposals = (sum(s.details[key] for s in runs) for key in ("births", "proposals"))
         return f"{births} births, {proposals} proposals"
 
-    # Rate sandwich: full explorations assert the bounds at every step.
+    # Rate sandwich: full explorations and meeting runs assert it at every step.
+    specs = [ExperimentSpec(TorusConfig(d=2, m=16, p=2.0, alpha=alpha), "flooding", 5,
+                            root_seed=seed + i) for i, alpha in enumerate((0.0, 0.5, 1.0))]
+    specs.append(ExperimentSpec(TorusConfig(d=2, m=16, p=2.0, alpha=1.0), "typical", 5,
+                                root_seed=seed + 3, source="uniform"))
     try:
-        runs = [stats.estimate_scaled(ExperimentSpec(TorusConfig(d=2, m=16, p=2.0, alpha=alpha),
-                                                     "flooding", 5, root_seed=seed + i))
-                for i, alpha in enumerate((0.0, 0.5, 1.0))]
-        ok, detail = True, f"15 full explorations, every step inside the bounds; {counts(runs)}"
+        runs = [stats.estimate_scaled(spec) for spec in specs]
+        ok, detail = True, ("15 full explorations and 5 meeting runs, every step inside the "
+                            f"bounds; {counts(runs)}")
     except InvariantViolation as exc:
         ok, detail = False, str(exc)
     checks.append(("rate-sandwich", ok, detail))

@@ -1,36 +1,39 @@
 """The simulator core: exact exploration birth process plus an edge oracle.
 
-``run_exploration`` grows a cluster one vertex at a time.  With a set D of j
-vertices discovered, the next birth happens after an Exp(rate_j) waiting time,
-where rate_j = sum over v in D and z not in D of norm(z - v)**-alpha, and the
-newborn is z with probability W_D(z)/rate_j, where W_D(z) is the attraction
-of z to D.  By memorylessness of the exponential edge weights this
-reproduces, exactly in distribution, the order and times at which
-first-passage percolation discovers the torus from the source.
+``run_exploration`` grows a cluster one vertex at a time.  With j vertices
+discovered in D, the next birth comes after an Exp(rate_j) wait, rate_j the
+sum of norm(z - v)**-alpha over v in D and z not in D, and the newborn is z
+with probability W_D(z)/rate_j, W_D(z) the attraction of z to D.  By
+memorylessness of the exponential edge weights this is exactly the order and
+times at which first-passage percolation discovers the torus.
 
-The sampler finds the newborn by thinning (Lewis & Shedler 1979).
-Every discovered vertex emits at the same total rate R_n = total_rate(cfg),
-so a proposal is a uniform discovered parent plus an offset u drawn with
-probability norm(u)**-alpha / R_n; it is rejected when its target is already
-discovered, and the first accepted target has the newborn law exactly.  The
-waiting time is drawn once per birth at the exact rate_j; the holding time
-and the newborn are independent, so this equals in law the sum of Exp(j R_n)
-waits over the proposals.  A run keeps no per-site field, only the keys of its
-discovered sites, in the one key format ``weights.site_keys``, and a one-byte
-mask.  rate_j follows exactly from rate_{j+1} = rate_j + R_n - 2 W_D(z), with
-W_D(z) gathered over the j discovered sites while 2j <= n, and past that from
-R_n = W_D(z) + W_U(z), with W_U(z) gathered over the n - j undiscovered ones;
-the expected number of proposals per birth is j * R_n / rate_j, near 1 until
-most of the torus is discovered.
+The newborn is found by thinning (Lewis & Shedler 1979): every discovered
+vertex emits at R_n = total_rate(cfg), so a proposal is a uniform discovered
+parent plus an offset u drawn with probability norm(u)**-alpha / R_n, rejected
+when its target is discovered; the wait is drawn once per birth at rate_j.  A
+run keeps the keys of its sites (``weights.site_keys``) and a one-byte side
+per site.  rate_{j+1} = rate_j + R_n - 2 W_D(z), with W_D(z) gathered over the
+j discovered sites while 2j <= n and past that as R_n - W_U(z) over the n - j
+undiscovered ones; a birth takes about j * R_n / rate_j proposals.
 
-``run_explorations`` runs replicates in lockstep blocks: a step is one
-birth in every run of the block, with the wait, proposals, two-sided gather,
-Kahan update and rate-sandwich check as array operations across it.  A birth
-costs O(min(j, n - j)) per replicate plus a share of a fixed cost per step;
-``run_exploration`` is a block of one.  Every run records rate_j before each
-birth, asserts the deterministic rate sandwich on it, and re-sums it every
-``weights.RESUM_INTERVAL`` births; a rate outside the sandwich, NaN included,
-raises InvariantViolation.
+A target stop grows disjoint explorations A from U and B from V at one common
+radius t until they meet (Bhamidi, van der Hofstad & Hooghiemstra 2010, Ann.
+Appl. Probab. 20): a proposal to the proposer's side is rejected, one to a
+free site is a birth on that side at t, and one across is the meeting, with
+d(U, V) = 2t.  By radius t the edge {x, y}, x in A reached at a and y in B at
+b, is covered from both ends to 2t - a - b, so each cross pair meets at rate
+2 norm(x - y)**-alpha, and the first meeting closes a shortest path a + w + b
+= 2t; as b <= t, A cannot cross into B first.  The rate is cut(A) + cut(B),
+2 R_n at the start, a birth z on side s adds R_n - 2 W_s(z), each side keeps
+its own sandwich, and about 3 sqrt(n) births end a run, against n/2 from U.
+
+``run_explorations`` runs replicates in lockstep blocks of one-sided or of
+meeting runs; a step is one event in every run, with the wait, proposals,
+gather, Kahan update and sandwich check as array operations across the block.
+``run_exploration`` is a block of one.  Every run records the rate before each
+entry, asserts the deterministic rate sandwich on it, and re-sums it every
+``weights.RESUM_INTERVAL`` births and at a meeting; a rate outside the
+sandwich, NaN included, raises InvariantViolation.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E``, and the oracles compute passage times on that
@@ -97,12 +100,15 @@ THINNING_BATCH = 256
 #: most replicates in a block.
 BLOCK_BYTES = 5 << 19
 BLOCK_REPLICATES = 64
+#: A meeting block holds runs of up to MEETING_SPAN * sqrt(n) sites; a run
+#: that outgrows it, about 1 in 100 at n = 4,096 and alpha = 1.5, runs again.
+MEETING_SPAN = 16
 
 
 @dataclass(frozen=True)
 class StopRule:
-    """When an exploration run ends: after ``k`` births or at the birth of
-    ``site``, whichever is first.  ``k = None`` means n - 1 births, as in ``full()``."""
+    """When a run ends: after ``k`` births (n - 1 if None, as in ``full()``), or,
+    with ``site`` and whatever ``k``, when it meets an exploration from ``site``."""
 
     k: Optional[int] = None
     site: Optional[Site] = None
@@ -115,6 +121,8 @@ class StopRule:
 
     @classmethod
     def target(cls, site: Site) -> "StopRule":
+        """Grow explorations from the source and from ``site`` until they meet;
+        the record ends with ``site`` at d(source, site), or at 0 if it is the source."""
         return cls(site=site)
 
     @classmethod
@@ -124,11 +132,13 @@ class StopRule:
 
 @dataclass(frozen=True)
 class ExplorationRecord:
-    """Births of one exploration run up to its stop: its k-th birth or its target's.
+    """Entries of one exploration run up to its stop, in event order.
 
     ``site_indices[0]`` is the source's flat index, at ``times[0] == 0``;
-    ``rates[i]`` is the jump rate just before the i-th birth (``rates[0]`` is
-    NaN); ``proposals`` counts the thinning sampler's newborn proposals.
+    ``rates[i]`` is the event rate just before the i-th entry (``rates[0]`` is
+    NaN); ``proposals`` counts the thinning sampler's proposals.  After the
+    source come the newborns at their times: of both sides, at their radius,
+    for a target stop, whose last entry is the target at d(source, target).
     """
 
     site_indices: np.ndarray
@@ -141,50 +151,48 @@ class ExplorationRecord:
         return len(self.times)
 
 
-def _check_sandwich(j: int, rates: np.ndarray, lower: float, upper: float) -> None:
-    """Assert lower <= rate <= upper, ``weights.rate_bounds`` of j sites; NaN fails."""
-    slack = SANDWICH_RTOL * upper
-    for rate in (float(rates.max()), float(rates.min())):
-        if not lower - slack <= rate <= upper + slack:
-            raise InvariantViolation(
-                f"rate sandwich violated at j={j}: {lower!r} <= {rate!r} <= {upper!r}"
-            )
-
-
 class _Lockstep:
-    """Thinning runs of a block of replicates, advanced together one birth per step.
+    """Thinning runs of a block of replicates, advanced together one event per step.
 
     Row r of the state is a live run, of replicate ``rows[r]``, with j sites;
-    the outputs are by replicate.  Each run draws from its own stream as alone:
-    waits, parent uniforms and offsets in batches of THINNING_BATCH, each when
-    the run first needs a number past the last, whatever the stop rule.
-    ``keys[r, :j]`` holds the keys of the discovered sites in birth order and,
-    once 2j > n, ``keys[r, j:]`` those of the undiscovered ones.
+    the outputs are by replicate.  Side 1 grows from the first source and, in a
+    meeting block (``ends`` = 2), side 2 from the second; ``side[r, x]`` is 0
+    while site x is free.  Each run draws from its own stream as alone: waits,
+    parent uniforms and offsets in batches of THINNING_BATCH, each when the run
+    first needs a number past the last, whatever the stop rule.  ``keys[r, :j]``
+    and ``eside[r, :j]`` hold its sites' keys and sides, sources first, and, in
+    a one-sided block once 2j > n, ``keys[r, j:]`` the free sites' keys.
     """
 
-    _LIVE = ("rows", "rate", "comp", "t", "free", "keys", "waits", "parent_u", "offsets",
-             "pos", "refills")
+    _LIVE = ("rows", "rate", "comp", "t", "side", "keys", "eside", "waits", "parent_u",
+             "offsets", "pos", "refills")
 
-    def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs: List[int],
-                 cap: int) -> None:
-        size, batch = len(seeds), THINNING_BATCH
-        self.cfg, self.j, self.rn = cfg, 1, weights.total_rate(cfg)
+    def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs, cap: int) -> None:
+        srcs = np.asarray(srcs, dtype=np.int64).reshape(len(seeds), -1)
+        (size, self.ends), batch = srcs.shape, THINNING_BATCH
+        self.cfg, self.j, self.rn = cfg, self.ends, weights.total_rate(cfg)
         self.gens = [rng.generator(seed, rng.STREAM_EXPLORE) for seed in seeds]
         self._cdf, self._diff = weights.nearest_prefix_sums(cfg), weights.difference_table(cfg)
         self._key_of, self._site_of, self._key_zero = weights.site_keys(cfg)
         # Offsets c by distance rank as key_of[c], which a site's key adds to.
         self._offset_of_rank = self._key_of[torus.sorted_order(cfg)]
         self.rows, self.t, self.comp = np.arange(size), np.zeros(size), np.zeros(size)
-        self.rate, self.proposals = np.full(size, self.rn), np.zeros(size, dtype=np.int64)
-        self.free = np.ones((size, cfg.n), dtype=bool)
-        self.free[self.rows, srcs] = False
-        self.keys = np.empty((size, _key_width(cfg.n, cap)), dtype=np.int32)
-        self.keys[:, 0] = self._key_of[srcs]
+        self.rate = np.full(size, self.ends * self.rn)
+        self.proposals, self.born = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        self.side = np.zeros((size, cfg.n), dtype=np.int8)
+        self.side[self.rows[:, None], srcs] = np.arange(1, self.ends + 1)
+        # Room for the free sites' keys too if a run can pass n/2.
+        self.keys = np.empty((size, cfg.n if 2 * (cap - 1) > cfg.n else cap), dtype=np.int32)
+        self.keys[:, : self.ends] = self._key_of[srcs]
+        self.eside = np.ones(self.keys.shape, dtype=np.int8)
+        self.eside[:, 1 : self.ends] = 2
+        # Outputs hold the source, then the newborns; a meeting adds the target.
         self.sites = np.empty((size, cap), dtype=np.int32)
         self.times, self.rates = np.empty((size, cap)), np.empty((size, cap))
-        self.sites[:, 0], self.times[:, 0], self.rates[:, 0] = srcs, 0.0, math.nan
+        self.sites[:, 0], self.times[:, 0], self.rates[:, 0] = srcs[:, 0], 0.0, math.nan
+        self.far = srcs[:, -1]
         self.increments = np.empty((size, cap))
-        self.increments[:, 0] = self.rn
+        self.increments[:, : self.ends] = self.rn
         self.waits, self._wait_pos = np.empty((size, batch)), batch
         # Proposal batches, padded to twice their length with proposals from
         # the first site to itself, which are rejected, so windows may overrun.
@@ -193,8 +201,11 @@ class _Lockstep:
         self.pos, self.refills = np.full(size, batch), np.zeros(size, dtype=np.int64)
 
     def keep(self, live: np.ndarray) -> None:
-        """Drop the runs whose entry of ``live`` is False, counting their proposals."""
+        """Drop the runs whose entry of ``live`` is False, counting their entries and proposals."""
+        if live.all():
+            return
         gone = ~live
+        self.born[self.rows[gone]] = self.j
         self.proposals[self.rows[gone]] = (self.refills[gone] - 1) * THINNING_BATCH + self.pos[gone]
         self.gens = [gen for gen, kept in zip(self.gens, live) if kept]
         for name in self._LIVE:
@@ -208,8 +219,9 @@ class _Lockstep:
         self._wait_pos += 1
         return self.waits[:, self._wait_pos - 1]
 
-    def _select(self) -> np.ndarray:
-        """Flat index of the first accepted proposal of every live run.
+    def _select(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat index of the first accepted proposal of every live run, one to a
+        site off the proposer's side, and the proposer's side.
 
         Runs read their proposals in windows, the first about twice the expected
         j * R_n / rate_j proposals per birth, doubling while they miss.
@@ -217,6 +229,7 @@ class _Lockstep:
         j, batch, count = self.j, THINNING_BATCH, len(self.rows)
         cap, n = self.keys.shape[1], self.cfg.n
         z, todo = np.empty(count, dtype=np.int64), np.arange(count)
+        s = 1 if self.ends == 1 else np.empty(count, dtype=np.int8)
         width = min(batch, math.ceil(2.0 * j * self.rn / float(self.rate.min())))
         while todo.size:
             for row in todo[self.pos[todo] == batch]:
@@ -232,50 +245,73 @@ class _Lockstep:
                 self.pos[row], self.refills[row] = 0, self.refills[row] + 1
             pos = self.pos[todo]
             cell = (todo * (2 * batch) + pos)[:, None] + np.arange(width)
-            parent = np.minimum((self.parent_u.take(cell) * j).astype(np.int64), j - 1)
-            key = self.keys.take(parent + (todo * cap)[:, None]) + self.offsets.take(cell)
+            key, parent = self.offsets.take(cell), (self.parent_u.take(cell) * j).astype(np.int64)
+            del cell  # In place from here, which keeps a window small.
+            np.minimum(parent, j - 1, out=parent)
+            parent += (todo * cap)[:, None]
+            key += self.keys.take(parent)
+            # The proposers' sides, 1 in a one-sided run (an int8 compares fast).
+            own = np.int8(1) if self.ends == 1 else self.eside.take(parent)
+            del parent
             flat = self._site_of.take(key)
-            free = self.free.take(flat + (todo * n)[:, None])
-            hit, first = free.argmax(axis=1), np.arange(todo.size)
-            found = free[first, hit]
-            self.pos[todo] = np.where(found, pos + hit + 1, np.minimum(pos + width, batch))
+            ok = self.side.take(flat + (todo * n)[:, None]) != own
+            hit, first = ok.argmax(axis=1), np.arange(todo.size)
+            found = ok[first, hit]
+            self.pos[todo] = np.minimum(pos + np.where(found, hit + 1, width), batch)
             z[todo] = flat[first, hit]
+            if self.ends == 2:
+                s[todo] = own[first, hit]
             todo, width = todo[~found], min(batch, 2 * width)
-        return z
+        return z, s
 
-    def birth(self) -> np.ndarray:
-        """One birth in every live run, at its time ``t``; the newborns' flat indices."""
+    def birth(self) -> None:
+        """One event in every live run at its time ``t``: a birth, or a meeting, which ends it."""
+        z, s = self._select()
+        if self.ends == 2:
+            met = self.side[np.arange(z.size), z] != 0
+            if met.any():
+                self.check_resummation(met)
+                gone, col = self.rows[met], self.j - 1
+                self.sites[gone, col] = self.far[gone]
+                self.times[gone, col], self.rates[gone, col] = 2.0 * self.t[met], self.rate[met]
+                self.keep(~met)
+                z, s = z[~met], s[~met]
+                if not self.rows.size:
+                    return
         j, rows, n = self.j, self.rows, self.cfg.n
-        z = self._select()
         key = self._key_of[z]
-        late = 2 * j > n
-        if j == n // 2 + 1:
-            self.keys[:, j:] = self._key_of[self.free.nonzero()[1]].reshape(len(rows), n - j)
+        late = self.ends == 1 and 2 * j > n
+        if self.ends == 1 and j == n // 2 + 1:
+            self.keys[:, j:] = self._key_of[np.nonzero(self.side == 0)[1]].reshape(len(rows), -1)
         at = (self.keys[:, j:] if late else self.keys[:, :j]) - (key - self._key_zero)[:, None]
-        w_side = self._diff.take(at).sum(axis=1)
+        w = self._diff.take(at)
+        if self.ends == 2:  # W_s(z) over the proposer's side only.
+            w *= self.eside[:, :j] == s[:, None]
+            self.eside[:, j] = s
+        w_side = w.sum(axis=1)
         # R_n - 2 W_D(z) = 2 W_U(z) - R_n, where z's own entry weighs 0.
         delta = 2.0 * w_side - self.rn if late else self.rn - 2.0 * w_side
         if late:  # z's key, the one at key_zero, swaps with the key at j.
             self.keys[np.arange(len(rows)), (at == self._key_zero).argmax(1) + j] = self.keys[:, j]
-        self.sites[rows, j], self.times[rows, j], self.rates[rows, j] = z, self.t, self.rate
+        col = j + 1 - self.ends
+        self.sites[rows, col], self.times[rows, col], self.rates[rows, col] = z, self.t, self.rate
         self.increments[rows, j] = delta
-        # rate_{j+1} = rate_j + R_n - 2 W_D(z), Kahan-compensated.
+        # rate_{j+1} = rate_j + R_n - 2 W_s(z), Kahan-compensated.
         self.rate, self.comp = weights.kahan_add(self.rate, self.comp, delta)
-        self.free[np.arange(len(rows)), z] = False
+        self.side[np.arange(len(rows)), z] = s
         self.keys[:, j] = key
         self.j = j + 1
         if j % weights.RESUM_INTERVAL == 0:
             self.check_resummation()
-        return z
 
-    def check_resummation(self) -> None:
-        """Assert |rate - fsum(increments)| <= 1e-9 * n * R_n for every live run.
+    def check_resummation(self, which=slice(None)) -> None:
+        """Assert |rate - fsum(increments)| <= 1e-9 * n * R_n for the runs ``which`` picks.
 
-        Every increment R_n - 2 W_D(z) lies in [-R_n, R_n], so R_n bounds the
+        Every increment R_n - 2 W_s(z) lies in [-R_n, R_n], so R_n bounds the
         largest summand.
         """
         tol = weights.RESUM_RTOL * self.cfg.n * max(self.rn, 1.0)
-        for row, rate in zip(self.rows, self.rate.tolist()):
+        for row, rate in zip(self.rows[which], self.rate[which].tolist()):
             fresh = math.fsum(self.increments[row, : self.j].tolist())
             if abs(rate - fresh) > tol:
                 raise InvariantViolation(
@@ -283,56 +319,50 @@ class _Lockstep:
                 )
 
 
-def _key_width(n: int, cap: int) -> int:
-    """Width of ``_Lockstep.keys``: n, for the undiscovered keys, if a run can pass n/2."""
-    return n if 2 * (cap - 1) > n else cap
-
-
-def block_count(cfg: TorusConfig, cap: int, count: int) -> int:
+def block_count(cfg: TorusConfig, cap: int, count: int, meeting: bool = False) -> int:
     """Blocks of equal size, each within BLOCK_REPLICATES and BLOCK_BYTES, for
-    ``count`` runs of at most ``cap`` sites: the mask, keys, outputs, the draw
-    buffers and the two-sided gather over min(j, n - j) <= n/2 sites, whose
-    int32 index ``take`` copies to intp before it gathers float64 weights."""
+    ``count`` runs of at most ``cap`` sites, or of meeting runs.  A block holds
+    the offsets by rank, the sandwich table and one run's increments as floats;
+    a run its sides, keys, key sides, outputs, buffers, 2 KB of objects, and
+    ``_select``'s windows (33 bytes per proposal measured) or a gather over
+    min(j, n - j) sites (j when runs meet): index, intp copy, weight."""
     n = cfg.n
-    per_run = n + 4 * _key_width(n, cap) + 28 * cap + 20 * min(cap, n // 2) + 32 * THINNING_BATCH
-    return -(-count // max(1, min(BLOCK_REPLICATES, BLOCK_BYTES // per_run)))
+    cap = min(cap, n, MEETING_SPAN * math.isqrt(n)) if meeting else cap
+    gather = 20 * (cap if meeting else min(cap, n // 2))
+    per_run = (n + 5 * (n if 2 * (cap - 1) > n else cap) + 28 * cap + 32 * THINNING_BATCH
+               + 2048 + max(gather, 36 * THINNING_BATCH))
+    per_block = (BLOCK_BYTES - 4 * n - 48 * cap) // per_run
+    return -(-count // max(1, min(BLOCK_REPLICATES, per_block)))
 
 
 def _run_block(
-    cfg: TorusConfig, seeds: Sequence[rng.SeedLike], sources: Sequence[Site],
-    stops: Sequence[StopRule],
+    cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs: np.ndarray, cap: int,
+    limit: np.ndarray,
 ) -> List[ExplorationRecord]:
-    """The runs of one block, each ending when its stop's count of births is
-    reached or its stop's target is born; a rate fault raises."""
-    n = cfg.n
-    limit = np.array([n - 1 if stop.k is None else stop.k for stop in stops])
-    cap = int(limit.max()) + 1
-    if cap > n:
-        raise ConfigError(f"count {cap - 1} exceeds n - 1 = {n - 1}")
-    target = np.array([-1 if stop.site is None else torus.site_to_index(stop.site, cfg)
-                       for stop in stops])
-    srcs = [torus.site_to_index(u, cfg) for u in sources]
+    """The runs of one block from ``srcs``, one source per side, each ending after
+    ``limit`` births or at a meeting (None if a meeting run passes it); a rate fault raises."""
     block = _Lockstep(cfg, seeds, srcs, cap)
-    lower, upper = (bound.tolist() for bound in weights.rate_bounds(cfg, np.arange(cap)))
-    born = np.zeros(len(seeds), dtype=np.int64)
-
-    def finish(done: np.ndarray) -> None:
-        if done.any():
-            born[block.rows[done]] = block.j
-            block.keep(~done)
-
-    newborn = np.array(srcs)
+    lower, upper = weights.rate_bounds(cfg, np.arange(cap))
     while True:
-        finish((newborn == target[block.rows]) | (limit[block.rows] < block.j))
+        block.keep(limit[block.rows] >= block.j)
         if not block.rows.size:
             break
-        _check_sandwich(block.j, block.rate, lower[block.j], upper[block.j])
+        j, rate = block.j, block.rate  # cut(A) + cut(B) (B empty if one-sided): bounds add
+        a = j if block.ends == 1 else np.count_nonzero(block.eside[:, :j] == 1, axis=1)
+        lo, hi = lower[a] + lower[j - a], upper[a] + upper[j - a]
+        slack = SANDWICH_RTOL * hi
+        inside = (lo - slack <= rate) & (rate <= hi + slack)
+        if not inside.all():
+            lo, rate, hi = (float(np.broadcast_to(x, rate.shape)[inside.argmin()])
+                            for x in (lo, rate, hi))
+            raise InvariantViolation(
+                f"rate sandwich violated at j={j}: {lo!r} <= {rate!r} <= {hi!r}")
         block.t = block.t + block.wait() / block.rate
-        newborn = block.birth()
+        block.birth()
     return [
-        ExplorationRecord(block.sites[r, :b], block.times[r, :b], block.rates[r, :b],
-                          int(block.proposals[r]))
-        for r, b in enumerate(born)
+        None if block.ends == 2 and b > limit[r] else ExplorationRecord(
+            block.sites[r, :b], block.times[r, :b], block.rates[r, :b], int(block.proposals[r]))
+        for r, b in enumerate(block.born)
     ]
 
 
@@ -344,14 +374,30 @@ def run_explorations(
 
     Replicate i explores from ``sources[i]`` until ``stops[i]`` on the stream
     of ``seeds[i]``, and its record equals ``run_exploration(sources[i],
-    stops[i], cfg, seeds[i])`` bit for bit."""
+    stops[i], cfg, seeds[i])`` bit for bit.  Target stops run in meeting
+    blocks and the rest in one-sided blocks; the records keep the input order."""
     if not len(seeds) == len(sources) == len(stops):
         raise ConfigError("run_explorations needs one seed, source and stop per replicate")
-    cap = max((cfg.n if stop.k is None else stop.k + 1 for stop in stops), default=1)
-    blocks = block_count(cfg, cap, len(seeds))
-    parts = np.array_split(np.arange(len(seeds)), blocks) if blocks else []
-    return [rec for part in parts for rec in _run_block(
-        cfg, [seeds[i] for i in part], [sources[i] for i in part], [stops[i] for i in part])]
+    n, records = cfg.n, [None] * len(seeds)
+    # The source and a target other than it, which a run meets before j passes n.
+    ends = [list(dict.fromkeys(torus.site_to_index(x, cfg) for x in (u, stop.site)
+                               if x is not None)) for u, stop in zip(sources, stops)]
+    limit = np.array([n if len(e) == 2 else 0 if stop.site is not None
+                      else n - 1 if stop.k is None else stop.k for e, stop in zip(ends, stops)])
+    for sides in sorted({len(e) for e in ends}):
+        group = np.flatnonzero([len(e) == sides for e in ends])
+        cap = min(n, MEETING_SPAN * math.isqrt(n)) if sides == 2 else int(limit[group].max()) + 1
+        if cap > n:
+            raise ConfigError(f"count {cap - 1} exceeds n - 1 = {n - 1}")
+        limit[group] = np.minimum(limit[group], cap - 1 if cap < n else n)
+        for part in np.array_split(group, block_count(cfg, cap, group.size, sides == 2)):
+            for i, rec in zip(part, _run_block(cfg, [seeds[i] for i in part],
+                                               [ends[i] for i in part], cap, limit[part])):
+                records[i] = rec
+    # A run that outgrew its meeting block runs again alone, with room for n sites.
+    for i in [i for i, rec in enumerate(records) if rec is None]:
+        records[i] = _run_block(cfg, [seeds[i]], [ends[i]], n, np.array([n]))[0]
+    return records
 
 
 def run_exploration(

@@ -4,7 +4,8 @@ Replicates are independently seeded from (root_seed, replicate index), so
 results are invariant to execution order, worker count and block size;
 aggregation always happens in replicate order.  Exploration replicates
 (typical, flooding, tau) run in lockstep blocks of ``explore.run_explorations``
-and diameters one at a time; each block is one task of the worker pool.
+and diameters one at a time; each block is one task of the worker pool.  A
+typical sample is d(U, V), from explorations grown from U and V until they meet.
 Scaled summaries report mean * total_rate / log n, the normalization under
 which typical, flooding, and diameter times approach 1, 2, and 3.
 """
@@ -176,7 +177,7 @@ def _block_samples(spec: ExperimentSpec, reps: Sequence[int]) -> Tuple[List[floa
              if spec.quantity == "flooding" else explore.StopRule.count(spec.tau_k())
              for u, gen in picks]
     records = explore.run_explorations(spec.cfg, seeds, [u for u, _ in picks], stops)
-    # Each sample is the time of the run's last birth.
+    # Each sample is the time of the run's last entry: a birth, or the target.
     vals = [float(rec.times[-1]) for rec in records]
     return vals, sum(rec.n_born - 1 for rec in records), sum(rec.proposals for rec in records)
 
@@ -195,7 +196,7 @@ def _collect(spec: ExperimentSpec, jobs: int = 1) -> Tuple[np.ndarray, Dict[str,
     blocks = spec.replicates
     if spec.quantity != "diameter":
         cap = spec.tau_k() + 1 if spec.quantity == "tau" else spec.cfg.n
-        blocks = explore.block_count(spec.cfg, cap, blocks)
+        blocks = explore.block_count(spec.cfg, cap, blocks, spec.quantity == "typical")
     parts = [part.tolist() for part in np.array_split(np.arange(spec.replicates), blocks)]
     workers = min(jobs, len(parts), os.cpu_count() or 1)
     if workers <= 1:

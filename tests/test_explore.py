@@ -93,22 +93,42 @@ def test_count_stop_is_the_prefix_of_the_full_run():
         assert np.array_equal(rec.rates, full.rates[: k + 1], equal_nan=True)
 
 
+def test_meeting_record_holds_both_sides_then_the_target():
+    # A target stop records the source, the newborns of both sides in event
+    # order at their radius times, and the target at twice the meeting radius.
+    # The first event rate is cut(U) + cut(V) = 2 R_n, and before entry i the
+    # run holds i + 1 sites, which emit at most (i + 1) R_n.
+    cfg = TorusConfig(2, 8, 2.0, 1.0)
+    u, v, rn = torus.index_to_site(0, cfg), torus.index_to_site(36, cfg), total_rate(cfg)
+    for rec in _runs(cfg, StopRule.target(v), [(24, r) for r in range(50)], [u] * 50):
+        sites = rec.site_indices.tolist()
+        assert (sites[0], sites[-1]) == (0, 36) and len(set(sites)) == rec.n_born
+        assert (np.diff(rec.times[:-1]) > 0).all() and rec.times[-1] >= 2.0 * rec.times[-2]
+        assert rec.rates[1] == 2.0 * rn
+        assert (rec.rates[1:] <= np.arange(2, rec.n_born + 1) * rn * (1.0 + 1e-12)).all()
+
+
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
 def test_a_rate_outside_the_sandwich_raises(monkeypatch, bad):
     # A NaN, zero or negative rate after the third birth must stop the run
-    # with InvariantViolation, not end it early as if it were done.
-    cfg = TorusConfig(2, 4, 2.0, 0.5)
-    kahan_add, calls = weights.kahan_add, []
+    # with InvariantViolation, not end it early as if it were done: a full
+    # run at j = 4, and a meeting run, which starts from two sites on a torus
+    # large enough that it outlives three births, at j = 5.
+    kahan_add = weights.kahan_add
+    meeting = TorusConfig(2, 16, 2.0, 0.5)
+    for cfg, stop, j in [(TorusConfig(2, 4, 2.0, 0.5), StopRule.full(), 4),
+                         (meeting, StopRule.target(torus.index_to_site(8, meeting)), 5)]:
+        calls = []
 
-    def faulty(total, comp, delta):
-        calls.append(None)
-        total, comp = kahan_add(total, comp, delta)
-        return (np.full_like(total, bad) if len(calls) == 3 else total), comp
+        def faulty(total, comp, delta):
+            calls.append(None)
+            total, comp = kahan_add(total, comp, delta)
+            return (np.full_like(total, bad) if len(calls) == 3 else total), comp
 
-    monkeypatch.setattr(weights, "kahan_add", faulty)
-    with pytest.raises(InvariantViolation, match="rate sandwich violated at j=4") as exc:
-        run_exploration(origin(cfg), StopRule.full(), cfg, 4)
-    assert "np.float64" not in str(exc.value)
+        monkeypatch.setattr(weights, "kahan_add", faulty)
+        with pytest.raises(InvariantViolation, match=f"rate sandwich violated at j={j}") as exc:
+            run_exploration(origin(cfg), stop, cfg, 4)
+        assert "np.float64" not in str(exc.value)
 
 
 def test_two_site_torus_single_birth():
@@ -220,6 +240,31 @@ def test_thinning_matches_janson_at_alpha_zero(k):
     assert p > 1e-4
 
 
+def _typical_sample(cfg, tag, reps):
+    pairs = [_uniform_pair(cfg, (tag, r)) for r in range(reps)]
+    records = run_explorations(cfg, [(tag, r, 0) for r in range(reps)], [u for u, _ in pairs],
+                               [StopRule.target(v) for _, v in pairs])
+    return np.array([rec.times[-1] for rec in records])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+def test_meeting_explorations_match_exact_typical_law(alpha):
+    # Two explorations that meet give d(U, V) with the set chain's law of the
+    # passage time to a uniform other site.
+    cfg = TorusConfig(2, 4, 2.0, alpha)
+    a = _typical_sample(cfg, 41, 4000)
+    _, p = ks_one_sample(a, set_chain(cfg, cfg.n - 1, a.max()).typical_cdf)
+    assert p > 1e-4
+
+
+def test_meeting_explorations_match_janson_at_alpha_zero():
+    # At alpha = 0 and n = 256 the law is that of the lumped birth chain.
+    cfg = TorusConfig(2, 16, 2.0, 0.0)
+    a = _typical_sample(cfg, 42, 3000)
+    _, p = ks_one_sample(a, birth_chain(cfg.n, cfg.n - 1, a.max()).typical_cdf)
+    assert p > 1e-4
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -272,7 +317,7 @@ def test_late_births_gather_over_the_undiscovered_tail(cfg):
             if 2 * j > n:
                 assert np.array_equal(block.keys[r, : j + 1], key_of[born])
                 assert np.array_equal(np.sort(block.keys[r, j + 1 :]),
-                                      np.sort(key_of[np.flatnonzero(block.free[r])]))
+                                      np.sort(key_of[np.flatnonzero(block.side[r] == 0)]))
 
 
 @pytest.mark.parametrize(
@@ -292,7 +337,44 @@ def test_block_count_holds_every_array_of_a_block(cfg):
                    if isinstance(a, np.ndarray) and a.flags.writeable)
         assert held + 20 * size * min(cap - 1, n // 2) <= explore.BLOCK_BYTES, (cap, size)
     if cfg.n == 4096:
-        assert [explore.block_count(cfg, n, c) for c in (14, 15)] == [1, 2]
+        assert [explore.block_count(cfg, n, c) for c in (12, 13)] == [1, 2]
+
+
+@pytest.mark.parametrize("meeting", [False, True])
+def test_largest_block_peaks_within_the_budget(meeting):
+    # The largest block of full or meeting runs block_count allows at n =
+    # 1024 allocates at most BLOCK_BYTES while it runs, the shared read-only
+    # tables aside.
+    cfg = TorusConfig(2, 32, 2.0, 1.0)
+    size = max(s for s in range(1, explore.BLOCK_REPLICATES + 1)
+               if explore.block_count(cfg, cfg.n, s, meeting) == 1)
+    stops = [StopRule.target(torus.index_to_site(1 + 37 * r % (cfg.n - 1), cfg)) if meeting
+             else StopRule.full() for r in range(size)]
+    _runs(cfg, StopRule.count(2), [0])  # fills the shared caches
+    tracemalloc.start()
+    try:
+        run_explorations(cfg, [(40, r) for r in range(size)], [origin(cfg)] * size, stops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= explore.BLOCK_BYTES, (size, peak)
+
+
+def test_runs_that_outgrow_a_meeting_block_run_again_alone(monkeypatch):
+    # A meeting block holds runs of up to MEETING_SPAN * sqrt(n) sites; a run
+    # that outgrows it runs again alone on its own stream, so a smaller block
+    # leaves every record as it was.
+    cfg = TorusConfig(2, 16, 2.0, 1.0)
+    sources = [torus.index_to_site(r, cfg) for r in range(60)]
+    stops = [StopRule.target(torus.index_to_site((7 * r + 3) % cfg.n, cfg)) for r in range(60)]
+    seeds = [(8, r) for r in range(60)]
+    wide = run_explorations(cfg, seeds, sources, stops)
+    monkeypatch.setattr(explore, "MEETING_SPAN", 2)
+    assert sum(rec.n_born >= 2 * math.isqrt(cfg.n) for rec in wide) >= 10
+    for a, b in zip(wide, run_explorations(cfg, seeds, sources, stops)):
+        assert (a.n_born, a.proposals) == (b.n_born, b.proposals)
+        assert np.array_equal(a.site_indices, b.site_indices) and np.array_equal(a.times, b.times)
+        assert np.array_equal(a.rates, b.rates, equal_nan=True)
 
 
 @pytest.mark.parametrize(

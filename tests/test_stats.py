@@ -163,7 +163,9 @@ def test_pool_starts_no_more_workers_than_blocks_or_cores(monkeypatch):
 # are those of the one-replicate-at-a-time sampler this package had before
 # replicates ran in lockstep blocks.  The two alpha > 0 flooding entries were
 # recorded again, at the same seeds, when births past n/2 began to take W_D(z)
-# as R_n - W_U(z); their earlier values are in _ONE_SIDED.
+# as R_n - W_U(z); their earlier values are in _ONE_SIDED.  The typical entry
+# was recorded again, at the same seed, when a typical run became two
+# explorations that meet.
 _GOLDEN = [
     (ExperimentSpec(cfg=TorusConfig(2, 16, 2.0, 0.5), quantity="tau", replicates=3,
                     root_seed=11, k=16),
@@ -173,7 +175,7 @@ _GOLDEN = [
      ["0x1.5f77a464a7efep-2", "0x1.6c244b06eb458p-2", "0x1.c36081447f62ap-2"]),
     (ExperimentSpec(cfg=TorusConfig(2, 8, 2.0, 0.0), quantity="typical", replicates=3,
                     root_seed=13, source="uniform"),
-     ["0x1.34bec55cbf2aap-4", "0x1.d5d9ba8389cacp-4", "0x1.402710b5341aap-4"]),
+     ["0x1.d0a18f1ad300bp-4", "0x1.96d92dc03e9ebp-4", "0x1.20f9140c14ec1p-4"]),
     (ExperimentSpec(cfg=TorusConfig(1, 9, 1.0, 0.5), quantity="flooding", replicates=2,
                     root_seed=14, source="uniform"),
      ["0x1.3891ba2bd5cb0p-1", "0x1.9cd1e6e85fc3ep+0"]),
@@ -216,6 +218,15 @@ def test_two_site_typical_is_single_edge_exponential():
     _, p = ks_one_sample(s.samples, lambda t: 1.0 - np.exp(-np.asarray(t)))
     assert p > 1e-4
     assert s.scale == pytest.approx(1.0 / math.log(2.0))
+
+
+def test_typical_runs_meet_after_few_births():
+    # Two explorations meet after about 3 sqrt(n) births; a search from U
+    # alone for V takes about n/2.
+    cfg = TorusConfig(2, 64, 2.0, 1.0)
+    spec = ExperimentSpec(cfg=cfg, quantity="typical", replicates=24, root_seed=20,
+                          source="uniform")
+    assert stats._collect(spec)[1]["births"] < 24 * cfg.n / 8
 
 
 def test_typical_source_choice_unbiased():
