@@ -103,7 +103,6 @@ class ConstantsExperiment:
     kind: ClassVar[str] = "constants"
 
     def __post_init__(self):
-        constants.check_mc_samples(self.samples)
         cells = []
         grid = itertools.product(self.dims, self.ps, self.alphas, self.methods)
         for d, p, alpha, method in grid:
@@ -115,6 +114,9 @@ class ConstantsExperiment:
                 raise ConfigError(f"{key} lists a value twice: {values}, which would repeat rows")
         if not cells:
             raise ConfigError("no (d, p, alpha, method) cell of the grid applies")
+        # The samples bound every grid; d * samples only its Monte Carlo cells.
+        constants.check_mc_samples(self.samples, max(
+            q.d if q.method == "gamma-max-mc" else 1 for q in cells))
         object.__setattr__(self, "cells", tuple(cells))
 
 

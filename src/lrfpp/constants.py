@@ -49,16 +49,20 @@ _METHODS = ("quadrature", "closed-p-infinity", "hypergeometric-d2", "gamma-max-m
 
 # Share of Monte Carlo draws taken from the power-law component near 0.
 _MC_DEFENSIVE_EPS = 0.5
-#: Fewest and most samples a Monte Carlo estimate takes; at its peak of about
-#: 82 bytes per sample, the most holds one estimate near 0.8 GB.
+#: Fewest and most samples a Monte Carlo estimate takes.  It draws d * samples / 2
+#: log-Gamma variates, at a peak of 65, 82 and 191 bytes per sample at d = 1, 4 and
+#: 16, so d * samples is held to 4 * MC_MAX_SAMPLES, one estimate near 0.8 GB.
 MC_MIN_SAMPLES = 10_000
 MC_MAX_SAMPLES = 10**7
 
 
-def check_mc_samples(samples: int) -> None:
-    """Raise ConfigError unless MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES."""
+def check_mc_samples(samples: int, d: int) -> None:
+    """Raise ConfigError unless MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES and
+    d * samples <= 4 * MC_MAX_SAMPLES."""
     if not MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES:
         raise ConfigError(f"samples must lie in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}], got {samples}")
+    if d * samples > 4 * MC_MAX_SAMPLES:
+        raise ConfigError(f"d * samples must be <= {4 * MC_MAX_SAMPLES}, got {d} * {samples}")
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,7 @@ def limit_constant_gamma_mc(
     yet log x and the weight stay finite.
     """
     ConstantQuery(d, p, alpha, "gamma-max-mc")
-    check_mc_samples(samples)
+    check_mc_samples(samples, d)
 
     shape = 1.0 / p
     a = alpha / p

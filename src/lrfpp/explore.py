@@ -27,9 +27,9 @@ b, is covered from both ends to 2t - a - b, so each cross pair meets at rate
 2 R_n at the start, a birth z on side s adds R_n - 2 W_s(z), each side keeps
 its own sandwich, and about 3 sqrt(n) births end a run, against n/2 from U.
 
-``run_explorations`` runs replicates in lockstep blocks of one-sided or of
-meeting runs; a step is one event in every run, with the wait, proposals,
-gather, Kahan update and sandwich check as array operations across the block.
+``run_explorations`` runs replicates in lockstep blocks, sized by BLOCK_BYTES
+alone, of one-sided or meeting runs; a step is one event in every run, with the
+wait, proposals, gather, Kahan update and sandwich check as array operations.
 ``run_exploration`` is a block of one.  Every run records the rate before each
 entry, asserts the deterministic rate sandwich on it, and re-sums it every
 ``weights.RESUM_INTERVAL`` births and at a meeting; a rate outside the
@@ -96,10 +96,9 @@ SANDWICH_RTOL = 1e-9
 #: Waiting times, parent uniforms and offsets drawn per refill by the
 #: thinning sampler.
 THINNING_BATCH = 256
-#: Memory budget of one lockstep block of thinning runs, in bytes, and the
-#: most replicates in a block.
+#: Memory budget of one lockstep block of thinning runs, in bytes: it alone
+#: sizes a block.
 BLOCK_BYTES = 5 << 19
-BLOCK_REPLICATES = 64
 #: A meeting block holds runs of up to MEETING_SPAN * sqrt(n) sites; a run
 #: that outgrows it, about 1 in 100 at n = 4,096 and alpha = 1.5, runs again.
 MEETING_SPAN = 16
@@ -107,16 +106,18 @@ MEETING_SPAN = 16
 
 @dataclass(frozen=True)
 class StopRule:
-    """When a run ends: after ``k`` births (n - 1 if None, as in ``full()``), or,
-    with ``site`` and whatever ``k``, when it meets an exploration from ``site``."""
+    """When a run ends: after ``k`` >= 1 births (n - 1 if None, as in ``full()``),
+    or, with ``site`` and no ``k``, when it meets an exploration from ``site``."""
 
     k: Optional[int] = None
     site: Optional[Site] = None
 
+    def __post_init__(self):
+        if self.k is not None and (self.k < 1 or self.site is not None):
+            raise ConfigError(f"a stop takes a count >= 1 or a target site, not {self}")
+
     @classmethod
     def count(cls, k: int) -> "StopRule":
-        if k < 1:
-            raise ConfigError(f"count must be >= 1, got {k}")
         return cls(k=k)
 
     @classmethod
@@ -154,18 +155,18 @@ class ExplorationRecord:
 class _Lockstep:
     """Thinning runs of a block of replicates, advanced together one event per step.
 
-    Row r of the state is a live run, of replicate ``rows[r]``, with j sites;
-    the outputs are by replicate.  Side 1 grows from the first source and, in a
-    meeting block (``ends`` = 2), side 2 from the second; ``side[r, x]`` is 0
-    while site x is free.  Each run draws from its own stream as alone: waits,
-    parent uniforms and offsets in batches of THINNING_BATCH, each when the run
-    first needs a number past the last, whatever the stop rule.  ``keys[r, :j]``
-    and ``eside[r, :j]`` hold its sites' keys and sides, sources first, and, in
-    a one-sided block once 2j > n, ``keys[r, j:]`` the free sites' keys.
+    Row r of the state is a live run of replicate ``rows[r]`` with j sites, ``b[r]``
+    on side 2; ``side`` and the outputs are by replicate, so an ending run copies
+    no row.  Side 1 grows from the first source and, in a meeting block (``ends``
+    = 2), side 2 from the second; ``side[i, x]`` is 0 while x is free.  Each run
+    draws from its own stream as alone: waits, parent uniforms and offsets in
+    batches of THINNING_BATCH, each when first needed, whatever the stop rule.
+    ``keys[r, :j]`` and ``eside[r, :j]`` hold its sites' keys and sides, sources
+    first, and, in a one-sided block once 2j > n, ``keys[r, j:]`` the free sites' keys.
     """
 
-    _LIVE = ("rows", "rate", "comp", "t", "side", "keys", "eside", "waits", "parent_u",
-             "offsets", "pos", "refills")
+    _LIVE = ("rows", "rate", "comp", "t", "b", "keys", "eside", "waits", "parent_u", "offsets",
+             "pos", "refills")
 
     def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs, cap: int) -> None:
         srcs = np.asarray(srcs, dtype=np.int64).reshape(len(seeds), -1)
@@ -174,9 +175,9 @@ class _Lockstep:
         self.gens = [rng.generator(seed, rng.STREAM_EXPLORE) for seed in seeds]
         self._cdf, self._diff = weights.nearest_prefix_sums(cfg), weights.difference_table(cfg)
         self._key_of, self._site_of, self._key_zero = weights.site_keys(cfg)
-        # Offsets c by distance rank as key_of[c], which a site's key adds to.
-        self._offset_of_rank = self._key_of[torus.sorted_order(cfg)]
+        self._order = torus.sorted_order(cfg)  # offset of rank i: key_of[order[i]]
         self.rows, self.t, self.comp = np.arange(size), np.zeros(size), np.zeros(size)
+        self.b = np.full(size, self.ends - 1)  # sites on side 2
         self.rate = np.full(size, self.ends * self.rn)
         self.proposals, self.born = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
         self.side = np.zeros((size, cfg.n), dtype=np.int8)
@@ -197,7 +198,7 @@ class _Lockstep:
         # Proposal batches, padded to twice their length with proposals from
         # the first site to itself, which are rejected, so windows may overrun.
         self.parent_u = np.zeros((size, 2 * batch))
-        self.offsets = np.full((size, 2 * batch), self._offset_of_rank[0], dtype=np.int32)
+        self.offsets = np.full((size, 2 * batch), self._key_of[self._order[0]], dtype=np.int32)
         self.pos, self.refills = np.full(size, batch), np.zeros(size, dtype=np.int64)
 
     def keep(self, live: np.ndarray) -> None:
@@ -241,7 +242,7 @@ class _Lockstep:
                 # catches U * R_n rounding up to cdf[-1].
                 u = gen.random(batch) * self._cdf[-1]
                 rank = np.minimum(np.searchsorted(self._cdf, u, side="right"), n - 1)
-                self.offsets[row, :batch] = self._offset_of_rank[rank]
+                self.offsets[row, :batch] = self._key_of[self._order[rank]]
                 self.pos[row], self.refills[row] = 0, self.refills[row] + 1
             pos = self.pos[todo]
             cell = (todo * (2 * batch) + pos)[:, None] + np.arange(width)
@@ -254,7 +255,7 @@ class _Lockstep:
             own = np.int8(1) if self.ends == 1 else self.eside.take(parent)
             del parent
             flat = self._site_of.take(key)
-            ok = self.side.take(flat + (todo * n)[:, None]) != own
+            ok = self.side.take(flat + (self.rows[todo] * n)[:, None]) != own
             hit, first = ok.argmax(axis=1), np.arange(todo.size)
             found = ok[first, hit]
             self.pos[todo] = np.minimum(pos + np.where(found, hit + 1, width), batch)
@@ -268,7 +269,7 @@ class _Lockstep:
         """One event in every live run at its time ``t``: a birth, or a meeting, which ends it."""
         z, s = self._select()
         if self.ends == 2:
-            met = self.side[np.arange(z.size), z] != 0
+            met = self.side[self.rows, z] != 0
             if met.any():
                 self.check_resummation(met)
                 gone, col = self.rows[met], self.j - 1
@@ -282,12 +283,13 @@ class _Lockstep:
         key = self._key_of[z]
         late = self.ends == 1 and 2 * j > n
         if self.ends == 1 and j == n // 2 + 1:
-            self.keys[:, j:] = self._key_of[np.nonzero(self.side == 0)[1]].reshape(len(rows), -1)
+            self.keys[:, j:] = self._key_of[np.nonzero(self.side[rows] == 0)[1]].reshape(len(z), -1)
         at = (self.keys[:, j:] if late else self.keys[:, :j]) - (key - self._key_zero)[:, None]
         w = self._diff.take(at)
         if self.ends == 2:  # W_s(z) over the proposer's side only.
             w *= self.eside[:, :j] == s[:, None]
             self.eside[:, j] = s
+            self.b += s == 2
         w_side = w.sum(axis=1)
         # R_n - 2 W_D(z) = 2 W_U(z) - R_n, where z's own entry weighs 0.
         delta = 2.0 * w_side - self.rn if late else self.rn - 2.0 * w_side
@@ -298,7 +300,7 @@ class _Lockstep:
         self.increments[rows, j] = delta
         # rate_{j+1} = rate_j + R_n - 2 W_s(z), Kahan-compensated.
         self.rate, self.comp = weights.kahan_add(self.rate, self.comp, delta)
-        self.side[np.arange(len(rows)), z] = s
+        self.side[rows, z] = s
         self.keys[:, j] = key
         self.j = j + 1
         if j % weights.RESUM_INTERVAL == 0:
@@ -320,10 +322,10 @@ class _Lockstep:
 
 
 def block_count(cfg: TorusConfig, cap: int, count: int, meeting: bool = False) -> int:
-    """Blocks of equal size, each within BLOCK_REPLICATES and BLOCK_BYTES, for
-    ``count`` runs of at most ``cap`` sites, or of meeting runs.  A block holds
-    the offsets by rank, the sandwich table and one run's increments as floats;
-    a run its sides, keys, key sides, outputs, buffers, 2 KB of objects, and
+    """Blocks of equal size, each within BLOCK_BYTES, for ``count`` runs of at
+    most ``cap`` sites, or of meeting runs.  A block holds the sandwich table and
+    one run's increments as floats, never a cached per-torus table; a run its
+    sides, keys, key sides, outputs, buffers, 2 KB of objects, and
     ``_select``'s windows (33 bytes per proposal measured) or a gather over
     min(j, n - j) sites (j when runs meet): index, intp copy, weight."""
     n = cfg.n
@@ -331,8 +333,8 @@ def block_count(cfg: TorusConfig, cap: int, count: int, meeting: bool = False) -
     gather = 20 * (cap if meeting else min(cap, n // 2))
     per_run = (n + 5 * (n if 2 * (cap - 1) > n else cap) + 28 * cap + 32 * THINNING_BATCH
                + 2048 + max(gather, 36 * THINNING_BATCH))
-    per_block = (BLOCK_BYTES - 4 * n - 48 * cap) // per_run
-    return -(-count // max(1, min(BLOCK_REPLICATES, per_block)))
+    per_block = (BLOCK_BYTES - 48 * cap) // per_run
+    return -(-count // max(1, per_block))
 
 
 def _run_block(
@@ -342,28 +344,25 @@ def _run_block(
     """The runs of one block from ``srcs``, one source per side, each ending after
     ``limit`` births or at a meeting (None if a meeting run passes it); a rate fault raises."""
     block = _Lockstep(cfg, seeds, srcs, cap)
-    lower, upper = weights.rate_bounds(cfg, np.arange(cap))
+    lower = weights.rate_bounds(cfg, np.arange(cap))[0]
     while True:
         block.keep(limit[block.rows] >= block.j)
         if not block.rows.size:
             break
-        j, rate = block.j, block.rate  # cut(A) + cut(B) (B empty if one-sided): bounds add
-        a = j if block.ends == 1 else np.count_nonzero(block.eside[:, :j] == 1, axis=1)
-        lo, hi = lower[a] + lower[j - a], upper[a] + upper[j - a]
+        j, rate = block.j, block.rate  # cut(A) + cut(B), B empty if one-sided
+        lo, hi = lower[j - block.b] + lower[block.b], j * block.rn  # (j - b) R_n + b R_n
         slack = SANDWICH_RTOL * hi
         inside = (lo - slack <= rate) & (rate <= hi + slack)
         if not inside.all():
-            lo, rate, hi = (float(np.broadcast_to(x, rate.shape)[inside.argmin()])
-                            for x in (lo, rate, hi))
+            lo, rate = (float(x[inside.argmin()]) for x in (lo, rate))
             raise InvariantViolation(
                 f"rate sandwich violated at j={j}: {lo!r} <= {rate!r} <= {hi!r}")
         block.t = block.t + block.wait() / block.rate
         block.birth()
-    return [
-        None if block.ends == 2 and b > limit[r] else ExplorationRecord(
-            block.sites[r, :b], block.times[r, :b], block.rates[r, :b], int(block.proposals[r]))
-        for r, b in enumerate(block.born)
-    ]
+    # Copies, so that no record holds the block's arrays.
+    return [None if block.ends == 2 and b > limit[r] else ExplorationRecord(
+        block.sites[r, :b].copy(), block.times[r, :b].copy(), block.rates[r, :b].copy(),
+        int(block.proposals[r])) for r, b in enumerate(block.born)]
 
 
 def run_explorations(

@@ -46,8 +46,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.quantity not in PASSAGE_QUANTITIES and self.quantity != "tau":
             raise ConfigError(f"quantity must be 'tau' or one of {PASSAGE_QUANTITIES}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        # Replicates cost about 80 bytes each before the first run: 10**7 hold 0.8 GB.
+        if not 1 <= self.replicates <= 10**7:
+            raise ConfigError(f"replicates must lie in [1, {10**7}], got {self.replicates}")
         if self.root_seed < 0:
             raise ConfigError("root_seed must be a nonnegative integer")
         if self.source not in ("origin", "uniform"):

@@ -158,9 +158,11 @@ def norm_table(cfg: TorusConfig) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def sorted_order(cfg: TorusConfig) -> np.ndarray:
-    """Flat indices of all n sites sorted by (norm, lexicographic coordinates):
-    C-order flat indices are lexicographic, so a stable sort keeps that order."""
-    return np.argsort(norm_table(cfg), kind="stable")
+    """Flat indices of all n sites sorted by (norm, lexicographic coordinates);
+    read-only.  C-order flat indices are lexicographic, so a stable sort keeps that order."""
+    order = np.argsort(norm_table(cfg), kind="stable")
+    order.setflags(write=False)
+    return order
 
 
 def site_to_index(u: Site, cfg: TorusConfig) -> int:

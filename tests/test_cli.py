@@ -429,6 +429,46 @@ def test_monte_carlo_samples_above_the_cap_fail_before_any_file(tmp_path, capsys
         cli.parse_manifest(json.dumps(doc))
 
 
+def test_monte_carlo_draws_above_the_cap_fail_before_any_file(tmp_path, capsys):
+    # An estimate draws d * samples / 2 log-Gamma variates, so d * samples is
+    # capped too: d = 100,000 at 10**7 samples would need over 10 TB.  A
+    # grid's other cells are not held to it.
+    cap = 4 * constants.MC_MAX_SAMPLES
+    doc = {"seed": 1, "experiments": [
+        {"kind": "quantity", "quantity": "flooding", "d": 1, "m": 4, "alpha": 0.0,
+         "replicates": 5},
+        {"kind": "constants", "d": [2, 100_000], "p": [2], "alpha": [0.5],
+         "methods": ["gamma-max-mc"], "samples": constants.MC_MAX_SAMPLES},
+    ]}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "experiments[1]" in err and f"d * samples must be <= {cap}" in err
+    assert not out.exists()
+    doc["experiments"][1].update({"d": [4], "samples": cap // 4})
+    cli.parse_manifest(json.dumps(doc))
+    doc["experiments"][1].update({"d": [5, 6], "p": ["inf"], "methods": ["closed-p-infinity"],
+                                  "samples": constants.MC_MAX_SAMPLES})
+    cli.parse_manifest(json.dumps(doc))
+    with pytest.raises(ConfigError, match="d \\* samples must be <="):
+        constants.limit_constant_gamma_mc(5, 2.0, 0.5, cap // 4)
+
+
+def test_replicates_above_the_cap_fail_before_any_run():
+    # Replicate indices are built before the first run, about 80 bytes each,
+    # so a count past 10**7 is a manifest error; nothing that large is run.
+    doc = _minimal_manifest()
+    for replicates, ok in ((10**12, False), (10**7 + 1, False), (10**7, True)):
+        doc["experiments"][0]["replicates"] = replicates
+        if ok:
+            assert cli.parse_manifest(json.dumps(doc)).experiments[0].replicates == replicates
+        else:
+            with pytest.raises(ManifestError, match="replicates must lie in"):
+                cli.parse_manifest(json.dumps(doc))
+
+
 def test_constants_warns_on_unconverged_quadrature(tmp_path, capsys):
     # At tolerance 1e-13 this cell, with alpha close to d, spends the
     # quadrature's evaluation budget with an error estimate near 3.9e-13.

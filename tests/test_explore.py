@@ -36,6 +36,12 @@ def _runs(cfg, stop, seeds, sources=None):
     return run_explorations(cfg, seeds, sources, [stop] * len(seeds))
 
 
+def _largest_block(cfg, cap, meeting=False, bound=1000):
+    """The most runs of at most ``cap`` sites that ``block_count`` puts in one block."""
+    assert explore.block_count(cfg, cap, bound, meeting) > 1, "raise the search bound"
+    return max(s for s in range(1, bound) if explore.block_count(cfg, cap, s, meeting) == 1)
+
+
 def _uniform_pair(cfg, seed):
     gen = rng.generator(seed, rng.STREAM_CHOICE)
     iu = int(gen.integers(cfg.n))
@@ -91,6 +97,25 @@ def test_count_stop_is_the_prefix_of_the_full_run():
         assert np.array_equal(rec.site_indices, full.site_indices[: k + 1])
         assert np.array_equal(rec.times, full.times[: k + 1])
         assert np.array_equal(rec.rates, full.rates[: k + 1], equal_nan=True)
+
+
+def test_stop_rule_takes_a_count_of_one_or_more_or_a_target_alone():
+    cfg = TorusConfig(2, 8, 2.0, 0.5)
+    v = torus.index_to_site(9, cfg)
+    for kwargs in ({"k": 0}, {"k": -3}, {"k": 3, "site": v}):
+        with pytest.raises(ConfigError, match="a stop takes a count >= 1 or a target site"):
+            StopRule(**kwargs)
+    assert StopRule(k=1).k == 1 and StopRule(site=v).site == v
+
+
+def test_records_own_their_arrays():
+    # A record holds copies, not views into its block's output arrays, so a
+    # kept record does not keep the whole block alive.
+    cfg = TorusConfig(2, 8, 2.0, 1.0)
+    v = torus.index_to_site(36, cfg)
+    for stop in (StopRule.count(5), StopRule.target(v)):
+        for rec in _runs(cfg, stop, [(6, r) for r in range(3)]):
+            assert all(x.base is None for x in (rec.site_indices, rec.times, rec.rates))
 
 
 def test_meeting_record_holds_both_sides_then_the_target():
@@ -330,8 +355,7 @@ def test_block_count_holds_every_array_of_a_block(cfg):
     # intp copy ``take`` makes of it, and a float64 weight.
     n = cfg.n
     for cap in (n, 3 * n // 4, math.isqrt(n) + 1):
-        size = max(s for s in range(1, explore.BLOCK_REPLICATES + 1)
-                   if explore.block_count(cfg, cap, s) == 1)
+        size = _largest_block(cfg, cap)
         block = explore._Lockstep(cfg, list(range(size)), [0] * size, cap)
         held = sum(a.nbytes for a in vars(block).values()
                    if isinstance(a, np.ndarray) and a.flags.writeable)
@@ -346,8 +370,7 @@ def test_largest_block_peaks_within_the_budget(meeting):
     # 1024 allocates at most BLOCK_BYTES while it runs, the shared read-only
     # tables aside.
     cfg = TorusConfig(2, 32, 2.0, 1.0)
-    size = max(s for s in range(1, explore.BLOCK_REPLICATES + 1)
-               if explore.block_count(cfg, cfg.n, s, meeting) == 1)
+    size = _largest_block(cfg, cfg.n, meeting)
     stops = [StopRule.target(torus.index_to_site(1 + 37 * r % (cfg.n - 1), cfg)) if meeting
              else StopRule.full() for r in range(size)]
     _runs(cfg, StopRule.count(2), [0])  # fills the shared caches
@@ -357,6 +380,31 @@ def test_largest_block_peaks_within_the_budget(meeting):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= explore.BLOCK_BYTES, (size, peak)
+
+
+def test_meeting_block_at_its_cap_peaks_within_the_budget(monkeypatch):
+    # The largest meeting block at n = 2**18, with room for only sqrt(n) = 512
+    # sites per run against meetings of about 2 sqrt(n) births: most of its
+    # rows gather over all cap keys, where the gather, not _select's windows,
+    # is the largest per-run term, and each meeting drops a row without
+    # copying the n-wide side rows.  _run_block alone is measured, so the runs
+    # that outgrow the block do not run again.
+    monkeypatch.setattr(explore, "MEETING_SPAN", 1)
+    cfg = TorusConfig(2, 512, 2.0, 1.0)
+    cap = math.isqrt(cfg.n)
+    assert 20 * cap > 36 * explore.THINNING_BATCH
+    size = _largest_block(cfg, cfg.n, meeting=True)
+    srcs = [[r, (r + 1) * (cfg.n // (size + 1)) + 7] for r in range(size)]
+    limit = np.full(size, cap - 1)
+    _runs(cfg, StopRule.count(2), [0])  # fills the shared caches
+    tracemalloc.start()
+    try:
+        records = explore._run_block(cfg, [(41, r) for r in range(size)], srcs, cap, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rec is None for rec in records) > size // 2, records
     assert peak <= explore.BLOCK_BYTES, (size, peak)
 
 
@@ -390,7 +438,7 @@ def test_batched_runs_equal_lone_runs(cfg):
     # Each replicate of one batched call, over two lockstep blocks and with
     # two count stops, full and per-replicate target stops mixed, equals a
     # lone run at its seed.  m = 4 at full stop is rejection-heavy.
-    reps = explore.BLOCK_REPLICATES + 6
+    reps = _largest_block(cfg, cfg.n) + 6
     stops = [
         [StopRule.count(1 + r % (cfg.n - 1)), StopRule.full(),
          StopRule.target(torus.index_to_site((5 * r + 1) % cfg.n, cfg)),
