@@ -58,7 +58,8 @@ from .torus import TorusConfig
 
 _FORMATS = ("csv", "json")
 #: The ``tau`` flags, which build the experiment run without --manifest: type, default.
-_TAU_FLAGS = {"d": (int, 2), "m": (int, 64), "p": (float, 2.0), "alpha": (float, 0.0),
+_TAU_FLAGS = {"d": (int, 2), "m": (int, 64), "p": (float, TorusConfig.p),
+              "alpha": (float, TorusConfig.alpha),
               "beta": (float, None), "k": (int, None), "replicates": (int, 2000)}
 
 
@@ -193,7 +194,7 @@ def _spec(cls, obj: dict, loc: str, **kwargs) -> ExperimentSpec:
     cfg = TorusConfig(
         d=_as_int(_want(obj, "d", loc), f"{loc}.d"),
         m=_as_int(_want(obj, "m", loc), f"{loc}.m"),
-        p=_as_p(_want(obj, "p", loc, required=False, default=2.0), f"{loc}.p"),
+        p=_as_p(_want(obj, "p", loc, required=False, default=TorusConfig.p), f"{loc}.p"),
         alpha=_as_number(_want(obj, "alpha", loc), f"{loc}.alpha"),
     )
     replicates = _as_int(_want(obj, "replicates", loc), f"{loc}.replicates")
@@ -202,7 +203,7 @@ def _spec(cls, obj: dict, loc: str, **kwargs) -> ExperimentSpec:
 
 def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
     """The experiment at ``idx``; its label, which names its results file,
-    must be one path component and not among the ``taken`` labels."""
+    must be one printable path component and not among the ``taken`` labels."""
     loc = f"experiments[{idx}]"
     if not isinstance(obj, dict):
         raise ManifestError(loc, "expected an object")
@@ -214,8 +215,12 @@ def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
         raise ManifestError(f"{loc}.kind", f"unknown experiment kind {kind!r}")
     _only(obj, loc, ("kind", "label") + fields[kind])
     label = obj.get("label", f"{idx:02d}_{kind}")
-    if not isinstance(label, str) or label in ("", ".", "..") or set(label) & set("/\\\0"):
-        raise ManifestError(f"{loc}.label", f"expected a file name, got {label!r}")
+    # A label names its results file and, while it is written, <label>.json.tmp:
+    # a file name holds at most 255 bytes, and a line break would split the header.
+    if (not isinstance(label, str) or label in ("", ".", "..") or set(label) & set("/\\")
+            or not label.isprintable() or len(f"{label}.json.tmp".encode()) > 255):
+        raise ManifestError(f"{loc}.label", f"expected a printable file name of at most "
+                                            f"246 bytes, got {label!r}")
     if label in taken:
         raise ManifestError(f"{loc}.label", f"label {label!r} is used by an earlier experiment")
     taken.add(label)
@@ -243,16 +248,28 @@ def _parse_experiment(obj, idx: int, taken: set) -> Experiment:
             alphas=_as_tuple(obj, "alpha", loc, _as_number),
             methods=_as_tuple(obj, "methods", loc, lambda v, _: v, list(constants._METHODS)),
             samples=_as_int(obj.get("samples", 200_000), f"{loc}.samples"),
-            tolerance=_as_number(obj.get("tolerance", 1e-9), f"{loc}.tolerance"),
+            tolerance=_as_number(obj.get("tolerance", constants.ConstantQuery.tolerance),
+                                 f"{loc}.tolerance"),
         )
     except ConfigError as exc:
         raise ManifestError(loc, str(exc)) from exc
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice, whose first value json.loads
+    would drop, is a ManifestError."""
+    obj: dict = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ManifestError(f"{key!r}", "key given twice in one object")
+        obj[key] = val
+    return obj
+
+
 def parse_manifest(text: str) -> RunManifest:
     """Parse and fully validate a manifest document before anything runs."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -465,7 +482,7 @@ def _validate_checks(seed: int) -> List[Tuple[str, bool, str]]:
         cfg = TorusConfig(d=2, m=3, p=2.0, alpha=alpha)
         runs.append(stats.estimate_scaled(ExperimentSpec(cfg, "typical", 800, root_seed=seed + tag,
                                                          source="uniform")))
-        pairs = [stats._pair(cfg, (seed, tag, r)) for r in range(800)]
+        pairs = [stats._ends(cfg, (seed, tag, r)) for r in range(800)]
         orac = [explore.oracle_transmission_time(u, v, cfg, (seed, tag, r, 1))
                 for r, (u, v) in enumerate(pairs)]
         pvals.append(stats.ks_two_sample(runs[-1].samples, orac)[1])

@@ -278,7 +278,7 @@ def limit_constant_gamma_mc(
     d: int,
     p: float,
     alpha: float,
-    samples: int = 1_000_000,
+    samples: int,
     seed: int = 0,
 ) -> ConstantResult:
     """Monte Carlo identity through the max of d independent Gamma(1/p, 1).
@@ -355,7 +355,7 @@ def limit_constant_gamma_mc(
     return ConstantResult(pref * mean, pref * se, None, samples=samples, effective_samples=ess)
 
 
-def evaluate(query: ConstantQuery, samples: int = 1_000_000, seed: int = 0) -> ConstantResult:
+def evaluate(query: ConstantQuery, samples: int, seed: int = 0) -> ConstantResult:
     """Dispatch a ConstantQuery to its method; a closed form has error 0.0."""
     if query.method == "quadrature":
         return limit_constant_quadrature(query)

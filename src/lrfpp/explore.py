@@ -100,7 +100,8 @@ THINNING_BATCH = 256
 #: sizes a block.
 BLOCK_BYTES = 5 << 19
 #: A meeting block holds runs of up to MEETING_SPAN * sqrt(n) sites; a run
-#: that outgrows it, about 1 in 100 at n = 4,096 and alpha = 1.5, runs again.
+#: that outgrows it, about 1 in 100 at n = 4,096 and alpha = 1.5, runs again
+#: alone with four times the room, until it fits.
 MEETING_SPAN = 16
 
 
@@ -393,9 +394,13 @@ def run_explorations(
             for i, rec in zip(part, _run_block(cfg, [seeds[i] for i in part],
                                                [ends[i] for i in part], cap, limit[part])):
                 records[i] = rec
-    # A run that outgrew its meeting block runs again alone, with room for n sites.
+    # A run that outgrew its meeting block runs again alone in four times the room.
     for i in [i for i, rec in enumerate(records) if rec is None]:
-        records[i] = _run_block(cfg, [seeds[i]], [ends[i]], n, np.array([n]))[0]
+        cap = min(n, MEETING_SPAN * math.isqrt(n))
+        while records[i] is None:
+            cap = min(n, 4 * cap)
+            records[i] = _run_block(cfg, [seeds[i]], [ends[i]], cap,
+                                    np.array([cap - 1 if cap < n else n]))[0]
     return records
 
 

@@ -4,8 +4,10 @@ Replicates are independently seeded from (root_seed, replicate index), so
 results are invariant to execution order, worker count and block size;
 aggregation always happens in replicate order.  Exploration replicates
 (typical, flooding, tau) run in lockstep blocks of ``explore.run_explorations``
-and diameters one at a time; each block is one task of the worker pool.  A
-typical sample is d(U, V), from explorations grown from U and V until they meet.
+and diameters one at a time; each block is one task of the worker pool.  One
+function, ``_ends``, draws every run's source and target, for the explorations
+and for the oracle alike.  A typical sample is d(U, V), from explorations grown
+from U and V until they meet.
 Scaled summaries report mean * total_rate / log n, the normalization under
 which typical, flooding, and diameter times approach 1, 2, and 3.
 """
@@ -132,38 +134,22 @@ def _summary_from_samples(
 # ---------------------------------------------------------------------------
 
 
-def _pick_site(gen: np.random.Generator, cfg: TorusConfig) -> Site:
-    return torus.index_to_site(int(gen.integers(cfg.n)), cfg)
-
-
-def _pick_distinct(gen: np.random.Generator, cfg: TorusConfig, u: Site) -> Site:
-    # Rejection from the full cube: exact and unbiased.
-    while True:
-        v = _pick_site(gen, cfg)
-        if v != u:
-            return v
-
-
-def _pair(cfg: TorusConfig, seed: rng.SeedLike) -> Tuple[Site, Site]:
-    """A uniform pair of distinct sites, the first draws of the seed's choice stream."""
+def _ends(
+    cfg: TorusConfig, seed: rng.SeedLike, uniform: bool = True, target: bool = True
+) -> Tuple[Site, Optional[Site]]:
+    """A run's source, the origin or if ``uniform`` the first draw of the seed's
+    choice stream, and if ``target`` its target, drawn next until it differs
+    from the source.  A run from the origin with no target opens no stream."""
+    u = torus.origin(cfg)
+    if not (uniform or target):
+        return u, None
     gen = rng.generator(seed, rng.STREAM_CHOICE)
-    u = _pick_site(gen, cfg)
-    return u, _pick_distinct(gen, cfg, u)
-
-
-def _source(
-    spec: ExperimentSpec, seed: Tuple[int, int]
-) -> Tuple[Site, Optional[np.random.Generator]]:
-    """The run's source, and its choice stream if anything is drawn from it.
-
-    A uniform source is the stream's first draw, and a typical run draws its
-    target next; a flooding or tau run from the origin creates no stream.
-    """
-    if spec.source == "origin" and spec.quantity != "typical":
-        return torus.origin(spec.cfg), None
-    gen = rng.generator(seed, rng.STREAM_CHOICE)
-    u = _pick_site(gen, spec.cfg) if spec.source == "uniform" else torus.origin(spec.cfg)
-    return u, gen
+    if uniform:
+        u = torus.index_to_site(int(gen.integers(cfg.n)), cfg)
+    v = u
+    while target and v == u:  # rejection from the full cube: exact and unbiased
+        v = torus.index_to_site(int(gen.integers(cfg.n)), cfg)
+    return u, v if target else None
 
 
 def _block_samples(spec: ExperimentSpec, reps: Sequence[int]) -> Tuple[List[float], int, int]:
@@ -172,12 +158,12 @@ def _block_samples(spec: ExperimentSpec, reps: Sequence[int]) -> Tuple[List[floa
     if spec.quantity == "diameter":
         return [replicate_sample(spec, rep) for rep in reps], 0, 0
     seeds = [(spec.root_seed, rep) for rep in reps]
-    picks = [_source(spec, seed) for seed in seeds]
-    stops = [explore.StopRule.target(_pick_distinct(gen, spec.cfg, u))
-             if spec.quantity == "typical" else explore.StopRule.full()
+    ends = [_ends(spec.cfg, seed, spec.source == "uniform", spec.quantity == "typical")
+            for seed in seeds]
+    stops = [explore.StopRule.target(v) if v is not None else explore.StopRule.full()
              if spec.quantity == "flooding" else explore.StopRule.count(spec.tau_k())
-             for u, gen in picks]
-    records = explore.run_explorations(spec.cfg, seeds, [u for u, _ in picks], stops)
+             for _, v in ends]
+    records = explore.run_explorations(spec.cfg, seeds, [u for u, _ in ends], stops)
     # Each sample is the time of the run's last entry: a birth, or the target.
     vals = [float(rec.times[-1]) for rec in records]
     return vals, sum(rec.n_born - 1 for rec in records), sum(rec.proposals for rec in records)
@@ -260,13 +246,13 @@ def oracle_ordering_sample(
 ) -> Tuple[float, float, float]:
     """(typical, flooding, diameter) on one shared realization; always nested.
 
-    The pair (U, V) comes from the seed's choice stream.  The diameter's bound
-    loop starts at U, so typical = d(U, V) and flooding = ecc(U) come from its
-    first row.  The diameter is the largest directed Dijkstra distance (no
+    The pair (U, V) is ``_ends(cfg, seed)``, as for a typical run.  The
+    diameter's bound loop starts at U, so typical = d(U, V) and flooding =
+    ecc(U) come from its first row.  The diameter is the largest directed Dijkstra distance (no
     ``min`` of two directions), and the loop's margin makes it exact, equal
     to ``explore.diameter_exact`` at the same seed from any start.
     """
-    iu, iv = (torus.site_to_index(site, cfg) for site in _pair(cfg, seed))
+    iu, iv = (torus.site_to_index(site, cfg) for site in _ends(cfg, seed))
     diameter, row, _ = explore._bounded_diameter(explore._all_pairs_graph(cfg, seed), iu)
     return float(row[iv]), float(row.max()), diameter
 

@@ -40,7 +40,7 @@ from lrfpp import (
     run_explorations,
     total_rate,
 )
-from lrfpp import cli, explore, rng, stats, torus
+from lrfpp import cli, explore, stats
 from lrfpp.constants import (
     limit_constant_gamma_mc,
     limit_constant_max_norm,
@@ -195,14 +195,7 @@ def test_c6_exploration_equals_oracle():
     pvals = {}
     for tag, alpha in enumerate(cells):
         cfg = TorusConfig(2, 4, 2.0, alpha)
-        pairs = []
-        for r in range(5000):
-            gen = rng.generator((ROOT_SEED, 6, tag, r), rng.STREAM_CHOICE)
-            iu = int(gen.integers(cfg.n))
-            iv = iu
-            while iv == iu:
-                iv = int(gen.integers(cfg.n))
-            pairs.append((torus.index_to_site(iu, cfg), torus.index_to_site(iv, cfg)))
+        pairs = [stats._ends(cfg, (ROOT_SEED, 6, tag, r)) for r in range(5000)]
         records = run_explorations(
             cfg, [(ROOT_SEED, 6, tag, r, 0) for r in range(5000)], [u for u, _ in pairs],
             [StopRule.target(v) for _, v in pairs],

@@ -618,8 +618,9 @@ def test_constants_grid_with_a_repeated_value_is_rejected():
 
 
 def test_labels_are_unique_file_names(tmp_path):
-    # A label names its results file: one non-empty path component, used by
-    # one experiment only, checked before anything runs.
+    # A label names its results file: one non-empty printable path component,
+    # used by one experiment only, checked before anything runs.  A line break
+    # would split the CSV header, and <label>.json.tmp must fit in 255 bytes.
     exp = _minimal_manifest()["experiments"][0]
     bad = [
         ([{**exp, "label": "x"}, {**exp, "label": "x"}], 1),
@@ -629,6 +630,11 @@ def test_labels_are_unique_file_names(tmp_path):
         ([{**exp, "label": ".."}], 0),
         ([{**exp, "label": ""}], 0),
         ([{**exp, "label": 7}], 0),
+        ([{**exp, "label": "a\nb"}], 0),
+        ([{**exp, "label": "a\u0000b"}], 0),
+        ([{**exp, "label": "x" * 300}], 0),
+        ([{**exp, "label": "\u00e9" * 130}], 0),
+        ([{**exp, "label": "x" * 247}], 0),
     ]
     for experiments, idx in bad:
         with pytest.raises(ManifestError) as err:
@@ -639,10 +645,29 @@ def test_labels_are_unique_file_names(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert not out.exists()
-    ok = [{**exp, "label": "a"}, {**exp, "label": "a.b"}, exp]
+    ok = [{**exp, "label": "a"}, {**exp, "label": "a.b"}, exp, {**exp, "label": "x" * 246}]
     parsed = cli.parse_manifest(json.dumps(_minimal_manifest(experiments=ok)))
     labels = [e.label for e in parsed.experiments]
-    assert labels == ["a", "a.b", "02_quantity"]
+    assert labels == ["a", "a.b", "02_quantity", "x" * 246]
+
+
+def test_a_key_given_twice_exits_2(tmp_path, capsys):
+    # json.loads keeps a repeated key's last value, which would run the
+    # second experiment list, or alpha 0.9 after 0.5, without a word.
+    exp = json.dumps(_minimal_manifest()["experiments"][0])
+    twice = [
+        ('{"seed": 0, "experiments": [%s], "experiments": [%s]}'
+         % (exp, exp.replace('"alpha": 0.0', '"alpha": 0.5')), "'experiments'"),
+        ('{"seed": 0, "experiments": [%s]}'
+         % exp.replace('"alpha": 0.0', '"alpha": 0.5, "alpha": 0.9'), "'alpha'"),
+    ]
+    out = tmp_path / "out"
+    for text, key in twice:
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"error: {key}: key given twice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_subcommand_that_selects_nothing_exits_2(tmp_path, capsys):

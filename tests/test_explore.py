@@ -42,15 +42,6 @@ def _largest_block(cfg, cap, meeting=False, bound=1000):
     return max(s for s in range(1, bound) if explore.block_count(cfg, cap, s, meeting) == 1)
 
 
-def _uniform_pair(cfg, seed):
-    gen = rng.generator(seed, rng.STREAM_CHOICE)
-    iu = int(gen.integers(cfg.n))
-    iv = iu
-    while iv == iu:
-        iv = int(gen.integers(cfg.n))
-    return torus.index_to_site(iu, cfg), torus.index_to_site(iv, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Record structure and stop rules
 # ---------------------------------------------------------------------------
@@ -266,7 +257,7 @@ def test_thinning_matches_janson_at_alpha_zero(k):
 
 
 def _typical_sample(cfg, tag, reps):
-    pairs = [_uniform_pair(cfg, (tag, r)) for r in range(reps)]
+    pairs = [stats._ends(cfg, (tag, r)) for r in range(reps)]
     records = run_explorations(cfg, [(tag, r, 0) for r in range(reps)], [u for u, _ in pairs],
                                [StopRule.target(v) for _, v in pairs])
     return np.array([rec.times[-1] for rec in records])
@@ -420,6 +411,31 @@ def test_runs_that_outgrow_a_meeting_block_run_again_alone(monkeypatch):
     monkeypatch.setattr(explore, "MEETING_SPAN", 2)
     assert sum(rec.n_born >= 2 * math.isqrt(cfg.n) for rec in wide) >= 10
     for a, b in zip(wide, run_explorations(cfg, seeds, sources, stops)):
+        assert (a.n_born, a.proposals) == (b.n_born, b.proposals)
+        assert np.array_equal(a.site_indices, b.site_indices) and np.array_equal(a.times, b.times)
+        assert np.array_equal(a.rates, b.rates, equal_nan=True)
+
+
+def test_outgrown_meeting_runs_run_again_within_the_budget(monkeypatch):
+    # Runs that outgrow a meeting block of sqrt(n) = 256 sites at n = 2**16,
+    # after 821 to 1,984 births, run again alone with four times the room
+    # until they fit, within BLOCK_BYTES, not with room for all n sites.
+    # Their records equal those of a wide block.
+    cfg = TorusConfig(2, 256, 2.0, 1.0)
+    seeds = [(50, s) for s in (1, 2, 4, 5)]
+    stops = [StopRule.target(torus.index_to_site(cfg.n // 2 + 128 + s, cfg)) for _, s in seeds]
+    sources = [origin(cfg)] * len(seeds)
+    wide = run_explorations(cfg, seeds, sources, stops)
+    monkeypatch.setattr(explore, "MEETING_SPAN", 1)
+    tracemalloc.start()
+    try:
+        records = run_explorations(cfg, seeds, sources, stops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(rec.n_born for rec in records) > math.isqrt(cfg.n)
+    assert peak <= explore.BLOCK_BYTES, peak
+    for a, b in zip(wide, records):
         assert (a.n_born, a.proposals) == (b.n_born, b.proposals)
         assert np.array_equal(a.site_indices, b.site_indices) and np.array_equal(a.times, b.times)
         assert np.array_equal(a.rates, b.rates, equal_nan=True)
@@ -885,7 +901,7 @@ def test_exploration_matches_oracle_over_grid():
     level = 0.01 / len(cells)
     for cell_idx, (d, m, alpha) in enumerate(cells):
         cfg = TorusConfig(d, m, 2.0, alpha)
-        pairs = [_uniform_pair(cfg, (20, cell_idx, r)) for r in range(n_samples)]
+        pairs = [stats._ends(cfg, (20, cell_idx, r)) for r in range(n_samples)]
         records = run_explorations(
             cfg, [(20, cell_idx, r, 0) for r in range(n_samples)], [u for u, _ in pairs],
             [StopRule.target(v) for _, v in pairs],

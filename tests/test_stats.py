@@ -17,7 +17,7 @@ from lrfpp import (
     ks_two_sample,
     total_rate,
 )
-from lrfpp import stats
+from lrfpp import rng, stats, torus
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,49 @@ def test_samples_match_golden_values(spec, golden):
     samples, counts = stats._collect(spec)
     assert samples.tolist() == expected
     assert counts["births"] >= spec.replicates and counts["proposals"] >= counts["births"]
+
+
+def _reference_ends(cfg, seed, uniform, target):
+    """A run's ends straight from the seed's choice stream: the source's index
+    first if uniform, then indices until one differs from it if target."""
+    gen = rng.generator(seed, rng.STREAM_CHOICE)
+    draws = iter(lambda: int(gen.integers(cfg.n)), None)
+    iu = next(draws) if uniform else torus.site_to_index(torus.origin(cfg), cfg)
+    iv = next(i for i in draws if i != iu) if target else None
+    return torus.index_to_site(iu, cfg), None if iv is None else torus.index_to_site(iv, cfg)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("target", [False, True])
+def test_ends_are_the_first_draws_of_the_choice_stream(uniform, target):
+    # _GOLDEN pins uniform typical, origin and uniform flooding and origin
+    # tau samples; this pins every pair of ends, origin-source typical too.
+    # On two sites a uniform source's target follows a rejection half the time.
+    for cfg in (TorusConfig(1, 2, 2.0, 0.0), TorusConfig(2, 4, 2.0, 0.5)):
+        for seed in [(5, r) for r in range(20)]:
+            expected = _reference_ends(cfg, seed, uniform, target)
+            assert stats._ends(cfg, seed, uniform, target) == expected, (cfg, seed)
+
+
+def test_origin_runs_without_a_target_open_no_choice_stream(monkeypatch):
+    # An origin tau or flooding run draws nothing from the choice stream, so
+    # it does not create one; every other run creates one.
+    generator, opened = rng.generator, []
+
+    def counting(seed, *tags):
+        opened.append(tags == (rng.STREAM_CHOICE,))
+        return generator(seed, *tags)
+
+    monkeypatch.setattr(rng, "generator", counting)
+    cfg = TorusConfig(2, 8, 2.0, 0.5)
+    for spec, streams in [(ExperimentSpec(cfg, "tau", 30, 5, k=4), 0),
+                          (ExperimentSpec(cfg, "flooding", 3, 6), 0),
+                          (ExperimentSpec(cfg, "flooding", 3, 6, source="uniform"), 3),
+                          (ExperimentSpec(cfg, "typical", 3, 7), 3),
+                          (ExperimentSpec(cfg, "typical", 3, 7, source="uniform"), 3)]:
+        opened.clear()
+        stats._collect(spec)
+        assert sum(opened) == streams < len(opened), spec  # explorations open theirs
 
 
 def test_summary_fields():
