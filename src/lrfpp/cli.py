@@ -272,13 +272,18 @@ def parse_manifest(text: str) -> RunManifest:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
+    except ManifestError:  # a key given twice; it is a ValueError too
+        raise
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+        raise ManifestError("$", f"cannot decode JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError("$", "manifest must be a JSON object")
     _only(doc, "$", ("seed", "out", "format", "jobs", "experiments"))
     seed = _as_seed(_want(doc, "seed", "$"), "$.seed")
     out = doc.get("out", RunManifest.out)
-    if not isinstance(out, str) or not out:
-        raise ManifestError("$.out", f"expected a directory name, got {out!r}")
+    # Like a label, it must be printable: no NUL byte or lone surrogate reaches mkdir.
+    if not isinstance(out, str) or not out or not out.isprintable():
+        raise ManifestError("$.out", f"expected a printable directory name, got {out!r}")
     fmt = doc.get("format", RunManifest.fmt)
     if fmt not in _FORMATS:
         raise ManifestError("$.format", f"must be one of {_FORMATS}")
@@ -573,6 +578,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except OSError as exc:
                 print(f"error: cannot read manifest: {exc}", file=sys.stderr)
                 raise SystemExit(4)
+            except UnicodeDecodeError as exc:
+                raise ManifestError("$", f"not UTF-8 text: {exc}") from exc
             manifest = parse_manifest(text)
         elif args.command == "simulate":
             print("error: simulate requires --manifest", file=sys.stderr)

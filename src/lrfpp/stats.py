@@ -14,7 +14,6 @@ which typical, flooding, and diameter times approach 1, 2, and 3.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -85,48 +84,39 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class StatSummary:
-    """Sample statistics of one experiment, raw and in theorem scaling."""
+    """Sample statistics of one experiment, raw and in theorem scaling.
+
+    Every statistic is computed here, once, from ``samples``: the mean, its
+    standard error (0 for one sample) and the ``QUANTILE_LEVELS`` quantiles.
+    The scaled columns are ``scaled_mean = (mean + shift) * scale`` and
+    ``scaled_se = se * scale``; ``shift`` undoes a centring of the samples
+    (log k for tau) and is 0 for the passage times.
+    """
 
     quantity: str
     samples: np.ndarray
-    mean: float
-    se: float
-    quantiles: Tuple[float, ...]
     scale: float
-    scaled_mean: float
-    scaled_se: float
+    shift: float = 0.0
     ks_stat: Optional[float] = None
     ks_pvalue: Optional[float] = None
     details: Dict[str, float] = field(default_factory=dict)
+    mean: float = field(init=False)
+    se: float = field(init=False)
+    quantiles: Tuple[float, ...] = field(init=False)
+    scaled_mean: float = field(init=False)
+    scaled_se: float = field(init=False)
 
     def __post_init__(self):
-        if any(b < a for a, b in zip(self.quantiles, self.quantiles[1:])):
+        x, n = self.samples, len(self.samples)
+        mean = float(np.mean(x))
+        se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        qs = tuple(float(q) for q in np.quantile(x, QUANTILE_LEVELS))
+        if any(b < a for a, b in zip(qs, qs[1:])):
             raise AssertionError("quantiles must be monotone")
-
-
-def _summary_from_samples(
-    quantity: str,
-    samples: np.ndarray,
-    scale: float,
-    ks: Optional[Tuple[float, float]] = None,
-    details: Optional[Dict[str, float]] = None,
-) -> StatSummary:
-    mean = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-    qs = tuple(float(q) for q in np.quantile(samples, QUANTILE_LEVELS))
-    return StatSummary(
-        quantity=quantity,
-        samples=samples,
-        mean=mean,
-        se=se,
-        quantiles=qs,
-        scale=scale,
-        scaled_mean=mean * scale,
-        scaled_se=se * scale,
-        ks_stat=None if ks is None else ks[0],
-        ks_pvalue=None if ks is None else ks[1],
-        details=details or {},
-    )
+        derived = {"mean": mean, "se": se, "quantiles": qs,
+                   "scaled_mean": (mean + self.shift) * self.scale, "scaled_se": se * self.scale}
+        for name, val in derived.items():
+            object.__setattr__(self, name, val)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,7 @@ def estimate_scaled(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
     if spec.quantity not in PASSAGE_QUANTITIES:
         raise ConfigError(f"estimate_scaled handles {PASSAGE_QUANTITIES}")
     samples, counts = _collect(spec, jobs)
-    return _summary_from_samples(spec.quantity, samples, theorem_scale(spec.cfg), details=counts)
+    return StatSummary(spec.quantity, samples, theorem_scale(spec.cfg), details=counts)
 
 
 def gumbel_cdf(x: np.ndarray) -> np.ndarray:
@@ -220,25 +210,21 @@ def gumbel_test(spec: ExperimentSpec, jobs: int = 1) -> StatSummary:
     """Fluctuation study of the k-th discovery time.
 
     Collects total_rate * tau_k - log k per replicate and tests it against the
-    standard Gumbel law (one-sample KS).  The scaled columns report the
-    growth-window estimate mean(tau_k * total_rate / log n) and its standard
-    error, not the centered mean; the window is not enforced here.
+    standard Gumbel law (one-sample KS).  The summary's shift log k and scale
+    1 / log n undo the centring in its scaled columns: ``scaled_mean`` is the
+    growth-window estimate mean(total_rate * tau_k / log n) and ``scaled_se``
+    its standard error, se / log n.  The window is not enforced here.
     """
     if spec.quantity != "tau":
         raise ConfigError("gumbel_test requires quantity='tau'")
     if spec.replicates < _KS_MIN_SAMPLES:
         raise ConfigError(f"need at least {_KS_MIN_SAMPLES} samples, got {spec.replicates}")
-    cfg = spec.cfg
     k = spec.tau_k()
     taus, counts = _collect(spec, jobs)
-    rate = weights.total_rate(cfg)
-    centered = rate * taus - math.log(k)
+    centered = weights.total_rate(spec.cfg) * taus - math.log(k)
     stat, pval = ks_one_sample(centered, gumbel_cdf)
-    logn = math.log(cfg.n)
-    summary = _summary_from_samples("tau", centered, 1.0 / logn, (stat, pval),
-                                    {"k": float(k), **counts})
-    return dataclasses.replace(summary, scaled_mean=(summary.mean + math.log(k)) / logn,
-                               scaled_se=summary.se / logn)
+    return StatSummary("tau", centered, 1.0 / math.log(spec.cfg.n), math.log(k), stat, pval,
+                       {"k": float(k), **counts})
 
 
 def oracle_ordering_sample(

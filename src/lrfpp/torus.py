@@ -53,8 +53,10 @@ class TorusConfig:
         if not (self.alpha < self.d):
             raise ConfigError(f"alpha must be < d (got alpha={self.alpha!r}, d={self.d})")
         # Exact integer volume; reject sizes whose float image is no longer exact,
-        # so n can be used in rate formulas without silent precision loss.
-        if self.m**self.d > 2**53:
+        # so n can be used in rate formulas without silent precision loss.  As
+        # m >= 2, d > 53 alone gives m**d > 2**53; it is checked first, because
+        # building m**d takes time that grows faster than d.
+        if self.d > 53 or self.m**self.d > 2**53:
             raise ConfigError("m**d exceeds the exactly representable integer range")
 
     @property

@@ -538,7 +538,8 @@ def test_fields_nothing_reads_are_rejected_before_any_file(tmp_path, kind, field
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out", [5, None, "", ["results"]], ids=["int", "null", "empty", "list"])
+@pytest.mark.parametrize("out", [5, None, "", ["results"], "a\u0000b", "a\ud800b"],
+                         ids=["int", "null", "empty", "list", "nul-byte", "lone-surrogate"])
 def test_out_must_be_a_directory_name(tmp_path, monkeypatch, out):
     # $.out names the results directory; anything else fails at parse time,
     # not as a traceback once the run starts.
@@ -668,6 +669,25 @@ def test_a_key_given_twice_exits_2(tmp_path, capsys):
         assert cli.main(["simulate", "--manifest", str(manifest), "--out", str(out)]) == 2
         assert f"error: {key}: key given twice" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [b'\xff\xfe{"seed":1}', b"[" * 200_000,
+                                  b'{"seed": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_manifest_that_cannot_be_decoded_exits_2(tmp_path, monkeypatch, capsys, data):
+    # read_text and json.loads raise UnicodeDecodeError, RecursionError and
+    # ValueError here; each is a manifest error, before any directory is made.
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_bytes(data)
+    assert cli.main(["simulate", "--manifest", "m.json"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
+def test_invalid_json_is_located_by_line():
+    with pytest.raises(ManifestError) as err:
+        cli.parse_manifest('{\n  "seed": 1,\n  "out": ,\n}')
+    assert err.value.location == "line 3"
 
 
 def test_subcommand_that_selects_nothing_exits_2(tmp_path, capsys):

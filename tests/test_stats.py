@@ -254,6 +254,30 @@ def test_summary_fields():
     assert s.scaled_mean == pytest.approx(s.mean * s.scale)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1.75])
+def test_summary_computes_its_statistics_from_its_samples(shift):
+    x = np.random.default_rng(4).exponential(size=101)
+    s = stats.StatSummary("typical", x, 0.3, shift)
+    assert s.mean == np.mean(x)
+    assert s.se == np.std(x, ddof=1) / math.sqrt(len(x))
+    assert s.quantiles == tuple(np.quantile(x, stats.QUANTILE_LEVELS))
+    assert s.scaled_mean == (np.mean(x) + shift) * 0.3
+    assert s.scaled_se == s.se * 0.3
+    assert stats.StatSummary("typical", x[:1], 0.3).se == 0.0
+    with pytest.raises(TypeError):  # a statistic is derived, never given
+        stats.StatSummary("typical", x, 0.3, mean=0.0)
+
+
+def test_tau_summary_scales_the_uncentred_mean():
+    # The centred samples R_n tau_k - log k, shifted back by log k, in theorem scaling.
+    cfg = TorusConfig(2, 8, 2.0, 0.5)
+    s = gumbel_test(ExperimentSpec(cfg=cfg, quantity="tau", replicates=40, root_seed=5, k=8))
+    assert s.shift == math.log(8) and s.scale == 1.0 / math.log(cfg.n)
+    for got, want in ((s.scaled_mean, (s.mean + math.log(8)) / math.log(cfg.n)),
+                      (s.scaled_se, s.se / math.log(cfg.n))):
+        assert abs(got - want) <= math.ulp(want)
+
+
 def test_two_site_typical_is_single_edge_exponential():
     cfg = TorusConfig(1, 2, 2.0, 0.5)
     spec = ExperimentSpec(cfg=cfg, quantity="typical", replicates=2000, root_seed=3, source="uniform")

@@ -1,6 +1,7 @@
 """Torus geometry: canonical coordinates and the minimal-residue norm."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ def test_config_validation():
         TorusConfig(1, 5, alpha=1.0)
     cfg = TorusConfig(2, 4, math.inf, 1.5)
     assert cfg.n == 16
+
+
+def test_volume_limit_is_checked_before_the_volume_is_built():
+    # m >= 2 and d > 53 give m**d > 2**53, so a huge d fails at once rather
+    # than after building an integer of d * log2(m) bits.
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match="exactly representable"):
+        TorusConfig(10**12, 3, alpha=0.5)
+    assert time.perf_counter() - started < 1.0
+    # The accepted tori are those with m**d <= 2**53, checked on both sides of
+    # the largest accepted m for every d up to past 53.
+    for d in range(1, 60):
+        top = math.floor(2 ** (53 / d))
+        for m in range(max(2, top - 2), top + 3):
+            try:
+                accepted = TorusConfig(d, m).n == m**d
+            except ConfigError:
+                accepted = False
+            assert accepted == (m**d <= 2**53), (d, m)
 
 
 def test_zero_vector_norm_is_zero():
