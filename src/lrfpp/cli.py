@@ -89,8 +89,11 @@ class ConstantsExperiment:
     """A grid of limit-constant evaluations.
 
     ``cells`` holds one validated query per (d, p, alpha, method) of the grid
-    that the method applies to, in d -> p -> alpha -> method order; a cell's
-    index seeds its Monte Carlo stream.
+    that the method applies to, in d -> p -> alpha -> method order, and
+    ``skipped`` counts the cells that raise NotApplicable.  The ordinal of a
+    cell's (d, p) in the d x p grid seeds its Monte Carlo stream, so the
+    Monte Carlo cells of one (d, p) share one draw: their errors are
+    correlated across alpha, while each standard error stays valid per cell.
     """
 
     label: str
@@ -101,11 +104,12 @@ class ConstantsExperiment:
     samples: int
     tolerance: float
     cells: Tuple[constants.ConstantQuery, ...] = field(init=False, repr=False)
+    skipped: int = field(init=False)
     kind: ClassVar[str] = "constants"
 
     def __post_init__(self):
         cells = []
-        grid = itertools.product(self.dims, self.ps, self.alphas, self.methods)
+        grid = list(itertools.product(self.dims, self.ps, self.alphas, self.methods))
         for d, p, alpha, method in grid:
             with contextlib.suppress(NotApplicable):
                 cells.append(constants.ConstantQuery(d, p, alpha, method, self.tolerance))
@@ -119,6 +123,7 @@ class ConstantsExperiment:
         constants.check_mc_samples(self.samples, max(
             q.d if q.method == "gamma-max-mc" else 1 for q in cells))
         object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "skipped", len(grid) - len(cells))
 
 
 Experiment = Union[QuantityExperiment, TauExperiment, ConstantsExperiment]
@@ -342,17 +347,21 @@ def _tau_rows(exp: TauExperiment, seed: int, jobs: int) -> Tuple[List[dict], dic
 
 
 def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> Tuple[List[dict], dict]:
-    """One row per grid cell, from the cell's ``constants.ConstantResult``, and no details.
+    """One row per grid cell, from the cell's ``constants.ConstantResult``, and the
+    count of skipped cells as details.
 
-    Each Monte Carlo cell draws from its own stream, seeded by the cell's
-    index in the grid.  ``converged`` is False for a quadrature cell that ran
-    out of its evaluation budget above its tolerance (a warning goes to
-    stderr), True for a closed form and empty for Monte Carlo;
-    ``effective_samples`` is filled for Monte Carlo cells only.
+    A Monte Carlo cell's stream is seeded by the ordinal of its (d, p) in the
+    d x p grid.  The cells of one (d, p) are adjacent, so they share one draw
+    (``constants._mixture_draw``): their errors are correlated across alpha,
+    while each standard error stays valid per cell.  ``converged`` is False
+    for a quadrature cell that ran out of its evaluation budget above its
+    tolerance (a warning goes to stderr), True for a closed form and empty
+    for Monte Carlo; ``effective_samples`` is filled for Monte Carlo cells only.
     """
+    pairs = {pair: i for i, pair in enumerate(itertools.product(exp.dims, exp.ps))}
     rows = []
-    for cell, q in enumerate(exp.cells):
-        res = constants.evaluate(q, exp.samples, _experiment_seed(seed, cell))
+    for q in exp.cells:
+        res = constants.evaluate(q, exp.samples, _experiment_seed(seed, pairs[q.d, q.p]))
         if res.converged is False:
             print(
                 f"warning: {exp.label}: quadrature at d={q.d}, p={q.p}, alpha={q.alpha} "
@@ -372,7 +381,7 @@ def _constants_rows(exp: ConstantsExperiment, seed: int, jobs: int) -> Tuple[Lis
                 "effective_samples": res.effective_samples,
             }
         )
-    return rows, {}
+    return rows, {"skipped_cells": exp.skipped}
 
 
 def _format_cell(val) -> str:
@@ -437,7 +446,8 @@ def run(manifest: RunManifest, out: Optional[str] = None,
             "experiment_seed": str(exp_seed),
             "label": exp.label,
             "wall_time_s": f"{time.perf_counter() - started:.3f}",
-            **{key: str(details[key]) for key in ("births", "proposals") if key in details},
+            **{key: str(details[key]) for key in ("births", "proposals", "skipped_cells")
+               if key in details},
         }
         path = out_dir / f"{exp.label}.{manifest.fmt}"
         try:

@@ -34,6 +34,7 @@ ridge lines that defeat tensor rules.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -49,9 +50,12 @@ _METHODS = ("quadrature", "closed-p-infinity", "hypergeometric-d2", "gamma-max-m
 
 # Share of Monte Carlo draws taken from the power-law component near 0.
 _MC_DEFENSIVE_EPS = 0.5
+# h-part draws per chunk of a Monte Carlo estimate's per-alpha weights.
+_MC_CHUNK = 1 << 16
 #: Fewest and most samples a Monte Carlo estimate takes.  It draws d * samples / 2
-#: log-Gamma variates, at a peak of 65, 82 and 191 bytes per sample at d = 1, 4 and
-#: 16, so d * samples is held to 4 * MC_MAX_SAMPLES, one estimate near 0.8 GB.
+#: log-Gamma variates, at a peak of 29, 32 and 127 bytes per sample at d = 1, 4 and
+#: 16 and p <= 2 (41 at d = 4 while another (d, p)'s draw of 9 bytes per sample is
+#: still kept), so d * samples is held to 4 * MC_MAX_SAMPLES, one estimate near 0.4 GB.
 MC_MIN_SAMPLES = 10_000
 MC_MAX_SAMPLES = 10**7
 
@@ -274,6 +278,50 @@ def limit_constant_planar(p: float, alpha: float) -> float:
     return pref * float(scipy.special.hyp2f1(1.0, alpha / p, 1.0 + 1.0 / p, 0.5))
 
 
+def _log_p(shape: float, ln: np.ndarray, xn: np.ndarray) -> np.ndarray:
+    """log P(shape, x) at x = exp(ln) = xn, by the regularized incomplete gamma P.
+
+    Where P underflows, x < 1e-300 and the leading term of its series
+    P(s, x) = x**s * exp(-x) / Gamma(s + 1) * (1 + x/(s + 1) + ...) is exact.
+    """
+    log_p = scipy.special.gammainc(shape, xn)
+    tiny = log_p < np.finfo(np.float64).tiny
+    log_p[tiny] = 1.0
+    np.log(log_p, out=log_p)
+    log_p[tiny] = shape * ln[tiny] - xn[tiny] - math.lgamma(shape + 1.0)
+    return log_p
+
+
+@functools.lru_cache(maxsize=1)
+def _mixture_draw(d: int, p: float, samples: int, seed: int):
+    """The alpha-free part of a Monte Carlo estimate: its draws from q, in log space.
+
+    Returns read-only arrays (log_m, log_u, near, log_p): the logs of the n_m
+    Gamma maxima of the f_M part, log U of the n_h draws of the h part (an h
+    variate is U**(1/a), so log x = log U / a), the indices of the maxima
+    <= 1, and log P(1/p, M) at those maxima for d > 1 (None for d = 1).
+    One draw is kept, so the cells of one (d, p) evaluated in a row draw once.
+    """
+    shape = 1.0 / p
+    gen = rng.generator(seed, rng.STREAM_MC)
+    # Component sizes are Binomial(samples, eps); the estimator only uses
+    # permutation-invariant sums, so this is an i.i.d. sample from q.
+    n_h = int(gen.binomial(samples, _MC_DEFENSIVE_EPS))
+    n_m = samples - n_h
+    log_m = np.maximum.reduce(rng.log_gamma_small_shape(shape, d * n_m, gen).reshape(d, n_m))
+    log_u = rng.uniform_open_closed(gen, n_h)
+    np.log(log_u, out=log_u)
+    near = np.flatnonzero(log_m <= 0.0)
+    log_p = None
+    if d > 1:
+        ln = log_m[near]
+        log_p = _log_p(shape, ln, np.exp(ln))
+    for arr in (log_m, log_u, near, log_p):
+        if arr is not None:
+            arr.setflags(write=False)
+    return log_m, log_u, near, log_p
+
+
 def limit_constant_gamma_mc(
     d: int,
     p: float,
@@ -305,40 +353,49 @@ def limit_constant_gamma_mc(
     so that the maximum is one contiguous reduction, and an h variate as
     log(U) / a.  At large p or small alpha x is far below the smallest float,
     yet log x and the weight stay finite.
+
+    Nothing drawn depends on alpha but the scale of the h part, so the draw
+    (`_mixture_draw`) is kept for the next call with the same (d, p, samples,
+    seed), and only the weights are computed per alpha, those of the h part
+    in chunks of ``_MC_CHUNK``.  The result is the same as with a fresh draw.  Cells of one
+    (d, p) at one seed therefore have correlated errors across alpha, while
+    each standard error stays valid for its own cell.
     """
     ConstantQuery(d, p, alpha, "gamma-max-mc")
     check_mc_samples(samples, d)
+    log_m, log_u, near, log_pm = _mixture_draw(d, p, samples, seed)
 
     shape = 1.0 / p
     a = alpha / p
-    gen = rng.generator(seed, rng.STREAM_MC)
-    # Component sizes are Binomial(samples, eps); the estimator only uses
-    # permutation-invariant sums, so this is an i.i.d. sample from q.
-    n_h = int(gen.binomial(samples, _MC_DEFENSIVE_EPS))
-    n_m = samples - n_h
-    log_gammas = rng.log_gamma_small_shape(shape, d * n_m, gen).reshape(d, n_m)
-    log_x = np.concatenate(
-        [np.maximum.reduce(log_gammas), np.log(rng.uniform_open_closed(gen, n_h)) / a]
-    )
+    slope = (alpha - d) / p
+    log_far = math.log1p(-_MC_DEFENSIVE_EPS)
+    log_h_over_f0 = math.log(a) + math.lgamma(shape) - math.log(d)
 
-    # q / f_M = (1 - eps) + eps * h / f_M, with h = 0 beyond 1.
-    near = log_x <= 0.0
-    ln = log_x[near]
-    xn = np.exp(ln)
-    log_h_over_f = math.log(a) + math.lgamma(shape) - math.log(d) + (a - shape) * ln + xn
-    if d > 1:
-        # Where P underflows, x < 1e-300 and the leading term of its series
-        # P(s, x) = x**s * exp(-x) / Gamma(s + 1) * (1 + x/(s + 1) + ...) is exact.
-        pn = scipy.special.gammainc(shape, xn)
-        tiny = pn < np.finfo(np.float64).tiny
-        log_p = np.log(np.where(tiny, 1.0, pn))
-        log_p[tiny] = shape * ln[tiny] - xn[tiny] - math.lgamma(shape + 1.0)
-        log_h_over_f -= (d - 1) * log_p
-    log_q_over_f = np.full(samples, math.log1p(-_MC_DEFENSIVE_EPS))
-    log_q_over_f[near] = np.logaddexp(
-        log_q_over_f[near], math.log(_MC_DEFENSIVE_EPS) + log_h_over_f
-    )
-    w = np.exp((alpha - d) / p * log_x - log_q_over_f)
+    def log_w_near(ln, log_p):
+        # The log weight slope * log x - log(q / f_M) at x = exp(ln) <= 1,
+        # with q / f_M = (1 - eps) + eps * h / f_M; ln is overwritten.
+        xn = np.exp(ln)
+        if d > 1 and log_p is None:
+            log_p = _log_p(shape, ln, xn)
+        log_q = np.multiply(ln, a - shape)
+        log_q += log_h_over_f0
+        log_q += xn
+        if d > 1:
+            log_q -= np.multiply(log_p, d - 1, out=xn)
+        log_q += math.log(_MC_DEFENSIVE_EPS)
+        np.logaddexp(log_far, log_q, out=log_q)
+        ln *= slope
+        return np.subtract(ln, log_q, out=ln)
+
+    n_m = log_m.size
+    w = np.empty(samples)
+    # Beyond 1, h = 0 and q / f_M = 1 - eps.
+    np.multiply(log_m, slope, out=w[:n_m])
+    w[:n_m] -= log_far
+    w[near] = log_w_near(log_m[near], log_pm)
+    for lo in range(0, log_u.size, _MC_CHUNK):
+        w[n_m + lo:n_m + lo + _MC_CHUNK] = log_w_near(log_u[lo:lo + _MC_CHUNK] / a, None)
+    np.exp(w, out=w)
 
     log_pref = (
         alpha * math.log(2.0)
@@ -351,7 +408,7 @@ def limit_constant_gamma_mc(
     mean = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(samples))
     ssum = float(np.sum(w))
-    ess = ssum * ssum / float(np.sum(w * w))
+    ess = ssum * ssum / float(np.sum(np.square(w, out=w)))
     return ConstantResult(pref * mean, pref * se, None, samples=samples, effective_samples=ess)
 
 

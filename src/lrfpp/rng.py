@@ -128,9 +128,10 @@ def pair_uniform(
     return counter_uniform(lo, hi, key, tag=0xED6E)
 
 
-def uniform_open_closed(gen: np.random.Generator, size=None):
+def uniform_open_closed(gen: np.random.Generator, size: int) -> np.ndarray:
     """Uniform on (0, 1]: never 0, safe as -log(U) input."""
-    return 1.0 - gen.random(size)
+    u = gen.random(size)
+    return np.subtract(1.0, u, out=u)
 
 
 def log_gamma_small_shape(
@@ -141,11 +142,17 @@ def log_gamma_small_shape(
     Stuart's identity Gamma(s) = Gamma(s + 1) * U**(1/s) in law gives
     log X = log Gamma(s + 1) + log(U) / s.  The draw never leaves log space,
     so it stays finite where X itself would underflow (shape below about 0.01).
+    It computes in place, so it holds two arrays of ``size`` at its peak.
     """
     if not (0.0 < shape <= 1.0):
         raise ValueError(f"shape must be in (0, 1], got {shape}")
-    log_g = np.log(gen.standard_gamma(shape + 1.0, size))
-    return log_g + np.log(uniform_open_closed(gen, size)) / shape
+    log_g = gen.standard_gamma(shape + 1.0, size)
+    np.log(log_g, out=log_g)
+    log_u = uniform_open_closed(gen, size)
+    np.log(log_u, out=log_u)
+    log_u /= shape
+    log_g += log_u
+    return log_g
 
 
 def gamma_small_shape(

@@ -1,6 +1,7 @@
 """Manifest parsing, output emission, determinism, and exit codes."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -393,21 +394,50 @@ def _constants_experiment(**fields):
 
 
 def test_constants_rows_seed_each_mc_cell_and_report_diagnostics():
-    exp = _constants_experiment()
+    # A Monte Carlo cell is seeded by the ordinal of its (d, p) in the d x p
+    # grid, so both alphas at d = 2 share one draw.  alpha = 1.5 >= d = 1
+    # skips four cells.
+    exp = _constants_experiment(alpha=[0.5, 1.5])
     rows, details = cli._constants_rows(exp, 77, jobs=1)
-    assert len(rows) == 8 and details == {}
-    for cell, row in enumerate(rows):
+    assert len(rows) == 12 and details == {"skipped_cells": 4}
+    pairs = [(1, 1.0), (1, 2.0), (2, 1.0), (2, 2.0)]
+    alphas = {}
+    for row in rows:
         assert set(row) == set(COLUMNS["constants"])
         if row["method"] == "quadrature":
             assert row["converged"] is True and row["effective_samples"] is None
-        else:
-            mc = constants.limit_constant_gamma_mc(
-                row["d"], float(row["p"]), row["alpha"], exp.samples,
-                cli._experiment_seed(77, cell),
-            )
-            assert row["converged"] is None
-            assert (row["value"], row["error_estimate"]) == (mc.value, mc.error)
-            assert row["effective_samples"] == mc.effective_samples
+            continue
+        pair = pairs.index((row["d"], float(row["p"])))
+        alphas.setdefault(pair, []).append(row["alpha"])
+        mc = constants.limit_constant_gamma_mc(
+            row["d"], float(row["p"]), row["alpha"], exp.samples, cli._experiment_seed(77, pair),
+        )
+        assert row["converged"] is None
+        assert (row["value"], row["error_estimate"], row["effective_samples"]) == (
+            mc.value, mc.error, mc.effective_samples)
+    assert alphas == {0: [0.5], 1: [0.5], 2: [0.5, 1.5], 3: [0.5, 1.5]}
+
+
+def test_constants_files_report_the_cells_a_grid_skips(tmp_path):
+    # alpha >= d and closed forms off their (d, p) are skipped, counted and
+    # written next to the exploration counts.
+    doc = {"seed": 1, "experiments": [
+        {"kind": "constants", "label": "c", "d": [1, 2], "p": [2, "inf"], "alpha": [0.5, 1.5],
+         "methods": ["quadrature", "closed-p-infinity"]},
+    ]}
+    man = cli.parse_manifest(json.dumps(doc))
+    assert (len(man.experiments[0].cells), man.experiments[0].skipped) == (9, 7)
+    assert cli.run(man, out=str(tmp_path)) == 0
+    assert "# skipped_cells=7" in (tmp_path / "c.csv").read_text().splitlines()
+
+
+def test_the_benchmark_constants_grid_skips_136_of_240_cells():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (exp,) = cli.parse_manifest(workloads.manifest_text("constants", 1)).experiments
+    assert (len(exp.cells), exp.skipped) == (104, 136)
 
 
 def test_monte_carlo_samples_above_the_cap_fail_before_any_file(tmp_path, capsys):

@@ -10,6 +10,7 @@ Frozen oracle values, each derived independently of the code under test:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lrfpp import ConfigError, ConstantQuery, ConstantResult
 from lrfpp.errors import NotApplicable
 from lrfpp.constants import (
     MC_MAX_SAMPLES,
+    _mixture_draw,
     evaluate,
     limit_constant_gamma_mc,
     limit_constant_max_norm,
@@ -282,6 +284,53 @@ def test_mc_default_seed_is_zero():
     a = limit_constant_gamma_mc(2, 1.0, 1.0, 50_000)
     b = limit_constant_gamma_mc(2, 1.0, 1.0, 50_000, seed=0)
     assert a.value == b.value
+
+
+def _fields(res):
+    return (res.value, res.error, res.converged, res.samples, res.effective_samples)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("alpha, other", [(0.01, 0.5), (0.5, 0.01)])
+def test_mc_cached_draw_cannot_be_seen(d, p, alpha, other):
+    # A call after one at another alpha reuses the draw and returns what a
+    # fresh draw returns; another seed or sample count draws afresh.
+    limit_constant_gamma_mc(d, p, other, 20_000, seed=5)
+    warm = limit_constant_gamma_mc(d, p, alpha, 20_000, seed=5)
+    _mixture_draw.cache_clear()
+    assert _fields(warm) == _fields(limit_constant_gamma_mc(d, p, alpha, 20_000, seed=5))
+    for samples, seed in ((20_000, 6), (20_001, 5)):
+        limit_constant_gamma_mc(d, p, other, 20_000, seed=5)
+        misses = _mixture_draw.cache_info().misses
+        got = limit_constant_gamma_mc(d, p, alpha, samples, seed)
+        assert _mixture_draw.cache_info().misses == misses + 1
+        _mixture_draw.cache_clear()
+        assert _fields(got) == _fields(limit_constant_gamma_mc(d, p, alpha, samples, seed))
+    arrays = [a for a in _mixture_draw(d, p, 20_000, 5) if a is not None]
+    assert len(arrays) == (3 if d == 1 else 4)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 0
+
+
+def test_mc_peak_memory_per_sample():
+    # The draw holds two arrays of d * samples / 2 variates, computed in
+    # place; the weights one array of samples, computed in chunks.  The
+    # second (d, p) is drawn while the first is still cached.  Measured: 32
+    # and 41 bytes per sample.
+    samples = 200_000
+    _mixture_draw.cache_clear()
+    tracemalloc.start()
+    try:
+        limit_constant_gamma_mc(4, 1.0, 0.5, samples, seed=1)
+        cold = tracemalloc.get_traced_memory()[1] / samples
+        tracemalloc.reset_peak()
+        limit_constant_gamma_mc(4, 2.0, 0.5, samples, seed=1)
+        second = tracemalloc.get_traced_memory()[1] / samples
+    finally:
+        tracemalloc.stop()
+    assert cold <= 36 and second <= 48, (cold, second)
 
 
 def test_mc_validation():
