@@ -186,6 +186,13 @@ def _as_seed(val, loc: str) -> int:
     return seed
 
 
+def _as_out(val, loc: str) -> str:
+    # Like a label, it must be printable: no NUL byte or lone surrogate reaches mkdir.
+    if not isinstance(val, str) or not val or not val.isprintable():
+        raise ManifestError(loc, f"expected a printable directory name, got {val!r}")
+    return val
+
+
 def _as_tuple(obj: dict, key: str, loc: str, item, default=None) -> tuple:
     """A non-empty list field, each entry converted by ``item(value, location)``."""
     val = _want(obj, key, loc, required=default is None, default=default)
@@ -285,10 +292,7 @@ def parse_manifest(text: str) -> RunManifest:
         raise ManifestError("$", "manifest must be a JSON object")
     _only(doc, "$", ("seed", "out", "format", "jobs", "experiments"))
     seed = _as_seed(_want(doc, "seed", "$"), "$.seed")
-    out = doc.get("out", RunManifest.out)
-    # Like a label, it must be printable: no NUL byte or lone surrogate reaches mkdir.
-    if not isinstance(out, str) or not out or not out.isprintable():
-        raise ManifestError("$.out", f"expected a printable directory name, got {out!r}")
+    out = _as_out(doc.get("out", RunManifest.out), "$.out")
     fmt = doc.get("format", RunManifest.fmt)
     if fmt not in _FORMATS:
         raise ManifestError("$.format", f"must be one of {_FORMATS}")
@@ -570,7 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     try:
-        # Command-line overrides obey the manifest's rules for $.seed and $.jobs.
+        # Command-line overrides obey the manifest's rules for $.seed, $.jobs and $.out.
         seed = None if args.seed is None else _as_seed(args.seed, "--seed")
         if args.command == "validate":
             failed = False
@@ -579,6 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 failed |= not ok
             return 3 if failed else 0
         jobs = None if args.jobs is None else _as_int(args.jobs, "--jobs", minimum=1)
+        out = None if args.out is None else _as_out(args.out, "--out")
         given = [f"--{flag}" for flag in _TAU_FLAGS if getattr(args, flag, None) is not None]
         if given and args.manifest is not None:
             raise ManifestError(given[0], "builds the experiment run without --manifest only")
@@ -601,7 +606,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         only_kinds = None if args.command == "simulate" else (args.command,)
         if only_kinds and not any(exp.kind in only_kinds for exp in manifest.experiments):
             raise ManifestError("$.experiments", f"no {args.command} experiment to run")
-        overrides = {"seed": seed, "jobs": jobs, "fmt": args.format, "out": args.out}
+        overrides = {"seed": seed, "jobs": jobs, "fmt": args.format, "out": out}
         manifest = dataclasses.replace(
             manifest, **{key: val for key, val in overrides.items() if val is not None})
         return run(manifest, only_kinds=only_kinds)

@@ -54,15 +54,16 @@ _MC_DEFENSIVE_EPS = 0.5
 _MC_CHUNK = 1 << 16
 #: Fewest and most samples a Monte Carlo estimate takes.  It draws d * samples / 2
 #: log-Gamma variates, at a peak of 29, 32 and 127 bytes per sample at d = 1, 4 and
-#: 16 and p <= 2 (41 at d = 4 while another (d, p)'s draw of 9 bytes per sample is
-#: still kept), so d * samples is held to 4 * MC_MAX_SAMPLES, one estimate near 0.4 GB.
+#: 16 and p <= 2, so d * samples is held to 4 * MC_MAX_SAMPLES, one estimate near 0.4 GB.
 MC_MIN_SAMPLES = 10_000
 MC_MAX_SAMPLES = 10**7
 
 
 def check_mc_samples(samples: int, d: int) -> None:
-    """Raise ConfigError unless MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES and
-    d * samples <= 4 * MC_MAX_SAMPLES."""
+    """Raise ConfigError unless samples is an integer, MC_MIN_SAMPLES <= samples <=
+    MC_MAX_SAMPLES and d * samples <= 4 * MC_MAX_SAMPLES."""
+    if not isinstance(samples, int):
+        raise ConfigError(f"samples must be an integer, got {samples!r}")
     if not MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES:
         raise ConfigError(f"samples must lie in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}], got {samples}")
     if d * samples > 4 * MC_MAX_SAMPLES:
@@ -86,6 +87,8 @@ class ConstantQuery:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        if not isinstance(self.d, int):
+            raise ConfigError(f"d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if not (self.p >= 1.0):
@@ -137,6 +140,7 @@ class ConstantResult:
 # 7, 10 and 12); at d = 4, order 12 cannot refine all 15 boxes once in budget.
 _ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
+QUADRATURE_MAX_EVALS = 16_000_000
 
 
 def _axis(lo: float, hi: float, k: int, p: float, pieces: int):
@@ -208,22 +212,22 @@ def _adaptive_boxes(
     return total, err, not queue or err <= tol, evals
 
 
-def unit_cube_integral(
-    d: int, p: float, alpha: float, tolerance: float, max_evals: int = 16_000_000
-) -> ConstantResult:
-    """Integral of ``norm(y)_p**-alpha`` over the unit cube, certified error.
+def limit_constant_quadrature(query: ConstantQuery) -> ConstantResult:
+    """Limit constant by singular quadrature: 2**alpha times the cube integral.
 
-    Exploits exact self-similarity of the integrand under dyadic scaling: only
-    the outer shell is integrated numerically and the geometric series toward
-    the singular corner is summed in closed form.  At most ``max_evals``
+    The integral of ``norm(y)_p**-alpha`` over the unit cube exploits exact
+    self-similarity of the integrand under dyadic scaling: only the outer
+    shell is integrated numerically and the geometric series toward the
+    singular corner is summed in closed form.  At most ``QUADRATURE_MAX_EVALS``
     integrand evaluations are spent.
     """
-    ConstantQuery(d, p, alpha, "quadrature", tolerance)
+    d, p, alpha = query.d, query.p, query.alpha
     if alpha == 0.0:
         return ConstantResult(1.0, 0.0, True)
 
+    factor = 2.0**alpha
     scale = 1.0 / (1.0 - 2.0 ** (alpha - d))
-    shell_tol = tolerance / scale
+    shell_tol = query.tolerance / factor / scale
 
     if p == math.inf or d == 1:
         # Pushforward through the max statistic: the image measure of the
@@ -244,17 +248,8 @@ def unit_cube_integral(
             for sel in np.ndindex(*(2,) * d) if any(sel)
         ]
         outer = lambda s: s ** (-alpha / p)
-    val, err, ok, ev = _adaptive_boxes(outer, p, boxes, shell_tol, max_evals)
-    return ConstantResult(scale * val, scale * err, ok, ev)
-
-
-def limit_constant_quadrature(query: ConstantQuery) -> ConstantResult:
-    """Limit constant by singular quadrature: 2**alpha times the cube integral."""
-    inner = unit_cube_integral(query.d, query.p, query.alpha, query.tolerance / 2**query.alpha)
-    factor = 2.0**query.alpha
-    return ConstantResult(
-        factor * inner.value, factor * inner.error, inner.converged, inner.evaluations
-    )
+    val, err, ok, ev = _adaptive_boxes(outer, p, boxes, shell_tol, QUADRATURE_MAX_EVALS)
+    return ConstantResult(factor * (scale * val), factor * (scale * err), ok, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +295,10 @@ def _mixture_draw(d: int, p: float, samples: int, seed: int):
     Gamma maxima of the f_M part, log U of the n_h draws of the h part (an h
     variate is U**(1/a), so log x = log U / a), the indices of the maxima
     <= 1, and log P(1/p, M) at those maxima for d > 1 (None for d = 1).
-    One draw is kept, so the cells of one (d, p) evaluated in a row draw once.
+    One draw is kept, so the cells of one (d, p) evaluated in a row draw once;
+    a miss drops it first, so at most one draw is ever alive.
     """
+    _mixture_draw.cache_clear()
     shape = 1.0 / p
     gen = rng.generator(seed, rng.STREAM_MC)
     # Component sizes are Binomial(samples, eps); the estimator only uses
@@ -397,14 +394,13 @@ def limit_constant_gamma_mc(
         w[n_m + lo:n_m + lo + _MC_CHUNK] = log_w_near(log_u[lo:lo + _MC_CHUNK] / a, None)
     np.exp(w, out=w)
 
-    log_pref = (
+    pref = math.exp(
         alpha * math.log(2.0)
         + d * math.lgamma(1.0 / p)
         - (d - 1) * math.log(p)
         - math.lgamma(alpha / p)
         - math.log(d - alpha)
     )
-    pref = math.exp(log_pref)
     mean = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(samples))
     ssum = float(np.sum(w))

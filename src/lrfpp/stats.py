@@ -48,15 +48,19 @@ class ExperimentSpec:
         if self.quantity not in PASSAGE_QUANTITIES and self.quantity != "tau":
             raise ConfigError(f"quantity must be 'tau' or one of {PASSAGE_QUANTITIES}")
         # Replicates cost about 80 bytes each before the first run: 10**7 hold 0.8 GB.
+        if not isinstance(self.replicates, int):
+            raise ConfigError(f"replicates must be an integer, got {self.replicates!r}")
         if not 1 <= self.replicates <= 10**7:
             raise ConfigError(f"replicates must lie in [1, {10**7}], got {self.replicates}")
-        if self.root_seed < 0:
+        if not isinstance(self.root_seed, int) or self.root_seed < 0:
             raise ConfigError("root_seed must be a nonnegative integer")
         if self.source not in ("origin", "uniform"):
             raise ConfigError("source must be 'origin' or 'uniform'")
         if self.quantity == "tau":
             if (self.k is None) == (self.beta is None):
                 raise ConfigError("tau needs exactly one of k or beta")
+            if self.k is not None and not isinstance(self.k, int):
+                raise ConfigError(f"cluster index k must be an integer, got {self.k!r}")
             if self.beta is not None and not (0.0 < self.beta < 1.0):
                 raise ConfigError("beta must lie in (0, 1)")
             if self.tau_k() < 2:

@@ -76,12 +76,6 @@ class Site:
 
     coords: Tuple[int, ...]
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
 
 def canonicalize(coords: Iterable[int], cfg: TorusConfig) -> Site:
     """Map arbitrary integer coordinates to the canonical representative.

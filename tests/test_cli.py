@@ -583,6 +583,16 @@ def test_out_must_be_a_directory_name(tmp_path, monkeypatch, out):
     assert os.listdir(tmp_path) == ["m.json"]
 
 
+def test_out_flag_obeys_the_manifest_rule(tmp_path, monkeypatch, capsys):
+    # --out "" would put the results in the working directory; like "out": ""
+    # in a manifest, it exits 2 and writes nothing.
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps(_minimal_manifest()))
+    assert cli.main(["simulate", "--manifest", "m.json", "--out", ""]) == 2
+    assert "--out: expected a printable directory name" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
 def test_diameter_rejects_a_source():
     # A diameter is a maximum over all pairs, so it has no source to draw.
     doc = _minimal_manifest()

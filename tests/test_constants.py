@@ -15,17 +15,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrfpp import ConfigError, ConstantQuery, ConstantResult
+from lrfpp import ConfigError, ConstantQuery, ConstantResult, constants
 from lrfpp.errors import NotApplicable
 from lrfpp.constants import (
     MC_MAX_SAMPLES,
     _mixture_draw,
+    check_mc_samples,
     evaluate,
     limit_constant_gamma_mc,
     limit_constant_max_norm,
     limit_constant_planar,
     limit_constant_quadrature,
-    unit_cube_integral,
 )
 
 FOUR_LN_2 = 4.0 * math.log(2.0)          # 2.772588722239781
@@ -91,16 +91,19 @@ def test_quadrature_d3_p2_against_split_oracle():
     assert res.value / 2.0**alpha == pytest.approx(inner + outer, abs=5 * outer_se)
 
 
-def test_quadrature_reports_convergence_failure():
+def test_quadrature_reports_convergence_failure(monkeypatch):
     # An impossible tolerance forces refinement up to the evaluation budget;
-    # the achieved error must be reported honestly instead of faked.
-    res = unit_cube_integral(2, 2.0, 1.0, 1e-30, max_evals=20_000)
+    # the achieved error must be reported honestly instead of faked.  At
+    # alpha = 1 the constant is 2 times the cube integral, its error too.
+    monkeypatch.setattr(constants, "QUADRATURE_MAX_EVALS", 20_000)
+    res = _quad(2, 2.0, 1.0, 2.0 * 1e-30)
     assert not res.converged
-    assert res.error > 1e-30
+    assert res.error > 2.0 * 1e-30
     assert res.evaluations <= 20_000
-    assert res.value == pytest.approx(2.0 * math.asinh(1.0), abs=1e-9)
+    assert res.value / 2.0 == pytest.approx(2.0 * math.asinh(1.0), abs=1e-9)
     # A budget too small for even the first rule spends nothing.
-    res = unit_cube_integral(2, 2.0, 1.0, 1e-9, max_evals=100)
+    monkeypatch.setattr(constants, "QUADRATURE_MAX_EVALS", 100)
+    res = _quad(2, 2.0, 1.0, 2.0 * 1e-9)
     assert (res.converged, res.error, res.evaluations) == (False, math.inf, 0)
 
 
@@ -116,7 +119,7 @@ BENCH_GRID = [
 
 def test_quadrature_keeps_its_budget_and_converges_on_the_bench_grid():
     for d, p, alpha in BENCH_GRID:
-        res = unit_cube_integral(d, p, alpha, 1e-9)
+        res = _quad(d, p, alpha, 1e-9 * 2.0**alpha)
         assert res.converged and res.evaluations <= 4_000_000, (d, p, alpha, res)
 
 
@@ -295,16 +298,19 @@ def _fields(res):
 @pytest.mark.parametrize("alpha, other", [(0.01, 0.5), (0.5, 0.01)])
 def test_mc_cached_draw_cannot_be_seen(d, p, alpha, other):
     # A call after one at another alpha reuses the draw and returns what a
-    # fresh draw returns; another seed or sample count draws afresh.
+    # fresh draw returns; another seed or sample count draws afresh.  A miss
+    # resets the cache's counters, so reuse is read off the kept arrays.
     limit_constant_gamma_mc(d, p, other, 20_000, seed=5)
+    kept = _mixture_draw(d, p, 20_000, 5)
     warm = limit_constant_gamma_mc(d, p, alpha, 20_000, seed=5)
+    assert _mixture_draw(d, p, 20_000, 5) is kept
     _mixture_draw.cache_clear()
     assert _fields(warm) == _fields(limit_constant_gamma_mc(d, p, alpha, 20_000, seed=5))
     for samples, seed in ((20_000, 6), (20_001, 5)):
         limit_constant_gamma_mc(d, p, other, 20_000, seed=5)
-        misses = _mixture_draw.cache_info().misses
+        kept = _mixture_draw(d, p, 20_000, 5)
         got = limit_constant_gamma_mc(d, p, alpha, samples, seed)
-        assert _mixture_draw.cache_info().misses == misses + 1
+        assert _mixture_draw(d, p, samples, seed)[0] is not kept[0]
         _mixture_draw.cache_clear()
         assert _fields(got) == _fields(limit_constant_gamma_mc(d, p, alpha, samples, seed))
     arrays = [a for a in _mixture_draw(d, p, 20_000, 5) if a is not None]
@@ -317,8 +323,8 @@ def test_mc_cached_draw_cannot_be_seen(d, p, alpha, other):
 def test_mc_peak_memory_per_sample():
     # The draw holds two arrays of d * samples / 2 variates, computed in
     # place; the weights one array of samples, computed in chunks.  The
-    # second (d, p) is drawn while the first is still cached.  Measured: 32
-    # and 41 bytes per sample.
+    # second (d, p) drops the first's cached draw before it draws, so it
+    # peaks no higher.  Measured: 32 bytes per sample each.
     samples = 200_000
     _mixture_draw.cache_clear()
     tracemalloc.start()
@@ -330,7 +336,7 @@ def test_mc_peak_memory_per_sample():
         second = tracemalloc.get_traced_memory()[1] / samples
     finally:
         tracemalloc.stop()
-    assert cold <= 36 and second <= 48, (cold, second)
+    assert cold <= 36 and second <= 36, (cold, second)
 
 
 def test_mc_validation():
@@ -343,6 +349,9 @@ def test_mc_validation():
     # The cap is checked before any draw, so this allocates nothing.
     with pytest.raises(ConfigError, match="samples must lie in"):
         limit_constant_gamma_mc(2, 2.0, 1.0, MC_MAX_SAMPLES + 1)
+    # A whole float is still not an integer; it would reach numpy as a size.
+    with pytest.raises(ConfigError, match="samples must be an integer"):
+        check_mc_samples(10_000.0, 2)
 
 
 _DISPATCH = {
@@ -392,4 +401,12 @@ def test_query_validation():
     ]:
         with pytest.raises(ConfigError) as err:
             ConstantQuery(d, p, alpha, method)
+        assert not isinstance(err.value, NotApplicable)
+
+
+def test_query_rejects_a_non_integer_dimension():
+    # A whole float would pass every range check, then fail inside quadrature.
+    for d in (2.0, 2.5, "2"):
+        with pytest.raises(ConfigError, match="d must be an integer") as err:
+            ConstantQuery(d, 2.0, 1.0)
         assert not isinstance(err.value, NotApplicable)

@@ -105,6 +105,17 @@ def test_spec_validation():
     assert spec.tau_k() == 4  # floor(16**0.5)
 
 
+def test_spec_rejects_non_integer_counts_and_seeds():
+    # A float would pass the range checks: 2.5 replicates run 3, and root
+    # seed 1.5 draws what seed 1 draws.
+    cfg = TorusConfig(2, 4, 2.0, 0.5)
+    for field, val in (("replicates", 2.5), ("replicates", 3.0), ("root_seed", 1.5),
+                       ("root_seed", 1.0), ("k", 3.0)):
+        kwargs = {"replicates": 3, "root_seed": 1, "k": 3, field: val}
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            ExperimentSpec(cfg=cfg, quantity="tau", **kwargs)
+
+
 def test_seed_determinism_bit_identical():
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     spec = ExperimentSpec(cfg=cfg, quantity="typical", replicates=40, root_seed=123, source="uniform")
