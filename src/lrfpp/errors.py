@@ -14,7 +14,7 @@ class NotApplicable(ConfigError):
 
 
 class InvariantViolation(RuntimeError):
-    """A hard runtime invariant (rate sandwich, re-summation, ...) failed."""
+    """A hard runtime invariant failed: the re-summation check of ``weights.WeightField``."""
 
 
 class ManifestError(ValueError):

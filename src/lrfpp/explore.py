@@ -7,14 +7,16 @@ with probability W_D(z)/rate_j, W_D(z) the attraction of z to D.  By
 memorylessness of the exponential edge weights this is exactly the order and
 times at which first-passage percolation discovers the torus.
 
-The newborn is found by thinning (Lewis & Shedler 1979): every discovered
-vertex emits at R_n = total_rate(cfg), so a proposal is a uniform discovered
-parent plus an offset u drawn with probability norm(u)**-alpha / R_n, rejected
-when its target is discovered; the wait is drawn once per birth at rate_j.  A
-run keeps the keys of its sites (``weights.site_keys``) and a one-byte side
-per site.  rate_{j+1} = rate_j + R_n - 2 W_D(z), with W_D(z) gathered over the
-j discovered sites while 2j <= n and past that as R_n - W_U(z) over the n - j
-undiscovered ones; a birth takes about j * R_n / rate_j proposals.
+The sampler never computes rate_j.  Every discovered vertex emits at R_n =
+total_rate(cfg), so the j of them make proposals at the times of a Poisson
+stream of rate j * R_n: a uniform discovered parent plus an offset u drawn
+with probability norm(u)**-alpha / R_n, rejected when its target is
+discovered.  A rejected proposal is the clock of an edge inside D, which
+changes nothing, so the first accepted one is the birth (thinning, Lewis &
+Shedler 1979, read as uniformization): a birth that takes G proposals waits
+Gamma(G, 1) / (j * R_n), the sum of their G standard exponentials over
+j * R_n.  A run keeps the keys of its sites (``weights.site_keys``) and a
+one-byte side per site; a birth costs its G proposals, about j * R_n / rate_j.
 
 A target stop grows disjoint explorations A from U and B from V at one common
 radius t until they meet (Bhamidi, van der Hofstad & Hooghiemstra 2010, Ann.
@@ -23,17 +25,14 @@ free site is a birth on that side at t, and one across is the meeting, with
 d(U, V) = 2t.  By radius t the edge {x, y}, x in A reached at a and y in B at
 b, is covered from both ends to 2t - a - b, so each cross pair meets at rate
 2 norm(x - y)**-alpha, and the first meeting closes a shortest path a + w + b
-= 2t; as b <= t, A cannot cross into B first.  The rate is cut(A) + cut(B),
-2 R_n at the start, a birth z on side s adds R_n - 2 W_s(z), each side keeps
-its own sandwich, and about 3 sqrt(n) births end a run, against n/2 from U.
+= 2t; as b <= t, A cannot cross into B first.  The event rate is cut(A) +
+cut(B), and the j = |A| + |B| sites propose at j * R_n, so the clock is the
+same; about 3 sqrt(n) births end a run, against n/2 from U.
 
 ``run_explorations`` runs replicates in lockstep blocks, sized by BLOCK_BYTES
-alone, of one-sided or meeting runs; a step is one event in every run, with the
-wait, proposals, gather, Kahan update and sandwich check as array operations.
-``run_exploration`` is a block of one.  Every run records the rate before each
-entry, asserts the deterministic rate sandwich on it, and re-sums it every
-``weights.RESUM_INTERVAL`` births and at a meeting; a rate outside the
-sandwich, NaN included, raises InvariantViolation.
+alone, of one-sided or meeting runs; a step is one event in every run, with
+the proposals and the clock as array operations.  ``run_exploration`` is a
+block of one.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E``, and the oracles compute passage times on that
@@ -65,7 +64,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 from . import rng, torus, weights
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 from .torus import Site, TorusConfig
 
 #: Caps for the oracles: the single-source oracle shares its cap with the
@@ -90,11 +89,8 @@ THRESHOLD_SCALE = LADDER_SCALE
 #: error of path sums, about n * eps relative, so it keeps the result exact.
 ECC_MARGIN = 1e-9
 
-#: Relative float slack allowed on the hard rate-sandwich assertion.
-SANDWICH_RTOL = 1e-9
-
-#: Waiting times, parent uniforms and offsets drawn per refill by the
-#: thinning sampler.
+#: Proposals drawn per refill by the thinning sampler, each a standard
+#: exponential of the clock, a parent uniform and an offset.
 THINNING_BATCH = 256
 #: Memory budget of one lockstep block of thinning runs, in bytes: it alone
 #: sizes a block.
@@ -137,15 +133,13 @@ class ExplorationRecord:
     """Entries of one exploration run up to its stop, in event order.
 
     ``site_indices[0]`` is the source's flat index, at ``times[0] == 0``;
-    ``rates[i]`` is the event rate just before the i-th entry (``rates[0]`` is
-    NaN); ``proposals`` counts the thinning sampler's proposals.  After the
-    source come the newborns at their times: of both sides, at their radius,
-    for a target stop, whose last entry is the target at d(source, target).
+    ``proposals`` counts the thinning sampler's proposals.  After the source
+    come the newborns at their times: of both sides, at their radius, for a
+    target stop, whose last entry is the target at d(source, target).
     """
 
     site_indices: np.ndarray
     times: np.ndarray
-    rates: np.ndarray
     proposals: int
 
     @property
@@ -156,51 +150,47 @@ class ExplorationRecord:
 class _Lockstep:
     """Thinning runs of a block of replicates, advanced together one event per step.
 
-    Row r of the state is a live run of replicate ``rows[r]`` with j sites, ``b[r]``
-    on side 2; ``side`` and the outputs are by replicate, so an ending run copies
-    no row.  Side 1 grows from the first source and, in a meeting block (``ends``
-    = 2), side 2 from the second; ``side[i, x]`` is 0 while x is free.  Each run
-    draws from its own stream as alone: waits, parent uniforms and offsets in
-    batches of THINNING_BATCH, each when first needed, whatever the stop rule.
-    ``keys[r, :j]`` and ``eside[r, :j]`` hold its sites' keys and sides, sources
-    first, and, in a one-sided block once 2j > n, ``keys[r, j:]`` the free sites' keys.
+    Row r of the state is a live run of replicate ``rows[r]`` with j sites;
+    ``side`` and the outputs are by replicate, so an ending run copies no row.
+    Side 1 grows from the first source and, in a meeting block (``ends`` = 2),
+    side 2 from the second; ``side[i, x]`` is 0 while x is free.  Each run
+    draws from its own stream as alone, THINNING_BATCH proposals at a time,
+    each when first needed, whatever the stop rule: their exponentials, then
+    their parent uniforms, then their offsets.  ``clock[r, i]`` sums the first
+    i exponentials of the refill, so a step's wait is the difference of two of
+    its entries, whatever windows ``_select`` reads.  ``keys[r, :j]`` and
+    ``eside[r, :j]`` hold its sites' keys and sides, sources first.
     """
 
-    _LIVE = ("rows", "rate", "comp", "t", "b", "keys", "eside", "waits", "parent_u", "offsets",
-             "pos", "refills")
+    _LIVE = ("rows", "t", "keys", "eside", "clock", "parent_u", "offsets", "pos", "refills")
 
     def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs, cap: int) -> None:
         srcs = np.asarray(srcs, dtype=np.int64).reshape(len(seeds), -1)
         (size, self.ends), batch = srcs.shape, THINNING_BATCH
         self.cfg, self.j, self.rn = cfg, self.ends, weights.total_rate(cfg)
         self.gens = [rng.generator(seed, rng.STREAM_EXPLORE) for seed in seeds]
-        self._cdf, self._diff = weights.nearest_prefix_sums(cfg), weights.difference_table(cfg)
-        self._key_of, self._site_of, self._key_zero = weights.site_keys(cfg)
+        self._cdf = weights.nearest_prefix_sums(cfg)
+        self._key_of, self._site_of, _ = weights.site_keys(cfg)
         self._order = torus.sorted_order(cfg)  # offset of rank i: key_of[order[i]]
-        self.rows, self.t, self.comp = np.arange(size), np.zeros(size), np.zeros(size)
-        self.b = np.full(size, self.ends - 1)  # sites on side 2
-        self.rate = np.full(size, self.ends * self.rn)
+        self.rows, self.t = np.arange(size), np.zeros(size)
         self.proposals, self.born = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
         self.side = np.zeros((size, cfg.n), dtype=np.int8)
         self.side[self.rows[:, None], srcs] = np.arange(1, self.ends + 1)
-        # Room for the free sites' keys too if a run can pass n/2.
-        self.keys = np.empty((size, cfg.n if 2 * (cap - 1) > cfg.n else cap), dtype=np.int32)
+        self.keys = np.empty((size, cap), dtype=np.int32)
         self.keys[:, : self.ends] = self._key_of[srcs]
         self.eside = np.ones(self.keys.shape, dtype=np.int8)
         self.eside[:, 1 : self.ends] = 2
         # Outputs hold the source, then the newborns; a meeting adds the target.
-        self.sites = np.empty((size, cap), dtype=np.int32)
-        self.times, self.rates = np.empty((size, cap)), np.empty((size, cap))
-        self.sites[:, 0], self.times[:, 0], self.rates[:, 0] = srcs[:, 0], 0.0, math.nan
+        self.sites, self.times = np.empty((size, cap), dtype=np.int32), np.empty((size, cap))
+        self.sites[:, 0], self.times[:, 0] = srcs[:, 0], 0.0
         self.far = srcs[:, -1]
-        self.increments = np.empty((size, cap))
-        self.increments[:, : self.ends] = self.rn
-        self.waits, self._wait_pos = np.empty((size, batch)), batch
+        self.clock = np.zeros((size, batch + 1))
         # Proposal batches, padded to twice their length with proposals from
         # the first site to itself, which are rejected, so windows may overrun.
         self.parent_u = np.zeros((size, 2 * batch))
         self.offsets = np.full((size, 2 * batch), self._key_of[self._order[0]], dtype=np.int32)
         self.pos, self.refills = np.full(size, batch), np.zeros(size, dtype=np.int64)
+        self.mean_g = 1.0  # proposals per run in the last step
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the runs whose entry of ``live`` is False, counting their entries and proposals."""
@@ -213,29 +203,26 @@ class _Lockstep:
         for name in self._LIVE:
             setattr(self, name, getattr(self, name)[live])
 
-    def wait(self) -> np.ndarray:
-        """The next standard exponential of every live run."""
-        if self._wait_pos == THINNING_BATCH:
-            self.waits = np.array([gen.standard_exponential(THINNING_BATCH) for gen in self.gens])
-            self._wait_pos = 0
-        self._wait_pos += 1
-        return self.waits[:, self._wait_pos - 1]
-
-    def _select(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _select(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat index of the first accepted proposal of every live run, one to a
-        site off the proposer's side, and the proposer's side.
+        site off the proposer's side, the proposer's side, and the sum of the
+        exponentials of the proposals the run used.
 
-        Runs read their proposals in windows, the first about twice the expected
-        j * R_n / rate_j proposals per birth, doubling while they miss.
+        Runs read their proposals in windows, the first twice the mean number
+        of proposals the runs used in the last step, doubling while they miss.
         """
         j, batch, count = self.j, THINNING_BATCH, len(self.rows)
         cap, n = self.keys.shape[1], self.cfg.n
         z, todo = np.empty(count, dtype=np.int64), np.arange(count)
         s = 1 if self.ends == 1 else np.empty(count, dtype=np.int8)
-        width = min(batch, math.ceil(2.0 * j * self.rn / float(self.rate.min())))
+        made = self.refills * batch + self.pos
+        spent = -self.clock[todo, self.pos]
+        width = min(batch, math.ceil(2.0 * self.mean_g))
         while todo.size:
             for row in todo[self.pos[todo] == batch]:
                 gen = self.gens[row]
+                spent[row] += self.clock[row, batch]
+                np.cumsum(gen.standard_exponential(batch), out=self.clock[row, 1:])
                 self.parent_u[row, :batch] = gen.random(batch)
                 # cdf[i] sums the i nearest nonzero-site weights, so U * R_n
                 # falls in [cdf[i-1], cdf[i]) with probability equal to the
@@ -264,78 +251,44 @@ class _Lockstep:
             if self.ends == 2:
                 s[todo] = own[first, hit]
             todo, width = todo[~found], min(batch, 2 * width)
-        return z, s
+        spent += self.clock[np.arange(count), self.pos]
+        self.mean_g = float(np.mean(self.refills * batch + self.pos - made))
+        return z, s, spent
 
     def birth(self) -> None:
-        """One event in every live run at its time ``t``: a birth, or a meeting, which ends it."""
-        z, s = self._select()
+        """One event in every live run, after its wait: a birth, or a meeting, which ends it."""
+        z, s, spent = self._select()
+        self.t = self.t + spent / (self.j * self.rn)
         if self.ends == 2:
             met = self.side[self.rows, z] != 0
             if met.any():
-                self.check_resummation(met)
                 gone, col = self.rows[met], self.j - 1
-                self.sites[gone, col] = self.far[gone]
-                self.times[gone, col], self.rates[gone, col] = 2.0 * self.t[met], self.rate[met]
+                self.sites[gone, col], self.times[gone, col] = self.far[gone], 2.0 * self.t[met]
                 self.keep(~met)
                 z, s = z[~met], s[~met]
                 if not self.rows.size:
                     return
-        j, rows, n = self.j, self.rows, self.cfg.n
-        key = self._key_of[z]
-        late = self.ends == 1 and 2 * j > n
-        if self.ends == 1 and j == n // 2 + 1:
-            self.keys[:, j:] = self._key_of[np.nonzero(self.side[rows] == 0)[1]].reshape(len(z), -1)
-        at = (self.keys[:, j:] if late else self.keys[:, :j]) - (key - self._key_zero)[:, None]
-        w = self._diff.take(at)
-        if self.ends == 2:  # W_s(z) over the proposer's side only.
-            w *= self.eside[:, :j] == s[:, None]
-            self.eside[:, j] = s
-            self.b += s == 2
-        w_side = w.sum(axis=1)
-        # R_n - 2 W_D(z) = 2 W_U(z) - R_n, where z's own entry weighs 0.
-        delta = 2.0 * w_side - self.rn if late else self.rn - 2.0 * w_side
-        if late:  # z's key, the one at key_zero, swaps with the key at j.
-            self.keys[np.arange(len(rows)), (at == self._key_zero).argmax(1) + j] = self.keys[:, j]
+        j, rows = self.j, self.rows
         col = j + 1 - self.ends
-        self.sites[rows, col], self.times[rows, col], self.rates[rows, col] = z, self.t, self.rate
-        self.increments[rows, j] = delta
-        # rate_{j+1} = rate_j + R_n - 2 W_s(z), Kahan-compensated.
-        self.rate, self.comp = weights.kahan_add(self.rate, self.comp, delta)
+        self.sites[rows, col], self.times[rows, col] = z, self.t
         self.side[rows, z] = s
-        self.keys[:, j] = key
+        self.keys[:, j] = self._key_of[z]
+        if self.ends == 2:
+            self.eside[:, j] = s
         self.j = j + 1
-        if j % weights.RESUM_INTERVAL == 0:
-            self.check_resummation()
-
-    def check_resummation(self, which=slice(None)) -> None:
-        """Assert |rate - fsum(increments)| <= 1e-9 * n * R_n for the runs ``which`` picks.
-
-        Every increment R_n - 2 W_s(z) lies in [-R_n, R_n], so R_n bounds the
-        largest summand.
-        """
-        tol = weights.RESUM_RTOL * self.cfg.n * max(self.rn, 1.0)
-        for row, rate in zip(self.rows[which], self.rate[which].tolist()):
-            fresh = math.fsum(self.increments[row, : self.j].tolist())
-            if abs(rate - fresh) > tol:
-                raise InvariantViolation(
-                    f"rate drift: incremental={rate!r} resum={fresh!r} tol={tol!r}"
-                )
 
 
 def block_count(cfg: TorusConfig, cap: int, count: int, meeting: bool = False) -> int:
     """Blocks of equal size, each within BLOCK_BYTES, for ``count`` runs of at
-    most ``cap`` sites, or of meeting runs.  A block holds the sandwich table and
-    one run's increments as floats, never a cached per-torus table; a run its
-    sides, keys, key sides, outputs, buffers, 2 KB of objects, and
-    ``_select``'s windows (33 bytes per proposal measured) or a gather over
-    min(j, n - j) sites (j when runs meet): index, intp copy, weight."""
+    most ``cap`` sites, or of meeting runs.  A run holds its sides (a byte per
+    site of the torus), its keys and key sides (5 bytes per site it holds), its
+    outputs (12), its clock, parent uniforms and offsets (32 bytes per proposal
+    of a refill), 2 KB of objects, and ``_select``'s windows (33 bytes per
+    proposal measured); a block holds no cached per-torus table."""
     n = cfg.n
     cap = min(cap, n, MEETING_SPAN * math.isqrt(n)) if meeting else cap
-    gather = 20 * (cap if meeting else min(cap, n // 2))
-    per_run = (n + 5 * (n if 2 * (cap - 1) > n else cap) + 28 * cap + 32 * THINNING_BATCH
-               + 2048 + max(gather, 36 * THINNING_BATCH))
-    per_block = (BLOCK_BYTES - 48 * cap) // per_run
-    return -(-count // max(1, per_block))
+    per_run = n + 17 * cap + 68 * THINNING_BATCH + 2048
+    return -(-count // max(1, BLOCK_BYTES // per_run))
 
 
 def _run_block(
@@ -343,27 +296,17 @@ def _run_block(
     limit: np.ndarray,
 ) -> List[ExplorationRecord]:
     """The runs of one block from ``srcs``, one source per side, each ending after
-    ``limit`` births or at a meeting (None if a meeting run passes it); a rate fault raises."""
+    ``limit`` births or at a meeting (None if a meeting run passes it)."""
     block = _Lockstep(cfg, seeds, srcs, cap)
-    lower = weights.rate_bounds(cfg, np.arange(cap))[0]
     while True:
         block.keep(limit[block.rows] >= block.j)
         if not block.rows.size:
             break
-        j, rate = block.j, block.rate  # cut(A) + cut(B), B empty if one-sided
-        lo, hi = lower[j - block.b] + lower[block.b], j * block.rn  # (j - b) R_n + b R_n
-        slack = SANDWICH_RTOL * hi
-        inside = (lo - slack <= rate) & (rate <= hi + slack)
-        if not inside.all():
-            lo, rate = (float(x[inside.argmin()]) for x in (lo, rate))
-            raise InvariantViolation(
-                f"rate sandwich violated at j={j}: {lo!r} <= {rate!r} <= {hi!r}")
-        block.t = block.t + block.wait() / block.rate
         block.birth()
     # Copies, so that no record holds the block's arrays.
     return [None if block.ends == 2 and b > limit[r] else ExplorationRecord(
-        block.sites[r, :b].copy(), block.times[r, :b].copy(), block.rates[r, :b].copy(),
-        int(block.proposals[r])) for r, b in enumerate(block.born)]
+        block.sites[r, :b].copy(), block.times[r, :b].copy(), int(block.proposals[r]))
+        for r, b in enumerate(block.born)]
 
 
 def run_explorations(
@@ -408,8 +351,7 @@ def run_exploration(
     source: Site, stop: StopRule, cfg: TorusConfig, seed: rng.SeedLike
 ) -> ExplorationRecord:
     """Simulate the exploration birth process from ``source`` until ``stop``:
-    ``run_explorations`` of one replicate.  Every step asserts the
-    deterministic rate sandwich; a violation raises InvariantViolation.
+    ``run_explorations`` of one replicate.
     """
     return run_explorations(cfg, [seed], [source], [stop])[0]
 

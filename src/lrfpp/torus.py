@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError, EnumerationCapError
 
 #: Largest table accepted for dense enumeration: n entries for the norm tables,
-#: and (2m)**d = 2**d * n for the thinning sampler's key and weight tables
-#: (``weights.site_keys``, ``weights.difference_table``), 12 bytes per entry.
+#: and (2m)**d = 2**d * n for the thinning sampler's key table
+#: (``weights.site_keys``) and ``weights.difference_table``, 12 bytes per entry.
 ENUMERATION_CAP = 2**26
 
 

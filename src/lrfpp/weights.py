@@ -1,16 +1,19 @@
 """Normalization sums, the thinning tables, and the reference attraction field.
 
 ``total_rate`` is the sum of ``norm(u)**-alpha`` over all nonzero sites: the
-total transmission rate out of any single vertex, and the normalization that
-scales every limit theorem in this package.  ``rate_bounds`` turns it and the
-nearest-site prefix sums into the deterministic sandwich that every
-exploration step must satisfy.
+total transmission rate out of any single vertex, the normalization that
+scales every limit theorem in this package, and the rate at which each
+discovered vertex proposes in the thinning sampler.  ``rate_bounds`` turns it
+and the nearest-site prefix sums into the deterministic sandwich that the
+exploration's event rate obeys; the sampler never computes that rate, and the
+tests audit it from the site order of sampled runs.
 
 The thinning sampler of ``explore.run_explorations`` keeps no per-site field.
 It draws an offset u with probability norm(u)**-alpha / R_n by inverting
 ``nearest_prefix_sums``.  ``site_keys`` is the one key format for "site plus
 offset"; ``difference_table`` holds the weight between two sites at the
-difference of their keys, so a site's attraction is one gather and one sum.
+difference of their keys, so ``WeightField`` finds a site's weights to every
+other site with one gather.
 
 ``WeightField`` keeps, for a growing discovered set, the attraction weight
 of every undiscovered site
@@ -35,8 +38,7 @@ from . import torus
 from .errors import ConfigError, EnumerationCapError, InvariantViolation
 from .torus import Site, TorusConfig
 
-#: Cadence, in births, of the full re-summation consistency check in
-#: WeightField and in the thinning sampler of ``explore``.
+#: Cadence, in births, of WeightField's full re-summation consistency check.
 RESUM_INTERVAL = 100
 #: Tolerance scale for the re-summation check: 1e-9 * n * max summand.
 RESUM_RTOL = 1e-9
@@ -79,8 +81,8 @@ def nearest_prefix_sums(cfg: TorusConfig) -> np.ndarray:
 
 def check_thinning_size(cfg: TorusConfig) -> None:
     """Raise EnumerationCapError unless (2m)**d <= ENUMERATION_CAP: the size of
-    the ``site_keys`` and ``difference_table`` tables that every exploration
-    run reads, so the size limit of every run."""
+    the ``site_keys`` table that every exploration run reads, so the size
+    limit of every run, and of ``difference_table``."""
     if (2 * cfg.m) ** cfg.d > torus.ENUMERATION_CAP:
         raise EnumerationCapError(
             f"(2m)**d = {(2 * cfg.m) ** cfg.d} exceeds the dense enumeration cap "
@@ -196,9 +198,9 @@ def rate_bounds(cfg: TorusConfig, j):
     """Deterministic sandwich for the jump rate from a j-vertex cluster.
 
     Lower bound j * (total_rate - nearest_prefix_sums[j]), upper bound
-    j * total_rate; every exploration step must land inside (up to 1e-9
-    relative float slack).  ``j`` is an int, or an integer array for a table
-    of bounds.
+    j * total_rate: each of the j vertices has every other site at rate R_n,
+    less at most the j - 1 nearest ones inside the cluster.  ``j`` is an int,
+    or an integer array for a table of bounds.
     """
     rn = total_rate(cfg)
     return j * (rn - nearest_prefix_sums(cfg)[j]), j * rn

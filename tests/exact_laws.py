@@ -13,7 +13,13 @@ P(D_t = D) = sum_i Pois(i; Lambda t) (pi_0 P^i)(D), cut where the Poisson
 tail is below ``TAIL`` at the horizon.  Then tau_k <= t iff |D_t| > k, and a
 uniform target other than the source is found by t with probability
 (E|D_t| - 1) / (n - 1).
+
+``event_rates`` is the audit of a sampled record: the event rate before each
+entry, recomputed from the record's site order alone, as the sampler itself
+never computes it.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.stats
@@ -25,11 +31,35 @@ from lrfpp import torus, weights
 TAIL = 1e-12
 
 
+@lru_cache(maxsize=4)
 def pair_weights(cfg):
-    """n x n matrix of norm(y - z)**-alpha, 0 on the diagonal."""
+    """n x n matrix of norm(y - z)**-alpha, 0 on the diagonal; read-only."""
     y, z = np.divmod(np.arange(cfg.n**2), cfg.n)
     diff = torus.pair_difference_index(y, z, cfg).reshape(cfg.n, cfg.n)
-    return weights._weight_table(cfg)[diff]
+    w = weights._weight_table(cfg)[diff]
+    w.setflags(write=False)
+    return w
+
+
+def event_rates(cfg, sites, sides=None):
+    """The event rate before each entry of a record with flat indices ``sites``:
+    NaN before the source, then cut(A) + cut(B) of the sets held, where cut(S)
+    = |S| R_n - sum of norm(x - y)**-alpha over ordered pairs x != y in S.
+
+    A one-sided record (``sides`` None) holds its first i entries before entry
+    i.  A meeting record, whose last entry is its target, passes each entry's
+    side, 1 or 2: before entry i it holds the source, the target and the i - 1
+    newborns between them.  A site added to side s adds R_n - 2 W_s(z) to the
+    rate, W_s(z) its attraction to the sites of side s held before it.
+    """
+    sites = np.asarray(sites)
+    held, side, skip = sites, np.ones(len(sites)), 0
+    if sides is not None:
+        held, skip = np.r_[sites[0], sites[-1], sites[1:-1]], 1
+        side = np.r_[sides[0], sides[-1], sides[1:-1]]
+    w = pair_weights(cfg)[np.ix_(held, held)] * (side[:, None] == side)
+    cut = np.cumsum(weights.total_rate(cfg) - 2.0 * np.tril(w, -1).sum(axis=1))
+    return np.r_[np.nan, cut[skip : skip + len(sites) - 1]]
 
 
 class SizeLaw:

@@ -34,13 +34,17 @@ from lrfpp import (
     TorusConfig,
     estimate_scaled,
     gumbel_test,
+    ks_one_sample,
     ks_two_sample,
     origin,
+    rate_bounds,
     run_exploration,
     run_explorations,
     total_rate,
 )
 from lrfpp import cli, explore, stats
+
+from exact_laws import event_rates
 from lrfpp.constants import (
     limit_constant_gamma_mc,
     limit_constant_max_norm,
@@ -161,26 +165,39 @@ def test_c3_finite_n_convergence():
 
 
 def test_c4_rate_sandwich_zero_violations():
+    # Each full run visits every site once, and the audited rate before each
+    # birth, recomputed from its site order, lies inside the sandwich.
     t0 = time.perf_counter()
-    births = 0
+    births = violations = 0
     for i, alpha in enumerate((0.0, 0.5, 1.0)):
         cfg = TorusConfig(2, 32, 2.0, alpha)
+        lo, hi = rate_bounds(cfg, np.arange(1, cfg.n))
         seeds = [(ROOT_SEED, 4, i, r) for r in range(100)]
         for rec in run_explorations(cfg, seeds, [origin(cfg)] * 100, [StopRule.full()] * 100):
             births += rec.n_born - 1
+            assert np.array_equal(np.sort(rec.site_indices), np.arange(cfg.n))
+            rates = event_rates(cfg, rec.site_indices)[1:]
+            violations += int(((rates < lo - 1e-9 * hi) | (rates > hi + 1e-9 * hi)).sum())
     elapsed = time.perf_counter() - t0
-    ok = births == 3 * 100 * (32 * 32 - 1)
-    _report("4 (rate sandwich)", ok, f"{births} asserted steps, 0 violations, {elapsed:.0f}s")
+    ok = births == 3 * 100 * (32 * 32 - 1) and violations == 0
+    _report("4 (rate sandwich)", ok,
+            f"{births} audited steps, {violations} violations, {elapsed:.0f}s")
     assert ok
 
 
 def test_c5_complete_graph_rates_exact():
+    # At alpha = 0 the audited rates are j(n - j) exactly, and the waits
+    # scaled by them are Exp(1), which checks the proposal clock.
     cfg = TorusConfig(2, 32, 2.0, 0.0)
     n = cfg.n
     rec = run_exploration(origin(cfg), StopRule.full(), cfg, (ROOT_SEED, 5))
-    exact = all(float(rec.rates[j]) == float(j * (n - j)) for j in range(1, n))
-    _report("5 (complete-graph reduction)", exact, f"rate j*(n-j) exact at all {n - 1} steps")
-    assert exact
+    rates, j = event_rates(cfg, rec.site_indices), np.arange(1, n)
+    exact = bool((rates[1:] == j * (n - j)).all())
+    _, p = ks_one_sample(np.diff(rec.times) * j * (n - j), lambda t: -np.expm1(-np.asarray(t)))
+    ok = exact and p > 0.001
+    _report("5 (complete-graph reduction)", ok,
+            f"rate j*(n-j) exact at all {n - 1} steps: {exact}; scaled waits KS p={p:.4f}")
+    assert ok
 
 
 # ---------------------------------------------------------------------------

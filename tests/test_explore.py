@@ -11,7 +11,6 @@ from scipy.sparse import csgraph, csr_matrix
 from lrfpp import (
     ConfigError,
     EdgeWeightSample,
-    InvariantViolation,
     StopRule,
     TorusConfig,
     diameter_exact,
@@ -27,13 +26,23 @@ from lrfpp import (
 from lrfpp import explore, rng, stats, torus, weights
 from lrfpp.explore import THRESHOLD_SCALE
 
-from exact_laws import birth_chain, newborn_law, set_chain
+from exact_laws import birth_chain, event_rates, newborn_law, set_chain
 
 
 def _runs(cfg, stop, seeds, sources=None):
     """``run_explorations`` records, one per seed, from the origin unless ``sources`` says."""
     sources = [origin(cfg)] * len(seeds) if sources is None else sources
     return run_explorations(cfg, seeds, sources, [stop] * len(seeds))
+
+
+def _meeting_runs(cfg, seeds, srcs):
+    """Meeting runs of one ``_Lockstep`` block with room for every site: each
+    run's sites and times, and the side each of its sites was held on."""
+    block = explore._Lockstep(cfg, seeds, srcs, cfg.n)
+    while block.rows.size:
+        block.birth()
+    return [(block.sites[r, :b], block.times[r, :b], block.side[r, block.sites[r, :b]])
+            for r, b in enumerate(block.born)]
 
 
 def _largest_block(cfg, cap, meeting=False, bound=1000):
@@ -51,13 +60,14 @@ def test_record_structure_and_monotone_times():
     cfg = TorusConfig(2, 4, 2.0, 0.5)
     rec = run_exploration(origin(cfg), StopRule.full(), cfg, 0)
     assert rec.n_born == cfg.n
-    assert rec.times[0] == 0.0 and math.isnan(rec.rates[0])
+    assert rec.times[0] == 0.0
     assert (np.diff(rec.times) > 0).all()
     assert rec.site_indices[0] == torus.origin_index(cfg)
-    # rate before the j-th birth comes from a j-vertex cluster
+    # The audited rate before the j-th birth comes from a j-vertex cluster.
+    rates = event_rates(cfg, rec.site_indices)
     for j in range(1, rec.n_born):
         lo, hi = weights.rate_bounds(cfg, j)
-        assert lo - 1e-9 * hi <= rec.rates[j] <= hi + 1e-9 * hi
+        assert lo - 1e-9 * hi <= rates[j] <= hi + 1e-9 * hi
     assert np.searchsorted(rec.times, 0.0, side="right") == 1
     assert np.searchsorted(rec.times, rec.times[-1], side="right") == cfg.n
 
@@ -87,7 +97,6 @@ def test_count_stop_is_the_prefix_of_the_full_run():
         rec = run_exploration(origin(cfg), StopRule.count(k), cfg, 4)
         assert np.array_equal(rec.site_indices, full.site_indices[: k + 1])
         assert np.array_equal(rec.times, full.times[: k + 1])
-        assert np.array_equal(rec.rates, full.rates[: k + 1], equal_nan=True)
 
 
 def test_stop_rule_takes_a_count_of_one_or_more_or_a_target_alone():
@@ -106,45 +115,29 @@ def test_records_own_their_arrays():
     v = torus.index_to_site(36, cfg)
     for stop in (StopRule.count(5), StopRule.target(v)):
         for rec in _runs(cfg, stop, [(6, r) for r in range(3)]):
-            assert all(x.base is None for x in (rec.site_indices, rec.times, rec.rates))
+            assert all(x.base is None for x in (rec.site_indices, rec.times))
 
 
 def test_meeting_record_holds_both_sides_then_the_target():
     # A target stop records the source, the newborns of both sides in event
     # order at their radius times, and the target at twice the meeting radius.
-    # The first event rate is cut(U) + cut(V) = 2 R_n, and before entry i the
-    # run holds i + 1 sites, which emit at most (i + 1) R_n.
+    # The audited first event rate is cut(U) + cut(V) = 2 R_n, and before
+    # entry i the run holds i + 1 sites, each side inside its own sandwich.
     cfg = TorusConfig(2, 8, 2.0, 1.0)
     u, v, rn = torus.index_to_site(0, cfg), torus.index_to_site(36, cfg), total_rate(cfg)
-    for rec in _runs(cfg, StopRule.target(v), [(24, r) for r in range(50)], [u] * 50):
-        sites = rec.site_indices.tolist()
-        assert (sites[0], sites[-1]) == (0, 36) and len(set(sites)) == rec.n_born
+    seeds = [(24, r) for r in range(50)]
+    records = _runs(cfg, StopRule.target(v), seeds, [u] * 50)
+    for rec, (sites, times, sides) in zip(records, _meeting_runs(cfg, seeds, [[0, 36]] * 50)):
+        assert np.array_equal(rec.site_indices, sites) and np.array_equal(rec.times, times)
+        assert (sites[0], sites[-1]) == (0, 36) and len(set(sites.tolist())) == rec.n_born
         assert (np.diff(rec.times[:-1]) > 0).all() and rec.times[-1] >= 2.0 * rec.times[-2]
-        assert rec.rates[1] == 2.0 * rn
-        assert (rec.rates[1:] <= np.arange(2, rec.n_born + 1) * rn * (1.0 + 1e-12)).all()
-
-
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
-def test_a_rate_outside_the_sandwich_raises(monkeypatch, bad):
-    # A NaN, zero or negative rate after the third birth must stop the run
-    # with InvariantViolation, not end it early as if it were done: a full
-    # run at j = 4, and a meeting run, which starts from two sites on a torus
-    # large enough that it outlives three births, at j = 5.
-    kahan_add = weights.kahan_add
-    meeting = TorusConfig(2, 16, 2.0, 0.5)
-    for cfg, stop, j in [(TorusConfig(2, 4, 2.0, 0.5), StopRule.full(), 4),
-                         (meeting, StopRule.target(torus.index_to_site(8, meeting)), 5)]:
-        calls = []
-
-        def faulty(total, comp, delta):
-            calls.append(None)
-            total, comp = kahan_add(total, comp, delta)
-            return (np.full_like(total, bad) if len(calls) == 3 else total), comp
-
-        monkeypatch.setattr(weights, "kahan_add", faulty)
-        with pytest.raises(InvariantViolation, match=f"rate sandwich violated at j={j}") as exc:
-            run_exploration(origin(cfg), stop, cfg, 4)
-        assert "np.float64" not in str(exc.value)
+        rates = event_rates(cfg, sites, sides)
+        assert rates[1] == 2.0 * rn
+        b = np.r_[1, 1 + np.cumsum(sides[1:-1] == 2)]  # on side 2 before entry 1, 2, ...
+        held = np.arange(2, rec.n_born + 1)
+        lower = weights.rate_bounds(cfg, held - b)[0] + weights.rate_bounds(cfg, b)[0]
+        assert (lower - 1e-9 * held * rn <= rates[1:]).all()
+        assert (rates[1:] <= held * rn * (1.0 + 1e-12)).all()
 
 
 def test_two_site_torus_single_birth():
@@ -291,9 +284,11 @@ def test_meeting_explorations_match_janson_at_alpha_zero():
     ],
 )
 def test_thinning_rates_equal_pair_sum(cfg):
-    # rates[j] = j * R_n minus the weights of all ordered pairs inside the
-    # first j sites, recomputed from scratch with an exactly rounded sum.
+    # The audit's rates[j] = j * R_n minus the weights of all ordered pairs
+    # inside the first j sites, recomputed from scratch with an exactly
+    # rounded sum.
     rec = run_exploration(origin(cfg), StopRule.full(), cfg, 12)
+    rates = event_rates(cfg, rec.site_indices)
     w = weights._weight_table(cfg)
     rn = total_rate(cfg)
     for j in range(1, cfg.n):
@@ -301,39 +296,49 @@ def test_thinning_rates_equal_pair_sum(cfg):
         ii, jj = np.meshgrid(born, born)
         inside = math.fsum(w[torus.pair_difference_index(ii.ravel(), jj.ravel(), cfg)])
         fresh = j * rn - inside
-        assert abs(rec.rates[j] - fresh) <= 1e-12 * fresh, (j, rec.rates[j], fresh)
+        assert abs(rates[j] - fresh) <= 1e-12 * fresh, (j, rates[j], fresh)
 
 
-def test_thinning_resummation_check_catches_drift():
-    cfg = TorusConfig(2, 6, 2.0, 1.0)
-    sampler = explore._Lockstep(cfg, [0, 1], [0, 5], cfg.n)
-    for _ in range(10):
-        sampler.birth()
-    sampler.check_resummation()
-    sampler.rate *= 1.0 + 1e-6
-    with pytest.raises(InvariantViolation):
-        sampler.check_resummation()
+def _scaled_waits(cfg, law):
+    """Waits of full runs and of meeting runs on ``cfg``, each times the audited
+    rate on ``law`` of the sites held before it, and the part of them at the
+    late births, where more than 3n/4 sites are held."""
+    n, scaled, held = cfg.n, [], []
+    for rec in _runs(cfg, StopRule.full(), [(45, r) for r in range(40)]):
+        scaled.append(np.diff(rec.times) * event_rates(law, rec.site_indices)[1:])
+        held.append(np.arange(1, n))
+    srcs = [[r % n, (7 * r + 3) % n] for r in range(200)]
+    for sites, times, sides in _meeting_runs(cfg, [(46, r) for r in range(200)], srcs):
+        radius = np.r_[times[:-1], 0.5 * times[-1]]
+        scaled.append(np.diff(radius) * event_rates(law, sites, sides)[1:])
+        held.append(np.arange(2, len(sites) + 1))
+    scaled, held = np.concatenate(scaled), np.concatenate(held)
+    return scaled, scaled[4 * held > 3 * n]
 
 
-@pytest.mark.parametrize("cfg", [TorusConfig(1, 9, 1.0, 0.5), TorusConfig(2, 6, 2.0, 1.5)])
-def test_late_births_gather_over_the_undiscovered_tail(cfg):
-    # Past n/2 a birth gathers W_U(z) over keys[:, j:]: the discovered keys
-    # stay in birth order before it and the undiscovered ones fill it.  Every
-    # increment R_n - 2 W_D(z) matches an exactly rounded sum over D.
-    n, rn, reps = cfg.n, total_rate(cfg), 3
-    key_of, _, key_zero = weights.site_keys(cfg)
-    diff = weights.difference_table(cfg)
-    block = explore._Lockstep(cfg, [3, 4, 5], [0, 1, n - 1], n)
-    for j in range(1, n):
-        block.birth()
-        for r in range(reps):
-            born = block.sites[r, : j + 1]
-            w_dz = math.fsum(diff[key_of[born[:j]] - key_of[born[j]] + key_zero])
-            assert abs(block.increments[r, j] - (rn - 2.0 * w_dz)) <= 1e-12 * rn
-            if 2 * j > n:
-                assert np.array_equal(block.keys[r, : j + 1], key_of[born])
-                assert np.array_equal(np.sort(block.keys[r, j + 1 :]),
-                                      np.sort(key_of[np.flatnonzero(block.side[r] == 0)]))
+def _exp_cdf(t):
+    return -np.expm1(-np.asarray(t))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_waits_at_the_audited_rates_are_exponential(alpha):
+    # Given the sites held, a birth's wait, G clock exponentials over j R_n,
+    # is Exp(rate_j) with rate_j = cut(A) + cut(B), so the waits times the
+    # audited rates pool to Exp(1): of full and meeting runs, and of the late
+    # births alone, where G is largest.
+    cfg = TorusConfig(2, 8, 2.0, alpha)
+    for sample in _scaled_waits(cfg, cfg):
+        _, p = ks_one_sample(sample, _exp_cdf)
+        assert p > 1e-4, (sample.size, p)
+
+
+def test_audited_waits_reject_a_raised_alpha():
+    # The check has power: the rates of the same site orders with alpha
+    # raised by 0.3 reject the waits that the test above accepts.
+    cfg = TorusConfig(2, 8, 2.0, 1.0)
+    for sample in _scaled_waits(cfg, TorusConfig(2, 8, 2.0, 1.3)):
+        _, p = ks_one_sample(sample, _exp_cdf)
+        assert p < 1e-4, (sample.size, p)
 
 
 @pytest.mark.parametrize(
@@ -341,18 +346,17 @@ def test_late_births_gather_over_the_undiscovered_tail(cfg):
             TorusConfig(3, 10, 2.0, 0.5)])
 def test_block_count_holds_every_array_of_a_block(cfg):
     # The largest block block_count allows for runs of at most cap sites:
-    # its arrays, less the shared read-only tables, and its largest gather
-    # fit.  Per site of min(j, n - j) the gather holds an int32 index, the
-    # intp copy ``take`` makes of it, and a float64 weight.
+    # its arrays, less the shared read-only tables, and its widest windows
+    # fit, at 36 bytes per proposal of THINNING_BATCH.
     n = cfg.n
     for cap in (n, 3 * n // 4, math.isqrt(n) + 1):
         size = _largest_block(cfg, cap)
         block = explore._Lockstep(cfg, list(range(size)), [0] * size, cap)
         held = sum(a.nbytes for a in vars(block).values()
                    if isinstance(a, np.ndarray) and a.flags.writeable)
-        assert held + 20 * size * min(cap - 1, n // 2) <= explore.BLOCK_BYTES, (cap, size)
+        assert held + 36 * size * explore.THINNING_BATCH <= explore.BLOCK_BYTES, (cap, size)
     if cfg.n == 4096:
-        assert [explore.block_count(cfg, n, c) for c in (12, 13)] == [1, 2]
+        assert [explore.block_count(cfg, n, c) for c in (28, 29)] == [1, 2]
 
 
 @pytest.mark.parametrize("meeting", [False, True])
@@ -377,14 +381,12 @@ def test_largest_block_peaks_within_the_budget(meeting):
 def test_meeting_block_at_its_cap_peaks_within_the_budget(monkeypatch):
     # The largest meeting block at n = 2**18, with room for only sqrt(n) = 512
     # sites per run against meetings of about 2 sqrt(n) births: most of its
-    # rows gather over all cap keys, where the gather, not _select's windows,
-    # is the largest per-run term, and each meeting drops a row without
-    # copying the n-wide side rows.  _run_block alone is measured, so the runs
-    # that outgrow the block do not run again.
+    # rows fill all cap columns, and each meeting drops a row without copying
+    # the n-wide side rows.  _run_block alone is measured, so the runs that
+    # outgrow the block do not run again.
     monkeypatch.setattr(explore, "MEETING_SPAN", 1)
     cfg = TorusConfig(2, 512, 2.0, 1.0)
     cap = math.isqrt(cfg.n)
-    assert 20 * cap > 36 * explore.THINNING_BATCH
     size = _largest_block(cfg, cfg.n, meeting=True)
     srcs = [[r, (r + 1) * (cfg.n // (size + 1)) + 7] for r in range(size)]
     limit = np.full(size, cap - 1)
@@ -413,19 +415,22 @@ def test_runs_that_outgrow_a_meeting_block_run_again_alone(monkeypatch):
     for a, b in zip(wide, run_explorations(cfg, seeds, sources, stops)):
         assert (a.n_born, a.proposals) == (b.n_born, b.proposals)
         assert np.array_equal(a.site_indices, b.site_indices) and np.array_equal(a.times, b.times)
-        assert np.array_equal(a.rates, b.rates, equal_nan=True)
 
 
 def test_outgrown_meeting_runs_run_again_within_the_budget(monkeypatch):
     # Runs that outgrow a meeting block of sqrt(n) = 256 sites at n = 2**16,
-    # after 821 to 1,984 births, run again alone with four times the room
-    # until they fit, within BLOCK_BYTES, not with room for all n sites.
-    # Their records equal those of a wide block.
+    # the first four of seeds (50, s) whose run passes 4 sqrt(n) births, run
+    # again alone with four times the room until they fit, within
+    # BLOCK_BYTES, not with room for all n sites.  Their records equal those
+    # of a wide block.
     cfg = TorusConfig(2, 256, 2.0, 1.0)
-    seeds = [(50, s) for s in (1, 2, 4, 5)]
+    seeds = [(50, s) for s in range(1, 41)]
     stops = [StopRule.target(torus.index_to_site(cfg.n // 2 + 128 + s, cfg)) for _, s in seeds]
+    wide = run_explorations(cfg, seeds, [origin(cfg)] * len(seeds), stops)
+    chosen = [i for i, rec in enumerate(wide) if rec.n_born > 4 * math.isqrt(cfg.n)][:4]
+    assert len(chosen) == 4, "try more seeds"
+    seeds, stops, wide = ([x[i] for i in chosen] for x in (seeds, stops, wide))
     sources = [origin(cfg)] * len(seeds)
-    wide = run_explorations(cfg, seeds, sources, stops)
     monkeypatch.setattr(explore, "MEETING_SPAN", 1)
     tracemalloc.start()
     try:
@@ -438,7 +443,6 @@ def test_outgrown_meeting_runs_run_again_within_the_budget(monkeypatch):
     for a, b in zip(wide, records):
         assert (a.n_born, a.proposals) == (b.n_born, b.proposals)
         assert np.array_equal(a.site_indices, b.site_indices) and np.array_equal(a.times, b.times)
-        assert np.array_equal(a.rates, b.rates, equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -475,7 +479,6 @@ def test_batched_runs_equal_lone_runs(cfg):
         assert (rec.n_born, rec.proposals) == (lone.n_born, lone.proposals)
         assert np.array_equal(rec.site_indices, lone.site_indices)
         assert np.array_equal(rec.times, lone.times)
-        assert np.array_equal(rec.rates, lone.rates, equal_nan=True)
 
 
 def test_proposals_counted():

@@ -170,40 +170,28 @@ def test_pool_starts_no_more_workers_than_blocks_or_cores(monkeypatch):
         assert sizes == ([] if size is None else [size])
 
 
-# Samples as float.hex, reproduced bit for bit.  The tau and alpha = 0 entries
-# are those of the one-replicate-at-a-time sampler this package had before
-# replicates ran in lockstep blocks.  The two alpha > 0 flooding entries were
-# recorded again, at the same seeds, when births past n/2 began to take W_D(z)
-# as R_n - W_U(z); their earlier values are in _ONE_SIDED.  The typical entry
-# was recorded again, at the same seed, when a typical run became two
-# explorations that meet.
+# Samples as float.hex, reproduced bit for bit.  Every entry was recorded
+# again, at the same seeds, when a birth's wait became the sum of its
+# proposals' clock exponentials over j * R_n.
 _GOLDEN = [
     (ExperimentSpec(cfg=TorusConfig(2, 16, 2.0, 0.5), quantity="tau", replicates=3,
                     root_seed=11, k=16),
-     ["0x1.b5d93ce3f157ep-6", "0x1.985e4eb7ad2a9p-6", "0x1.9dcc97c97ca3fp-6"]),
+     ["0x1.ae4139ceb0d61p-6", "0x1.8eeaf4a01242cp-6", "0x1.977a48319cce6p-6"]),
     (ExperimentSpec(cfg=TorusConfig(2, 8, 2.0, 1.0), quantity="flooding", replicates=3,
                     root_seed=12),
-     ["0x1.5f77a464a7efep-2", "0x1.6c244b06eb458p-2", "0x1.c36081447f62ap-2"]),
+     ["0x1.d42b412b0ba2cp-2", "0x1.3d27f730dcfdfp-2", "0x1.99d6a26769429p-2"]),
     (ExperimentSpec(cfg=TorusConfig(2, 8, 2.0, 0.0), quantity="typical", replicates=3,
                     root_seed=13, source="uniform"),
-     ["0x1.d0a18f1ad300bp-4", "0x1.96d92dc03e9ebp-4", "0x1.20f9140c14ec1p-4"]),
+     ["0x1.f021cd867fbedp-4", "0x1.88e78dd6f0f06p-4", "0x1.16076311cfe96p-4"]),
     (ExperimentSpec(cfg=TorusConfig(1, 9, 1.0, 0.5), quantity="flooding", replicates=2,
                     root_seed=14, source="uniform"),
-     ["0x1.3891ba2bd5cb0p-1", "0x1.9cd1e6e85fc3ep+0"]),
+     ["0x1.8bcae61a2a1a9p-1", "0x1.954ffaa87663bp-1"]),
 ]
-# The alpha > 0 flooding samples when every birth gathered W_D(z) over the j
-# discovered sites: the two gathers differ only in rounding.
-_ONE_SIDED = {
-    _GOLDEN[1][0]: ["0x1.5f77a464a7ef9p-2", "0x1.6c244b06eb44ep-2", "0x1.c36081447f61cp-2"],
-    _GOLDEN[3][0]: ["0x1.3891ba2bd5cb0p-1", "0x1.9cd1e6e85fc3cp+0"],
-}
 
 
 @pytest.mark.parametrize("spec, golden", _GOLDEN, ids=lambda x: getattr(x, "quantity", ""))
 def test_samples_match_golden_values(spec, golden):
     expected = [float.fromhex(h) for h in golden]
-    for sample, before in zip(expected, _ONE_SIDED.get(spec, golden)):
-        assert sample == pytest.approx(float.fromhex(before), rel=1e-12, abs=0.0)
     assert [stats.replicate_sample(spec, r) for r in range(spec.replicates)] == expected
     samples, counts = stats._collect(spec)
     assert samples.tolist() == expected
