@@ -274,16 +274,23 @@ def limit_constant_planar(p: float, alpha: float) -> float:
 
 
 def _log_p(shape: float, ln: np.ndarray, xn: np.ndarray) -> np.ndarray:
-    """log P(shape, x) at x = exp(ln) = xn, by the regularized incomplete gamma P.
+    """log P(shape, x) at x = exp(ln) = xn <= 1, for the regularized incomplete gamma P.
 
-    Where P underflows, x < 1e-300 and the leading term of its series
-    P(s, x) = x**s * exp(-x) / Gamma(s + 1) * (1 + x/(s + 1) + ...) is exact.
+    By DLMF 8.7.1, P = x**s exp(-x) / Gamma(s + 1) * (1 + sum_k x**k / ((s+1)...(s+k))),
+    summed by Horner's rule in one new buffer; xn is overwritten.  At x <= 1 term k is
+    below 1/k!, so 18 terms reach 2**-53.  Both callers have x <= 1 (the maxima <= 1,
+    and U**(1/a) for the h part), and log space keeps subnormal x and an underflowing
+    P exact.
     """
-    log_p = scipy.special.gammainc(shape, xn)
-    tiny = log_p < np.finfo(np.float64).tiny
-    log_p[tiny] = 1.0
-    np.log(log_p, out=log_p)
-    log_p[tiny] = shape * ln[tiny] - xn[tiny] - math.lgamma(shape + 1.0)
+    coef = np.cumprod(1.0 / (shape + np.arange(1.0, 19.0)))
+    log_p = np.multiply(xn, coef[-1])
+    for c in coef[-2::-1]:
+        log_p += c
+        log_p *= xn
+    np.log1p(log_p, out=log_p)
+    log_p -= xn
+    log_p += np.multiply(ln, shape, out=xn)
+    log_p -= math.lgamma(shape + 1.0)
     return log_p
 
 
@@ -337,13 +344,13 @@ def limit_constant_gamma_mc(
         q = (1 - eps) * f_M + eps * h,   h(x) = a * x**(a - 1) on (0, 1],
 
     with eps = 1/2 and a = alpha/p, and weighted by x**((alpha - d)/p) *
-    f_M(x) / q(x).  The exact density f_M(x) = d * P(1/p, x)**(d - 1) *
-    x**(1/p - 1) * exp(-x) / Gamma(1/p) uses the regularized incomplete gamma
-    function P.  The h part matches the integrand's x**(alpha/p - 1) behaviour
-    at 0 and the f_M part covers x > 1, so every weight is bounded by a
-    constant.  The weights then have finite variance, the central limit theorem
-    applies, and the sample standard error is a valid yardstick.  The method
-    uses no quadrature, so it stays an independent check on it.
+    f_M(x) / q(x).  The exact density f_M(x) = d * P(1/p, x)**(d - 1) * x**(1/p - 1) *
+    exp(-x) / Gamma(1/p) uses the regularized incomplete gamma function P, needed only
+    at x <= 1 and summed there by its series in log space (`_log_p`).  The h part
+    matches the integrand's x**(alpha/p - 1) behaviour at 0 and the f_M part covers
+    x > 1, so every weight is bounded by a constant.  The weights then have finite
+    variance, the central limit theorem applies, and the sample standard error is a
+    valid yardstick.  The method uses no quadrature, so it stays independent of it.
 
     Every draw is made and kept in log space: a Gamma(1/p) variate as
     log Gamma(1/p + 1) + p * log(U) (Stuart's identity), laid out as (d, n)
@@ -372,15 +379,18 @@ def limit_constant_gamma_mc(
         # The log weight slope * log x - log(q / f_M) at x = exp(ln) <= 1,
         # with q / f_M = (1 - eps) + eps * h / f_M; ln is overwritten.
         xn = np.exp(ln)
-        if d > 1 and log_p is None:
-            log_p = _log_p(shape, ln, xn)
         log_q = np.multiply(ln, a - shape)
         log_q += log_h_over_f0
         log_q += xn
         if d > 1:
+            log_p = _log_p(shape, ln, xn) if log_p is None else log_p
             log_q -= np.multiply(log_p, d - 1, out=xn)
         log_q += math.log(_MC_DEFENSIVE_EPS)
-        np.logaddexp(log_far, log_q, out=log_q)
+        # np.logaddexp(log_far, log_q) by its own formula, max + log1p(exp(min - max)).
+        np.minimum(log_q, log_far, out=xn)
+        np.maximum(log_q, log_far, out=log_q)
+        xn -= log_q
+        log_q += np.log1p(np.exp(xn, out=xn), out=xn)
         ln *= slope
         return np.subtract(ln, log_q, out=ln)
 

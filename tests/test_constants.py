@@ -14,11 +14,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 
 from lrfpp import ConfigError, ConstantQuery, ConstantResult, constants
 from lrfpp.errors import NotApplicable
 from lrfpp.constants import (
     MC_MAX_SAMPLES,
+    _log_p,
     _mixture_draw,
     check_mc_samples,
     evaluate,
@@ -337,6 +339,43 @@ def test_mc_peak_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert cold <= 36 and second <= 36, (cold, second)
+
+
+@pytest.mark.parametrize("shape", [1 / 2, 1 / 7.5])
+def test_log_p_is_exact_at_subnormal_x(shape):
+    # exp(ln) is subnormal on [-745, -708), where P(s, x) is still far above the
+    # smallest float and its leading term x**s / Gamma(s + 1) holds to double precision.
+    ln = np.array([-720.0, -740.0, -744.5])
+    leading = shape * ln - math.lgamma(shape + 1.0)
+    np.testing.assert_allclose(_log_p(shape, ln, np.exp(ln)), leading, rtol=1e-12, atol=0)
+
+
+def _reference_weights(d, p, alpha, log_m, log_u):
+    # The weights of a draw with log P by scipy's gammainc and the mixture density
+    # q / f_M = (1 - eps) + eps * h / f_M by np.logaddexp, in the estimator's order.
+    shape, a, slope = 1.0 / p, alpha / p, (alpha - d) / p
+    ln = np.concatenate([log_m, log_u / a])
+    x = np.exp(ln)
+    log_r = (a - shape) * ln + (math.log(a) + math.lgamma(shape) - math.log(d)) + x
+    log_r -= (d - 1) * np.log(scipy.special.gammainc(shape, x))
+    log_r += math.log(0.5)
+    log_qf = np.where(ln <= 0.0, np.logaddexp(math.log(0.5), log_r), math.log(0.5))
+    return np.exp(slope * ln - log_qf)
+
+
+@pytest.mark.parametrize("d, p, alpha", [(1, 2.0, 0.5), (2, 1.0, 1.0), (3, 2.0, 0.5), (4, 7.5, 2.5)])
+def test_mc_weights_match_a_scipy_reference(d, p, alpha):
+    # No x of these cells is subnormal, so gammainc is exact to rounding there.
+    samples = 50_000
+    mc = limit_constant_gamma_mc(d, p, alpha, samples, seed=2)
+    log_m, log_u, _, _ = _mixture_draw(d, p, samples, 2)
+    w = _reference_weights(d, p, alpha, log_m, log_u)
+    pref = 2.0**alpha * math.gamma(1 / p) ** d / (p ** (d - 1) * math.gamma(alpha / p) * (d - alpha))
+    value = pref * np.mean(w)
+    error = pref * np.std(w, ddof=1) / math.sqrt(samples)
+    ess = np.sum(w) ** 2 / np.sum(w * w)
+    for got, want in ((mc.value, value), (mc.error, error), (mc.effective_samples, ess)):
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_mc_validation():
