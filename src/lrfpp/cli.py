@@ -488,6 +488,14 @@ def _validate_checks(seed: int) -> List[Tuple[str, bool, str]]:
     checks.append(("exploration-vs-oracle", min(pvals) >= level,
                    f"min KS p-value {min(pvals):.4f} at level {level:.4f}; {counts(runs)}"))
 
+    # Flooding at alpha = 0: Janson's sum of independent Exp(j (n - j)), of
+    # exact mean and variance, over every birth the sampler makes.
+    cfg = TorusConfig(d=2, m=32, p=2.0, alpha=0.0)
+    s = stats.estimate_scaled(ExperimentSpec(cfg, "flooding", 200, root_seed=seed + 19))
+    rates = [j * (cfg.n - j) for j in range(1, cfg.n)]
+    z = (s.mean - sum(1.0 / r for r in rates)) / math.sqrt(sum(r ** -2.0 for r in rates) / 200)
+    checks.append(("flooding-mean", abs(z) <= 4.0, f"z = {z:+.2f}; {counts([s])}"))
+
     # Gumbel fluctuations of the k-th discovery time.
     cfg = TorusConfig(d=2, m=32, p=2.0, alpha=0.0)
     s = stats.gumbel_test(ExperimentSpec(cfg, "tau", 400, root_seed=seed + 17, k=32))

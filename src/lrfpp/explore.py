@@ -16,7 +16,21 @@ changes nothing, so the first accepted one is the birth (thinning, Lewis &
 Shedler 1979, read as uniformization): a birth that takes G proposals waits
 Gamma(G, 1) / (j * R_n), the sum of their G standard exponentials over
 j * R_n.  A run keeps the keys of its sites (``weights.site_keys``) and a
-one-byte side per site; a birth costs its G proposals, about j * R_n / rate_j.
+one-byte side per site.
+
+Past half the torus the free sites are the fewer, and a one-sided run mirrors
+the thinning: once 2j > n the proposers are a list S that holds every free
+site, each at R_n, and a proposal from z in S with offset u is accepted when
+z is free and z + u discovered, and then z is the newborn.  The norm is
+symmetric, so z is born at rate sum_{v in D} norm(v - z)**-alpha = W_D(z); an
+entry of S discovered since S was built is a fictitious clock, always
+rejected.  So a birth that takes G proposals waits Gamma(G, 1) / (|S| * R_n),
+the same uniformization with |S| in place of j, and as the proposers are
+chosen afresh at each birth, switching between births is exact.  S is built
+at the switch and rebuilt from the free sites when they fall to half of it.
+A birth costs its G proposals, about min(j, |S|) * R_n / rate_j; at alpha = 0
+that is (n - 1)/(n - j) forward, which would reach n - 1 at the last birth,
+and under 4 mirrored.  Meeting runs do not mirror.
 
 A target stop grows disjoint explorations A from U and B from V at one common
 radius t until they meet (Bhamidi, van der Hofstad & Hooghiemstra 2010, Ann.
@@ -159,7 +173,10 @@ class _Lockstep:
     their parent uniforms, then their offsets.  ``clock[r, i]`` sums the first
     i exponentials of the refill, so a step's wait is the difference of two of
     its entries, whatever windows ``_select`` reads.  ``keys[r, :j]`` and
-    ``eside[r, :j]`` hold its sites' keys and sides, sources first.
+    ``eside[r, :j]`` hold its sites' keys and sides, sources first.  Once a
+    one-sided block mirrors, ``keys[r, :held]`` holds instead the keys of S,
+    the free sites when it was last built, some discovered since; no
+    proposal reads a site's key again, and ``birth`` writes only column j.
     """
 
     _LIVE = ("rows", "t", "keys", "eside", "clock", "parent_u", "offsets", "pos", "refills")
@@ -172,6 +189,7 @@ class _Lockstep:
         self._cdf = weights.nearest_prefix_sums(cfg)
         self._key_of, self._site_of, _ = weights.site_keys(cfg)
         self._order = torus.sorted_order(cfg)  # offset of rank i: key_of[order[i]]
+        self._zero = self._key_of[self._order[0]]  # the offset to the site itself
         self.rows, self.t = np.arange(size), np.zeros(size)
         self.proposals, self.born = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
         self.side = np.zeros((size, cfg.n), dtype=np.int8)
@@ -188,9 +206,10 @@ class _Lockstep:
         # Proposal batches, padded to twice their length with proposals from
         # the first site to itself, which are rejected, so windows may overrun.
         self.parent_u = np.zeros((size, 2 * batch))
-        self.offsets = np.full((size, 2 * batch), self._key_of[self._order[0]], dtype=np.int32)
+        self.offsets = np.full((size, 2 * batch), self._zero, dtype=np.int32)
         self.pos, self.refills = np.full(size, batch), np.zeros(size, dtype=np.int64)
         self.mean_g = 1.0  # proposals per run in the last step
+        self.held = cfg.n  # |S| once mirrored; n before, so the first mirrored step builds S
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the runs whose entry of ``live`` is False, counting their entries and proposals."""
@@ -204,15 +223,20 @@ class _Lockstep:
             setattr(self, name, getattr(self, name)[live])
 
     def _select(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat index of the first accepted proposal of every live run, one to a
-        site off the proposer's side, the proposer's side, and the sum of the
+        """Flat index of the first accepted proposal of every live run, the
+        newborn or the meeting site, the proposer's side, and the sum of the
         exponentials of the proposals the run used.
 
-        Runs read their proposals in windows, the first twice the mean number
-        of proposals the runs used in the last step, doubling while they miss.
+        The proposers are the j sites, or once mirrored the ``held`` entries of
+        S, and a proposal from one is accepted when it lands off the
+        proposer's side, or, mirrored, when it comes from a free site and lands
+        on a discovered one, whose proposer is then the newborn.  Runs read
+        their proposals in windows, the first twice the mean number of
+        proposals the runs used in the last step, doubling while they miss.
         """
         j, batch, count = self.j, THINNING_BATCH, len(self.rows)
         cap, n = self.keys.shape[1], self.cfg.n
+        mirror, size = self.held < j, min(j, self.held)
         z, todo = np.empty(count, dtype=np.int64), np.arange(count)
         s = 1 if self.ends == 1 else np.empty(count, dtype=np.int8)
         made = self.refills * batch + self.pos
@@ -234,16 +258,25 @@ class _Lockstep:
                 self.pos[row], self.refills[row] = 0, self.refills[row] + 1
             pos = self.pos[todo]
             cell = (todo * (2 * batch) + pos)[:, None] + np.arange(width)
-            key, parent = self.offsets.take(cell), (self.parent_u.take(cell) * j).astype(np.int64)
+            key = self.offsets.take(cell)
+            parent = (self.parent_u.take(cell) * size).astype(np.int64)
             del cell  # In place from here, which keeps a window small.
-            np.minimum(parent, j - 1, out=parent)
+            np.minimum(parent, size - 1, out=parent)
             parent += (todo * cap)[:, None]
-            key += self.keys.take(parent)
-            # The proposers' sides, 1 in a one-sided run (an int8 compares fast).
-            own = np.int8(1) if self.ends == 1 else self.eside.take(parent)
+            home = self.keys.take(parent)
+            # The side a target must differ from: the proposer's, 1 in a
+            # one-sided run (an int8 compares fast), or 0 (free) once mirrored.
+            own = self.eside.take(parent) if self.ends == 2 else np.int8(not mirror)
             del parent
+            key += home
+            at = (self.rows[todo] * n)[:, None]
             flat = self._site_of.take(key)
-            ok = self.side.take(flat + (self.rows[todo] * n)[:, None]) != own
+            ok = self.side.take(flat + at) != own
+            if mirror:
+                home += self._zero
+                flat = self._site_of.take(home)
+                ok &= self.side.take(flat + at) == 0
+            del home
             hit, first = ok.argmax(axis=1), np.arange(todo.size)
             found = ok[first, hit]
             self.pos[todo] = np.minimum(pos + np.where(found, hit + 1, width), batch)
@@ -257,8 +290,14 @@ class _Lockstep:
 
     def birth(self) -> None:
         """One event in every live run, after its wait: a birth, or a meeting, which ends it."""
+        free = self.cfg.n - self.j
+        if self.ends == 1 and free < self.j and 2 * free <= self.held:
+            # S is every free site: at the switch, or once half of S is stale.
+            self.held = free
+            for r, row in enumerate(self.rows):
+                self.keys[r, :free] = self._key_of[np.flatnonzero(self.side[row] == 0)]
         z, s, spent = self._select()
-        self.t = self.t + spent / (self.j * self.rn)
+        self.t = self.t + spent / (min(self.j, self.held) * self.rn)
         if self.ends == 2:
             met = self.side[self.rows, z] != 0
             if met.any():

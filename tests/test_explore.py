@@ -198,12 +198,18 @@ def test_exact_laws_agree_with_closed_forms():
     assert np.abs(birth_chain(2, 1, 3.0).tau_cdf(1)(t) + np.expm1(-t)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("k, tag", [(6, 8), (15, 36)], ids=["tau6", "flooding"])
-def test_thinning_matches_exact_law(k, tag):
-    cfg = TorusConfig(2, 4, 2.0, 1.0)
+@pytest.mark.parametrize(
+    "k, p, tag",
+    [(6, 2.0, 8), (12, 2.0, 43), (15, 2.0, 36), (15, 1.0, 44), (15, math.inf, 45)],
+    ids=["tau6", "tau12", "flooding", "flooding-p1", "flooding-pinf"],
+)
+def test_thinning_matches_exact_law(k, p, tag):
+    # tau12 passes n/2 = 8 sites and stops before S, the free sites that
+    # propose past it, is first rebuilt; the floodings rebuild it twice.
+    cfg = TorusConfig(2, 4, p, 1.0)
     a = _tau_sample(cfg, k, tag, 1500)
-    _, p = ks_one_sample(a, set_chain(cfg, k, a.max()).tau_cdf(k))
-    assert p > 1e-4
+    _, pvalue = ks_one_sample(a, set_chain(cfg, k, a.max()).tau_cdf(k))
+    assert pvalue > 1e-4
 
 
 def test_exact_tau_law_rejects_a_raised_alpha():
@@ -216,13 +222,14 @@ def test_exact_tau_law_rejects_a_raised_alpha():
     assert p < 1e-4
 
 
-def test_thinning_matches_oracle_on_flooding():
+@pytest.mark.parametrize("alpha, p", [(1.5, 2.0), (0.5, 1.0)], ids=["a1.5-p2", "a0.5-p1"])
+def test_thinning_matches_oracle_on_flooding(alpha, p):
     # Beyond the set chain's reach: the largest single-source oracle distance.
-    cfg = TorusConfig(2, 16, 2.0, 1.5)
+    cfg = TorusConfig(2, 16, p, alpha)
     a = _tau_sample(cfg, cfg.n - 1, 30, 600)
     b = np.array([dijkstra_oracle(origin(cfg), cfg, (31, r)).max() for r in range(600)])
-    _, p = ks_two_sample(a, b)
-    assert p > 1e-4
+    _, pvalue = ks_two_sample(a, b)
+    assert pvalue > 1e-4
 
 
 def test_thinning_matches_exact_law_on_third_newborn():
@@ -482,9 +489,14 @@ def test_batched_runs_equal_lone_runs(cfg):
 
 
 def test_proposals_counted():
-    # At alpha = 0 a proposal from a j-vertex cluster hits an undiscovered
-    # site with probability (n - j)/(n - 1), so a full run makes
-    # (n - 1) * H_{n-1} proposals on average.
+    # At alpha = 0 a proposal hits with probability (n - j)/(n - 1) from a
+    # j-vertex cluster.  Once 2j > n the |S| held sites propose instead, and
+    # a proposal hits when its proposer is one of the n - j free sites and it
+    # lands on one of the j discovered ones, with probability
+    # (n - j) j / (|S| (n - 1)).  A birth takes on average P_j (n - 1) /
+    # (j (n - j)) proposals, with P_j = j before the switch and |S| after it.
+    # S is rebuilt from the free sites at the switch and whenever they fall
+    # to half of it.
     cfg = TorusConfig(2, 8, 2.0, 0.0)
     n = cfg.n
     reps = 400
@@ -492,7 +504,11 @@ def test_proposals_counted():
         [rec.proposals for rec in _runs(cfg, StopRule.full(), [(34, r) for r in range(reps)])]
     )
     assert counts.min() >= n - 1
-    exact = (n - 1) * sum(1.0 / i for i in range(1, n))
+    held, exact = n, 0.0
+    for j in range(1, n):
+        if n - j < j and 2 * (n - j) <= held:
+            held = n - j
+        exact += min(j, held) * (n - 1) / (j * (n - j))
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - exact) <= 5 * se, (counts.mean(), exact, se)
 
