@@ -32,6 +32,15 @@ A birth costs its G proposals, about min(j, |S|) * R_n / rate_j; at alpha = 0
 that is (n - 1)/(n - j) forward, which would reach n - 1 at the last birth,
 and under 4 mirrored.  Meeting runs do not mirror.
 
+Mirrored, a run reads several births off one window of proposals.  Neither
+the proposer S[floor(U * |S|)] nor the target of a proposal depends on j, and
+a birth changes the state only at its newborn, so judged on the state before
+the window, every proposal up to the break has the verdict it has after the
+births before it.  The break is the first proposal whose proposer or target
+is the proposer of an accepted one before it; the accepted proposals before
+it are the next births in order, and birth k waits the exponentials of the
+proposals after birth k - 1 up to its own over |S| * R_n.
+
 A target stop grows disjoint explorations A from U and B from V at one common
 radius t until they meet (Bhamidi, van der Hofstad & Hooghiemstra 2010, Ann.
 Appl. Probab. 20): a proposal to the proposer's side is rejected, one to a
@@ -44,9 +53,9 @@ cut(B), and the j = |A| + |B| sites propose at j * R_n, so the clock is the
 same; about 3 sqrt(n) births end a run, against n/2 from U.
 
 ``run_explorations`` runs replicates in lockstep blocks, sized by BLOCK_BYTES
-alone, of one-sided or meeting runs; a step is one event in every run, with
-the proposals and the clock as array operations.  ``run_exploration`` is a
-block of one.
+alone, of one-sided or meeting runs; a step is one event in every run, or
+once mirrored the births that every run's window settles, with the proposals
+and the clock as array operations.  ``run_exploration`` is a block of one.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E``, and the oracles compute passage times on that
@@ -113,6 +122,14 @@ BLOCK_BYTES = 5 << 19
 #: that outgrows it, about 1 in 100 at n = 4,096 and alpha = 1.5, runs again
 #: alone with four times the room, until it fits.
 MEETING_SPAN = 16
+#: Narrowest first window of a mirrored step, in proposals per run.  A
+#: mirrored step takes as many births as every run's window settles, and
+#: with a window of four times the proposals per run of the last step alone,
+#: a step of few births would keep the next one short.
+MIRROR_WIDTH = 32
+#: Widest window of a mirrored step: ``_settle`` marks a site in the int8
+#: ``side`` with its position in the window less MIRROR_SPAN, which fits.
+MIRROR_SPAN = 128
 
 
 @dataclass(frozen=True)
@@ -162,7 +179,7 @@ class ExplorationRecord:
 
 
 class _Lockstep:
-    """Thinning runs of a block of replicates, advanced together one event per step.
+    """Thinning runs of a block of replicates, advanced together one step at a time.
 
     Row r of the state is a live run of replicate ``rows[r]`` with j sites;
     ``side`` and the outputs are by replicate, so an ending run copies no row.
@@ -171,15 +188,16 @@ class _Lockstep:
     draws from its own stream as alone, THINNING_BATCH proposals at a time,
     each when first needed, whatever the stop rule: their exponentials, then
     their parent uniforms, then their offsets.  ``clock[r, i]`` sums the first
-    i exponentials of the refill, so a step's wait is the difference of two of
-    its entries, whatever windows ``_select`` reads.  ``keys[r, :j]`` and
-    ``eside[r, :j]`` hold its sites' keys and sides, sources first.  Once a
-    one-sided block mirrors, ``keys[r, :held]`` holds instead the keys of S,
-    the free sites when it was last built, some discovered since; no
-    proposal reads a site's key again, and ``birth`` writes only column j.
+    i exponentials of the refill, so a wait is the difference of two of its
+    entries, whatever windows ``_select`` reads.  ``keys[r, :j]`` holds its
+    sites' keys, sources first, and in a meeting block ``eside[r, :j]`` their
+    sides.  Once a one-sided block mirrors, ``keys[r, :held]`` holds instead
+    the keys of S, the free sites when it was last built, some discovered
+    since, and no proposal reads a site's key again.  A step is one event in
+    every run, or once mirrored the same number of births in every run.
     """
 
-    _LIVE = ("rows", "t", "keys", "eside", "clock", "parent_u", "offsets", "pos", "refills")
+    _LIVE = ("rows", "t", "keys", "clock", "parent_u", "offsets", "pos", "refills")
 
     def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs, cap: int) -> None:
         srcs = np.asarray(srcs, dtype=np.int64).reshape(len(seeds), -1)
@@ -196,8 +214,10 @@ class _Lockstep:
         self.side[self.rows[:, None], srcs] = np.arange(1, self.ends + 1)
         self.keys = np.empty((size, cap), dtype=np.int32)
         self.keys[:, : self.ends] = self._key_of[srcs]
-        self.eside = np.ones(self.keys.shape, dtype=np.int8)
-        self.eside[:, 1 : self.ends] = 2
+        if self.ends == 2:
+            self._LIVE += ("eside",)
+            self.eside = np.ones(self.keys.shape, dtype=np.int8)
+            self.eside[:, 1] = 2
         # Outputs hold the source, then the newborns; a meeting adds the target.
         self.sites, self.times = np.empty((size, cap), dtype=np.int32), np.empty((size, cap))
         self.sites[:, 0], self.times[:, 0] = srcs[:, 0], 0.0
@@ -210,6 +230,16 @@ class _Lockstep:
         self.pos, self.refills = np.full(size, batch), np.zeros(size, dtype=np.int64)
         self.mean_g = 1.0  # proposals per run in the last step
         self.held = cfg.n  # |S| once mirrored; n before, so the first mirrored step builds S
+        self._span = np.arange(batch)  # a window's positions
+        self._marks = np.arange(-MIRROR_SPAN, 0, dtype=np.int8)  # see _settle
+        self._index()
+
+    def _index(self) -> None:
+        """Row r's offsets into the flat windows, keys and sides, kept until a run ends."""
+        self._at = np.arange(len(self.rows))
+        self._cell_at = self._at * (2 * THINNING_BATCH)
+        self._key_at = self._at * self.keys.shape[1]
+        self._side_at = self.rows * self.cfg.n
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the runs whose entry of ``live`` is False, counting their entries and proposals."""
@@ -221,112 +251,180 @@ class _Lockstep:
         self.gens = [gen for gen, kept in zip(self.gens, live) if kept]
         for name in self._LIVE:
             setattr(self, name, getattr(self, name)[live])
+        self._index()
 
-    def _select(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat index of the first accepted proposal of every live run, the
-        newborn or the meeting site, the proposer's side, and the sum of the
-        exponentials of the proposals the run used.
+    def _refill(self, row: int) -> None:
+        """Draw the next THINNING_BATCH proposals of run ``row``."""
+        gen, batch = self.gens[row], THINNING_BATCH
+        np.cumsum(gen.standard_exponential(batch), out=self.clock[row, 1:])
+        self.parent_u[row, :batch] = gen.random(batch)
+        # cdf[i] sums the i nearest nonzero-site weights, so U * R_n falls in
+        # [cdf[i-1], cdf[i]) with probability equal to the weight of the i-th
+        # nearest site, sorted_order[i].  The clip catches U * R_n rounding up
+        # to cdf[-1].
+        u = gen.random(batch) * self._cdf[-1]
+        rank = np.minimum(np.searchsorted(self._cdf, u, side="right"), self.cfg.n - 1)
+        self.offsets[row, :batch] = self._key_of[self._order[rank]]
+        self.pos[row], self.refills[row] = 0, self.refills[row] + 1
+
+    def _select(self, most: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next births of every live run, or its meeting site, as flat
+        indices of ``side`` in a (runs, c) array, their proposers' sides, and
+        their times: birth k waits the exponentials of the proposals after
+        birth k - 1 up to its own over min(j, held) * R_n.
 
         The proposers are the j sites, or once mirrored the ``held`` entries of
         S, and a proposal from one is accepted when it lands off the
         proposer's side, or, mirrored, when it comes from a free site and lands
         on a discovered one, whose proposer is then the newborn.  Runs read
-        their proposals in windows, the first twice the mean number of
-        proposals the runs used in the last step, doubling while they miss.
+        their proposals in windows, at first four times the proposals per run
+        of the last step, doubling while they miss.  Forward, c is 1: each run
+        takes its first accepted proposal.  Mirrored, a window holds at least
+        MIRROR_WIDTH and at most MIRROR_SPAN proposals, and c is the fewest
+        births that the window of any run settles (``_settle``), at most
+        ``most``.
         """
         j, batch, count = self.j, THINNING_BATCH, len(self.rows)
-        cap, n = self.keys.shape[1], self.cfg.n
         mirror, size = self.held < j, min(j, self.held)
-        z, todo = np.empty(count, dtype=np.int64), np.arange(count)
-        s = 1 if self.ends == 1 else np.empty(count, dtype=np.int8)
-        made = self.refills * batch + self.pos
-        spent = -self.clock[todo, self.pos]
-        width = min(batch, math.ceil(2.0 * self.mean_g))
-        while todo.size:
-            for row in todo[self.pos[todo] == batch]:
-                gen = self.gens[row]
-                spent[row] += self.clock[row, batch]
-                np.cumsum(gen.standard_exponential(batch), out=self.clock[row, 1:])
-                self.parent_u[row, :batch] = gen.random(batch)
-                # cdf[i] sums the i nearest nonzero-site weights, so U * R_n
-                # falls in [cdf[i-1], cdf[i]) with probability equal to the
-                # weight of the i-th nearest site, sorted_order[i].  The clip
-                # catches U * R_n rounding up to cdf[-1].
-                u = gen.random(batch) * self._cdf[-1]
-                rank = np.minimum(np.searchsorted(self._cdf, u, side="right"), n - 1)
-                self.offsets[row, :batch] = self._key_of[self._order[rank]]
-                self.pos[row], self.refills[row] = 0, self.refills[row] + 1
-            pos = self.pos[todo]
-            cell = (todo * (2 * batch) + pos)[:, None] + np.arange(width)
+        # A run at the end of its batch refills before its wait starts:
+        # -clock[batch] + clock[batch] and -clock[0] are both 0.
+        if self.pos.max() == batch:
+            for row in np.flatnonzero(self.pos == batch):
+                self._refill(row)
+        todo, pos, parts = self._at, self.pos, []
+        made, spent = self.refills * batch + pos, -self.clock[todo, pos]
+        top = MIRROR_SPAN if mirror else batch
+        width = min(top, math.ceil(max(MIRROR_WIDTH if mirror else 1, 4.0 * self.mean_g)))
+        cell_at, key_at, side_at = self._cell_at, self._key_at[:, None], self._side_at[:, None]
+        while True:
+            cell = (cell_at + pos)[:, None] + self._span[:width]
             key = self.offsets.take(cell)
             parent = (self.parent_u.take(cell) * size).astype(np.int64)
             del cell  # In place from here, which keeps a window small.
             np.minimum(parent, size - 1, out=parent)
-            parent += (todo * cap)[:, None]
+            parent += key_at
             home = self.keys.take(parent)
             # The side a target must differ from: the proposer's, 1 in a
             # one-sided run (an int8 compares fast), or 0 (free) once mirrored.
             own = self.eside.take(parent) if self.ends == 2 else np.int8(not mirror)
             del parent
             key += home
-            at = (self.rows[todo] * n)[:, None]
             flat = self._site_of.take(key)
-            ok = self.side.take(flat + at) != own
+            flat += side_at
+            ok = self.side.take(flat) != own
             if mirror:
                 home += self._zero
-                flat = self._site_of.take(home)
-                ok &= self.side.take(flat + at) == 0
-            del home
-            hit, first = ok.argmax(axis=1), np.arange(todo.size)
-            found = ok[first, hit]
-            self.pos[todo] = np.minimum(pos + np.where(found, hit + 1, width), batch)
-            z[todo] = flat[first, hit]
-            if self.ends == 2:
-                s[todo] = own[first, hit]
-            todo, width = todo[~found], min(batch, 2 * width)
-        spent += self.clock[np.arange(count), self.pos]
-        self.mean_g = float(np.mean(self.refills * batch + self.pos - made))
-        return z, s, spent
+                flat, target = self._site_of.take(home), flat
+                flat += side_at
+                ok &= self.side.take(flat) == 0
+                self._settle(ok, flat, target)
+                born = ok.sum(axis=1)
+                found, done = born > 0, (todo, pos, ok, flat, born)
+            else:
+                first = self._at[: todo.size]
+                hit = ok.argmax(axis=1)
+                found = ok[first, hit]
+                done = (todo, flat[first, hit, None], (pos + hit + 1)[:, None])
+                if self.ends == 2:
+                    done += (own[first, hit, None],)
+            if found.all():
+                parts.append(done)
+                break
+            parts.append(tuple(a[found] for a in done))
+            miss = ~found
+            todo, cell_at, key_at, side_at = todo[miss], cell_at[miss], key_at[miss], side_at[miss]
+            self.pos[todo] = np.minimum(pos[miss] + width, batch)
+            for row in todo[self.pos[todo] == batch]:
+                spent[row] += self.clock[row, batch]
+                self._refill(row)
+            pos, width = self.pos[todo], min(top, 2 * width)
+        c = 1
+        if mirror:
+            c = min(most, *(part[-1].min(initial=most) for part in parts))
+            for k, (rows, pos, ok, flat, _) in enumerate(parts):
+                ok &= np.cumsum(ok, axis=1) <= c
+                ends = ok.nonzero()[1].reshape(-1, c) + (pos + 1)[:, None]
+                parts[k] = (rows, flat[ok].reshape(-1, c), ends)
+        _, z, ends, *s = parts[0]
+        if len(parts) > 1:  # back in row order
+            rows, *out = (np.concatenate(a) for a in zip(*parts))
+            order = np.argsort(rows)
+            z, ends, *s = (a[order] for a in out)
+        self.pos = ends[:, -1]
+        self.mean_g = int((self.refills * batch + self.pos - made).sum()) / count
+        times = self.clock[self._at[:, None], ends]
+        if c > 1:
+            times[:, 1:] -= times[:, :-1]
+        times[:, 0] += spent
+        times /= size * self.rn
+        times[:, 0] += self.t
+        if c > 1:
+            np.cumsum(times, axis=1, out=times)
+        return z, s[0] if s else 1, times
 
-    def birth(self) -> None:
-        """One event in every live run, after its wait: a birth, or a meeting, which ends it."""
+    def _settle(self, ok: np.ndarray, flat: np.ndarray, target: np.ndarray) -> None:
+        """Keep in ``ok``, a mirrored window's accepted proposals, those before
+        the break (see the module docstring): the first proposal whose
+        proposer (``flat``) or target is the proposer of an accepted one
+        before it.  The accepted proposal at position k marks its proposer in
+        ``side`` with k - MIRROR_SPAN, the first mark if the proposer recurs,
+        so a proposal at k is a break when its proposer or target holds a
+        smaller mark; the marks go before ``_settle`` returns.
+        """
+        side, born = self.side.reshape(-1), flat[ok]
+        marks = self._marks[: ok.shape[1]]
+        np.minimum.at(side, born, marks[ok.nonzero()[1]])
+        past = side.take(flat) < marks
+        past |= side.take(target) < marks
+        side[born] = 0
+        np.logical_or.accumulate(past, axis=1, out=past)
+        np.greater(ok, past, out=ok)
+
+    def birth(self, most: int = 1) -> None:
+        """One event in every live run, after its wait: a birth, or a meeting,
+        which ends it.  Once mirrored, up to ``most`` births in every run."""
         free = self.cfg.n - self.j
         if self.ends == 1 and free < self.j and 2 * free <= self.held:
             # S is every free site: at the switch, or once half of S is stale.
             self.held = free
             for r, row in enumerate(self.rows):
                 self.keys[r, :free] = self._key_of[np.flatnonzero(self.side[row] == 0)]
-        z, s, spent = self._select()
-        self.t = self.t + spent / (min(self.j, self.held) * self.rn)
+        mirror = self.held < self.j
+        # No birth of a step finds S half stale: 2 (free - c + 1) > held.
+        z, s, times = self._select(min(most, free - self.held // 2) if mirror else 1)
+        j, c, self.t = self.j, z.shape[1], times[:, -1]
+        side = self.side.reshape(-1)
         if self.ends == 2:
-            met = self.side[self.rows, z] != 0
+            met = side[z[:, 0]] != 0
             if met.any():
-                gone, col = self.rows[met], self.j - 1
+                gone, col = self.rows[met], j - 1
                 self.sites[gone, col], self.times[gone, col] = self.far[gone], 2.0 * self.t[met]
                 self.keep(~met)
-                z, s = z[~met], s[~met]
+                z, s, times = z[~met], s[~met], times[~met]
                 if not self.rows.size:
                     return
-        j, rows = self.j, self.rows
         col = j + 1 - self.ends
-        self.sites[rows, col], self.times[rows, col] = z, self.t
-        self.side[rows, z] = s
-        self.keys[:, j] = self._key_of[z]
+        side[z] = s
+        z -= self._side_at[:, None]
+        self.sites[self.rows, col : col + c], self.times[self.rows, col : col + c] = z, times
+        if not mirror:
+            self.keys[:, j] = self._key_of[z[:, 0]]
         if self.ends == 2:
-            self.eside[:, j] = s
-        self.j = j + 1
+            self.eside[:, j] = s[:, 0]
+        self.j = j + c
 
 
 def block_count(cfg: TorusConfig, cap: int, count: int, meeting: bool = False) -> int:
     """Blocks of equal size, each within BLOCK_BYTES, for ``count`` runs of at
     most ``cap`` sites, or of meeting runs.  A run holds its sides (a byte per
-    site of the torus), its keys and key sides (5 bytes per site it holds), its
-    outputs (12), its clock, parent uniforms and offsets (32 bytes per proposal
-    of a refill), 2 KB of objects, and ``_select``'s windows (33 bytes per
-    proposal measured); a block holds no cached per-torus table."""
+    site of the torus), its keys (4 bytes per site it holds, and in a meeting
+    block a byte more for their sides), its outputs (12), its clock, parent
+    uniforms and offsets (32 bytes per proposal of a refill), 2 KB of objects,
+    and ``_select``'s windows (33 bytes per proposal measured); a block holds
+    no cached per-torus table."""
     n = cfg.n
     cap = min(cap, n, MEETING_SPAN * math.isqrt(n)) if meeting else cap
-    per_run = n + 17 * cap + 68 * THINNING_BATCH + 2048
+    per_run = n + (17 if meeting else 16) * cap + 68 * THINNING_BATCH + 2048
     return -(-count // max(1, BLOCK_BYTES // per_run))
 
 
@@ -336,12 +434,14 @@ def _run_block(
 ) -> List[ExplorationRecord]:
     """The runs of one block from ``srcs``, one source per side, each ending after
     ``limit`` births or at a meeting (None if a meeting run passes it)."""
-    block = _Lockstep(cfg, seeds, srcs, cap)
+    block, low = _Lockstep(cfg, seeds, srcs, cap), -1
     while True:
-        block.keep(limit[block.rows] >= block.j)
+        if block.j > low:  # past the smallest limit of a live run
+            block.keep(limit[block.rows] >= block.j)
+            low = limit[block.rows].min(initial=cfg.n)
         if not block.rows.size:
             break
-        block.birth()
+        block.birth(low + 1 - block.j)
     # Copies, so that no record holds the block's arrays.
     return [None if block.ends == 2 and b > limit[r] else ExplorationRecord(
         block.sites[r, :b].copy(), block.times[r, :b].copy(), int(block.proposals[r]))

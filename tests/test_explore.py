@@ -363,7 +363,7 @@ def test_block_count_holds_every_array_of_a_block(cfg):
                    if isinstance(a, np.ndarray) and a.flags.writeable)
         assert held + 36 * size * explore.THINNING_BATCH <= explore.BLOCK_BYTES, (cap, size)
     if cfg.n == 4096:
-        assert [explore.block_count(cfg, n, c) for c in (28, 29)] == [1, 2]
+        assert [explore.block_count(cfg, n, c) for c in (29, 30)] == [1, 2]
 
 
 @pytest.mark.parametrize("meeting", [False, True])
@@ -459,12 +459,14 @@ def test_outgrown_meeting_runs_run_again_within_the_budget(monkeypatch):
         TorusConfig(2, 4, 2.0, 0.0),
         TorusConfig(2, 5, 2.0, 1.0),
         TorusConfig(3, 4, 2.0, 2.0),
+        TorusConfig(2, 32, 2.0, 1.0),
     ],
 )
 def test_batched_runs_equal_lone_runs(cfg):
     # Each replicate of one batched call, over two lockstep blocks and with
     # two count stops, full and per-replicate target stops mixed, equals a
-    # lone run at its seed.  m = 4 at full stop is rejection-heavy.
+    # lone run at its seed.  m = 4 at full stop is rejection-heavy; at m = 32
+    # a mirrored step takes several births, fewer in a block than alone.
     reps = _largest_block(cfg, cfg.n) + 6
     stops = [
         [StopRule.count(1 + r % (cfg.n - 1)), StopRule.full(),
@@ -486,6 +488,18 @@ def test_batched_runs_equal_lone_runs(cfg):
         assert (rec.n_born, rec.proposals) == (lone.n_born, lone.proposals)
         assert np.array_equal(rec.site_indices, lone.site_indices)
         assert np.array_equal(rec.times, lone.times)
+
+
+def test_mirrored_steps_take_several_births(monkeypatch):
+    # Past half the torus a block of full runs steps fewer times than it has
+    # births, as each step takes as many births as every run settles.
+    cfg, steps = TorusConfig(2, 32, 2.0, 1.0), []
+    birth = explore._Lockstep.birth
+    monkeypatch.setattr(explore._Lockstep, "birth",
+                        lambda block, *most: steps.append(birth(block, *most)))
+    records = _runs(cfg, StopRule.full(), [(36, r) for r in range(12)])
+    assert [rec.n_born for rec in records] == [cfg.n] * 12
+    assert len(steps) < cfg.n - 1, len(steps)
 
 
 def test_proposals_counted():

@@ -186,6 +186,11 @@ _GOLDEN = [
     (ExperimentSpec(cfg=TorusConfig(1, 9, 1.0, 0.5), quantity="flooding", replicates=2,
                     root_seed=14, source="uniform"),
      ["0x1.34e8bb1c3a91dp-1", "0x1.27c2881ac4dedp+0"]),
+    # At n = 1,024 mirrored steps take several births, alone and in a block;
+    # recorded when every step took one.
+    (ExperimentSpec(cfg=TorusConfig(2, 32, 2.0, 1.0), quantity="flooding", replicates=3,
+                    root_seed=15),
+     ["0x1.25b34543132a6p-3", "0x1.1c1836cf0c543p-3", "0x1.10a2001446c3cp-3"]),
 ]
 
 
