@@ -15,8 +15,8 @@ discovered.  A rejected proposal is the clock of an edge inside D, which
 changes nothing, so the first accepted one is the birth (thinning, Lewis &
 Shedler 1979, read as uniformization): a birth that takes G proposals waits
 Gamma(G, 1) / (j * R_n), the sum of their G standard exponentials over
-j * R_n.  A run keeps the keys of its sites (``weights.site_keys``) and a
-one-byte side per site.
+j * R_n.  A run stores each site once, as its key (``weights.site_keys``) in
+event order and its side in a byte per site of the torus.
 
 Past half the torus the free sites are the fewer, and a one-sided run mirrors
 the thinning: once 2j > n the proposers are a list S that holds every free
@@ -27,10 +27,10 @@ entry of S discovered since S was built is a fictitious clock, always
 rejected.  So a birth that takes G proposals waits Gamma(G, 1) / (|S| * R_n),
 the same uniformization with |S| in place of j, and as the proposers are
 chosen afresh at each birth, switching between births is exact.  S is built
-at the switch and rebuilt from the free sites when they fall to half of it.
-A birth costs its G proposals, about min(j, |S|) * R_n / rate_j; at alpha = 0
-that is (n - 1)/(n - j) forward, which would reach n - 1 at the last birth,
-and under 4 mirrored.  Meeting runs do not mirror.
+in a buffer of its own at the switch, and rebuilt from the free sites when
+they fall to half of it.  A birth costs its G proposals, about min(j, |S|) *
+R_n / rate_j; at alpha = 0 that is (n - 1)/(n - j) forward, which would reach
+n - 1 at the last birth, and under 4 mirrored.  Meeting runs do not mirror.
 
 Mirrored, a run reads several births off one window of proposals.  Neither
 the proposer S[floor(U * |S|)] nor the target of a proposal depends on j, and
@@ -134,14 +134,16 @@ MIRROR_SPAN = 128
 
 @dataclass(frozen=True)
 class StopRule:
-    """When a run ends: after ``k`` >= 1 births (n - 1 if None, as in ``full()``),
-    or, with ``site`` and no ``k``, when it meets an exploration from ``site``."""
+    """When a run ends: after ``k`` births, an integer >= 1 (n - 1 if None, as in
+    ``full()``), or, with ``site`` and no ``k``, when it meets an exploration from ``site``."""
 
     k: Optional[int] = None
     site: Optional[Site] = None
 
     def __post_init__(self):
-        if self.k is not None and (self.k < 1 or self.site is not None):
+        k = self.k
+        if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                              or k < 1 or self.site is not None):
             raise ConfigError(f"a stop takes a count >= 1 or a target site, not {self}")
 
     @classmethod
@@ -181,23 +183,23 @@ class ExplorationRecord:
 class _Lockstep:
     """Thinning runs of a block of replicates, advanced together one step at a time.
 
-    Row r of the state is a live run of replicate ``rows[r]`` with j sites;
-    ``side`` and the outputs are by replicate, so an ending run copies no row.
-    Side 1 grows from the first source and, in a meeting block (``ends`` = 2),
-    side 2 from the second; ``side[i, x]`` is 0 while x is free.  Each run
-    draws from its own stream as alone, THINNING_BATCH proposals at a time,
-    each when first needed, whatever the stop rule: their exponentials, then
-    their parent uniforms, then their offsets.  ``clock[r, i]`` sums the first
-    i exponentials of the refill, so a wait is the difference of two of its
-    entries, whatever windows ``_select`` reads.  ``keys[r, :j]`` holds its
-    sites' keys, sources first, and in a meeting block ``eside[r, :j]`` their
-    sides.  Once a one-sided block mirrors, ``keys[r, :held]`` holds instead
-    the keys of S, the free sites when it was last built, some discovered
-    since, and no proposal reads a site's key again.  A step is one event in
-    every run, or once mirrored the same number of births in every run.
+    Row r of the state is a live run of replicate ``rows[r]`` with j sites.
+    Replicate i stores its sites once: ``keys[i, :j]`` holds their keys in
+    event order, sources first, and ``side[i, x]`` the side of site x, 0
+    while x is free; side 1 grows from the first source and, in a meeting
+    block (``ends`` = 2), side 2 from the second.  They and ``times``, the
+    record's times, are by replicate, so an ending run copies none of them.
+    Each run draws from its own stream as alone, THINNING_BATCH proposals at
+    a time, each when first needed, whatever the stop rule: their
+    exponentials, then their parent uniforms, then their offsets.
+    ``clock[r, i]`` sums the first i exponentials of the refill, so a wait is
+    the difference of two of its entries, whatever windows ``_select`` reads.
+    Once a one-sided block mirrors, ``pool[i, :held]`` holds the keys of S.
+    A step is one event in every run, or once mirrored the same number of
+    births in every run.
     """
 
-    _LIVE = ("rows", "t", "keys", "clock", "parent_u", "offsets", "pos", "refills")
+    _LIVE = ("rows", "t", "clock", "parent_u", "offsets", "pos", "refills")
 
     def __init__(self, cfg: TorusConfig, seeds: Sequence[rng.SeedLike], srcs, cap: int) -> None:
         srcs = np.asarray(srcs, dtype=np.int64).reshape(len(seeds), -1)
@@ -208,20 +210,13 @@ class _Lockstep:
         self._key_of, self._site_of, _ = weights.site_keys(cfg)
         self._order = torus.sorted_order(cfg)  # offset of rank i: key_of[order[i]]
         self._zero = self._key_of[self._order[0]]  # the offset to the site itself
+        self._index_of = self._site_of[self._zero :]  # a site's flat index at its key
         self.rows, self.t = np.arange(size), np.zeros(size)
         self.proposals, self.born = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
         self.side = np.zeros((size, cfg.n), dtype=np.int8)
         self.side[self.rows[:, None], srcs] = np.arange(1, self.ends + 1)
-        self.keys = np.empty((size, cap), dtype=np.int32)
-        self.keys[:, : self.ends] = self._key_of[srcs]
-        if self.ends == 2:
-            self._LIVE += ("eside",)
-            self.eside = np.ones(self.keys.shape, dtype=np.int8)
-            self.eside[:, 1] = 2
-        # Outputs hold the source, then the newborns; a meeting adds the target.
-        self.sites, self.times = np.empty((size, cap), dtype=np.int32), np.empty((size, cap))
-        self.sites[:, 0], self.times[:, 0] = srcs[:, 0], 0.0
-        self.far = srcs[:, -1]
+        self.keys, self.times = np.empty((size, cap), dtype=np.int32), np.empty((size, cap))
+        self.keys[:, : self.ends], self.times[:, 0] = self._key_of[srcs], 0.0
         self.clock = np.zeros((size, batch + 1))
         # Proposal batches, padded to twice their length with proposals from
         # the first site to itself, which are rejected, so windows may overrun.
@@ -235,10 +230,9 @@ class _Lockstep:
         self._index()
 
     def _index(self) -> None:
-        """Row r's offsets into the flat windows, keys and sides, kept until a run ends."""
+        """Row r's offsets into the flat windows and sides, kept until a run ends."""
         self._at = np.arange(len(self.rows))
         self._cell_at = self._at * (2 * THINNING_BATCH)
-        self._key_at = self._at * self.keys.shape[1]
         self._side_at = self.rows * self.cfg.n
 
     def keep(self, live: np.ndarray) -> None:
@@ -295,7 +289,9 @@ class _Lockstep:
         made, spent = self.refills * batch + pos, -self.clock[todo, pos]
         top = MIRROR_SPAN if mirror else batch
         width = min(top, math.ceil(max(MIRROR_WIDTH if mirror else 1, 4.0 * self.mean_g)))
-        cell_at, key_at, side_at = self._cell_at, self._key_at[:, None], self._side_at[:, None]
+        keys = self.pool if mirror else self.keys
+        cell_at, side_at = self._cell_at, self._side_at[:, None]
+        key_at = (self.rows * keys.shape[1])[:, None]
         while True:
             cell = (cell_at + pos)[:, None] + self._span[:width]
             key = self.offsets.take(cell)
@@ -303,20 +299,21 @@ class _Lockstep:
             del cell  # In place from here, which keeps a window small.
             np.minimum(parent, size - 1, out=parent)
             parent += key_at
-            home = self.keys.take(parent)
-            # The side a target must differ from: the proposer's, 1 in a
-            # one-sided run (an int8 compares fast), or 0 (free) once mirrored.
-            own = self.eside.take(parent) if self.ends == 2 else np.int8(not mirror)
+            home = keys.take(parent)
             del parent
             key += home
-            flat = self._site_of.take(key)
-            flat += side_at
-            ok = self.side.take(flat) != own
-            if mirror:
-                home += self._zero
-                flat, target = self._site_of.take(home), flat
+            target = self._site_of.take(key)
+            target += side_at
+            # The side a target must differ from: the proposer's, 1 in a
+            # one-sided run (an int8 compares fast), or 0 (free) once mirrored.
+            own = np.int8(1)
+            if mirror or self.ends == 2:
+                flat = self._index_of.take(home)
                 flat += side_at
-                ok &= self.side.take(flat) == 0
+                own = self.side.take(flat)
+            ok = self.side.take(target) != own
+            if mirror:
+                ok &= own == 0
                 self._settle(ok, flat, target)
                 born = ok.sum(axis=1)
                 found, done = born > 0, (todo, pos, ok, flat, born)
@@ -324,7 +321,7 @@ class _Lockstep:
                 first = self._at[: todo.size]
                 hit = ok.argmax(axis=1)
                 found = ok[first, hit]
-                done = (todo, flat[first, hit, None], (pos + hit + 1)[:, None])
+                done = (todo, target[first, hit, None], (pos + hit + 1)[:, None])
                 if self.ends == 2:
                     done += (own[first, hit, None],)
             if found.all():
@@ -386,9 +383,11 @@ class _Lockstep:
         free = self.cfg.n - self.j
         if self.ends == 1 and free < self.j and 2 * free <= self.held:
             # S is every free site: at the switch, or once half of S is stale.
+            if self.held == self.cfg.n:
+                self.pool = np.empty((len(self.side), free), dtype=np.int32)
             self.held = free
-            for r, row in enumerate(self.rows):
-                self.keys[r, :free] = self._key_of[np.flatnonzero(self.side[row] == 0)]
+            for row in self.rows:
+                self.pool[row, :free] = self._key_of[np.flatnonzero(self.side[row] == 0)]
         mirror = self.held < self.j
         # No birth of a step finds S half stale: 2 (free - c + 1) > held.
         z, s, times = self._select(min(most, free - self.held // 2) if mirror else 1)
@@ -397,34 +396,34 @@ class _Lockstep:
         if self.ends == 2:
             met = side[z[:, 0]] != 0
             if met.any():
-                gone, col = self.rows[met], j - 1
-                self.sites[gone, col], self.times[gone, col] = self.far[gone], 2.0 * self.t[met]
+                self.times[self.rows[met], j - 1] = 2.0 * self.t[met]
                 self.keep(~met)
                 z, s, times = z[~met], s[~met], times[~met]
                 if not self.rows.size:
                     return
         col = j + 1 - self.ends
         side[z] = s
-        z -= self._side_at[:, None]
-        self.sites[self.rows, col : col + c], self.times[self.rows, col : col + c] = z, times
-        if not mirror:
-            self.keys[:, j] = self._key_of[z[:, 0]]
-        if self.ends == 2:
-            self.eside[:, j] = s[:, 0]
+        self.times[self.rows, col : col + c] = times
+        self.keys[self.rows, j : j + c] = self._key_of.take(z - self._side_at[:, None])
         self.j = j + c
+
+    def site_indices(self, r: int) -> np.ndarray:
+        """Replicate r's sites in record order: the source, the newborns, a meeting's target."""
+        b = self.born[r]
+        return self._index_of.take(self.keys[r, np.r_[0, 2:b, 1] if self.ends == 2 else slice(b)])
 
 
 def block_count(cfg: TorusConfig, cap: int, count: int, meeting: bool = False) -> int:
     """Blocks of equal size, each within BLOCK_BYTES, for ``count`` runs of at
     most ``cap`` sites, or of meeting runs.  A run holds its sides (a byte per
-    site of the torus), its keys (4 bytes per site it holds, and in a meeting
-    block a byte more for their sides), its outputs (12), its clock, parent
-    uniforms and offsets (32 bytes per proposal of a refill), 2 KB of objects,
-    and ``_select``'s windows (33 bytes per proposal measured); a block holds
-    no cached per-torus table."""
+    site of the torus), its keys and times (12 bytes per site it holds), the
+    keys of S if it can pass n/2 (4 more, as |S| < n/2 < cap), its clock,
+    parent uniforms and offsets (32 bytes per proposal of a refill), 2 KB of
+    objects, and ``_select``'s windows (33 bytes per proposal measured); a
+    block holds no cached per-torus table."""
     n = cfg.n
     cap = min(cap, n, MEETING_SPAN * math.isqrt(n)) if meeting else cap
-    per_run = n + (17 if meeting else 16) * cap + 68 * THINNING_BATCH + 2048
+    per_run = n + (16 if 2 * cap > n and not meeting else 12) * cap + 68 * THINNING_BATCH + 2048
     return -(-count // max(1, BLOCK_BYTES // per_run))
 
 
@@ -444,7 +443,7 @@ def _run_block(
         block.birth(low + 1 - block.j)
     # Copies, so that no record holds the block's arrays.
     return [None if block.ends == 2 and b > limit[r] else ExplorationRecord(
-        block.sites[r, :b].copy(), block.times[r, :b].copy(), int(block.proposals[r]))
+        block.site_indices(r), block.times[r, :b].copy(), int(block.proposals[r]))
         for r, b in enumerate(block.born)]
 
 

@@ -41,8 +41,8 @@ def _meeting_runs(cfg, seeds, srcs):
     block = explore._Lockstep(cfg, seeds, srcs, cfg.n)
     while block.rows.size:
         block.birth()
-    return [(block.sites[r, :b], block.times[r, :b], block.side[r, block.sites[r, :b]])
-            for r, b in enumerate(block.born)]
+    sites = [block.site_indices(r) for r in range(len(block.born))]
+    return [(s, block.times[r, : s.size], block.side[r, s]) for r, s in enumerate(sites)]
 
 
 def _largest_block(cfg, cap, meeting=False, bound=1000):
@@ -102,18 +102,21 @@ def test_count_stop_is_the_prefix_of_the_full_run():
 def test_stop_rule_takes_a_count_of_one_or_more_or_a_target_alone():
     cfg = TorusConfig(2, 8, 2.0, 0.5)
     v = torus.index_to_site(9, cfg)
-    for kwargs in ({"k": 0}, {"k": -3}, {"k": 3, "site": v}):
+    for kwargs in ({"k": 0}, {"k": -3}, {"k": 3, "site": v}, {"k": 2.5}, {"k": 3.0},
+                   {"k": True}):
         with pytest.raises(ConfigError, match="a stop takes a count >= 1 or a target site"):
             StopRule(**kwargs)
     assert StopRule(k=1).k == 1 and StopRule(site=v).site == v
+    assert _runs(cfg, StopRule(k=np.int64(3)), [0])[0].n_born == 4
 
 
 def test_records_own_their_arrays():
     # A record holds copies, not views into its block's output arrays, so a
-    # kept record does not keep the whole block alive.
+    # kept record does not keep the whole block alive; a full run passes n/2
+    # and mirrors, so S has lived in a buffer of its own.
     cfg = TorusConfig(2, 8, 2.0, 1.0)
     v = torus.index_to_site(36, cfg)
-    for stop in (StopRule.count(5), StopRule.target(v)):
+    for stop in (StopRule.count(5), StopRule.target(v), StopRule.full()):
         for rec in _runs(cfg, stop, [(6, r) for r in range(3)]):
             assert all(x.base is None for x in (rec.site_indices, rec.times))
 
@@ -348,17 +351,26 @@ def test_audited_waits_reject_a_raised_alpha():
         assert p < 1e-4, (sample.size, p)
 
 
-@pytest.mark.parametrize(
-    "cfg", [TorusConfig(1, 9, 1.0, 0.5), TorusConfig(2, 16, 2.0, 1.0), TorusConfig(2, 64, 2.0, 1.0),
-            TorusConfig(3, 10, 2.0, 0.5)])
-def test_block_count_holds_every_array_of_a_block(cfg):
-    # The largest block block_count allows for runs of at most cap sites:
-    # its arrays, less the shared read-only tables, and its widest windows
-    # fit, at 36 bytes per proposal of THINNING_BATCH.
+_BLOCK_TORI = [TorusConfig(1, 9, 1.0, 0.5), TorusConfig(2, 16, 2.0, 1.0),
+               TorusConfig(2, 64, 2.0, 1.0), TorusConfig(3, 10, 2.0, 0.5)]
+
+
+@pytest.mark.parametrize("cfg, meeting", [
+    pytest.param(cfg, meeting, id=f"cfg{i}" + "-meeting" * meeting)
+    for meeting in (False, True) for i, cfg in enumerate(_BLOCK_TORI)])
+def test_block_count_holds_every_array_of_a_block(cfg, meeting):
+    # The largest block block_count allows for runs of at most cap sites, or
+    # for meeting runs of two sources with cap clipped as block_count clips
+    # it: its arrays, less the shared read-only tables, and its widest
+    # windows fit, at 36 bytes per proposal of THINNING_BATCH.  A one-sided
+    # block that can pass n/2 is measured once it mirrors, with S's buffer.
     n = cfg.n
     for cap in (n, 3 * n // 4, math.isqrt(n) + 1):
-        size = _largest_block(cfg, cap)
-        block = explore._Lockstep(cfg, list(range(size)), [0] * size, cap)
+        cap = min(cap, explore.MEETING_SPAN * math.isqrt(n)) if meeting else cap
+        size = _largest_block(cfg, cap, meeting)
+        block = explore._Lockstep(cfg, list(range(size)), [[0, 1] if meeting else 0] * size, cap)
+        while 2 * cap > n and not meeting and block.held == n:
+            block.birth()
         held = sum(a.nbytes for a in vars(block).values()
                    if isinstance(a, np.ndarray) and a.flags.writeable)
         assert held + 36 * size * explore.THINNING_BATCH <= explore.BLOCK_BYTES, (cap, size)
@@ -406,6 +418,27 @@ def test_meeting_block_at_its_cap_peaks_within_the_budget(monkeypatch):
         tracemalloc.stop()
     assert sum(rec is None for rec in records) > size // 2, records
     assert peak <= explore.BLOCK_BYTES, (size, peak)
+
+
+def test_largest_default_meeting_block_peaks_within_the_budget():
+    # The largest meeting block block_count allows at n = 2**18 and the
+    # default MEETING_SPAN, of runs of up to 16 sqrt(n) sites: a meeting
+    # drops a row without copying a run's keys, and the block peaks within
+    # BLOCK_BYTES, the shared read-only tables aside.
+    cfg = TorusConfig(2, 512, 2.0, 1.0)
+    cap = explore.MEETING_SPAN * math.isqrt(cfg.n)
+    size = _largest_block(cfg, cap, meeting=True)
+    srcs = [[r, (r + 1) * (cfg.n // (size + 1)) + 7] for r in range(size)]
+    _runs(cfg, StopRule.count(2), [0])  # fills the shared caches
+    tracemalloc.start()
+    try:
+        records = explore._run_block(cfg, [(42, r) for r in range(size)], srcs, cap,
+                                     np.full(size, cap - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert None not in records
+    assert peak <= explore.BLOCK_BYTES, (size, peak / explore.BLOCK_BYTES)
 
 
 def test_runs_that_outgrow_a_meeting_block_run_again_alone(monkeypatch):
