@@ -55,7 +55,8 @@ same; about 3 sqrt(n) births end a run, against n/2 from U.
 ``run_explorations`` runs replicates in lockstep blocks, sized by BLOCK_BYTES
 alone, of one-sided or meeting runs; a step is one event in every run, or
 once mirrored the births that every run's window settles, with the proposals
-and the clock as array operations.  ``run_exploration`` is a block of one.
+and the clock as array operations.  Meeting runs that outgrow their room run
+again, in blocks, with four times it.  ``run_exploration`` is a block of one.
 
 ``EdgeWeightSample`` realizes one joint assignment of all edge weights
 ``norm(u - v)**alpha * E``, and the oracles compute passage times on that
@@ -118,9 +119,8 @@ THINNING_BATCH = 256
 #: Memory budget of one lockstep block of thinning runs, in bytes: it alone
 #: sizes a block.
 BLOCK_BYTES = 5 << 19
-#: A meeting block holds runs of up to MEETING_SPAN * sqrt(n) sites; a run
-#: that outgrows it, about 1 in 100 at n = 4,096 and alpha = 1.5, runs again
-#: alone with four times the room, until it fits.
+#: First room of a meeting run, in units of sqrt(n) sites; the runs that outgrow
+#: it, 1 in 100 at n = 4,096 and alpha = 1.5, run again with four times the room.
 MEETING_SPAN = 16
 #: Narrowest first window of a mirrored step, in proposals per run.  A
 #: mirrored step takes as many births as every run's window settles, and
@@ -415,12 +415,13 @@ class _Lockstep:
 
 def block_count(cfg: TorusConfig, cap: int, count: int, meeting: bool = False) -> int:
     """Blocks of equal size, each within BLOCK_BYTES, for ``count`` runs of at
-    most ``cap`` sites, or of meeting runs.  A run holds its sides (a byte per
-    site of the torus), its keys and times (12 bytes per site it holds), the
-    keys of S if it can pass n/2 (4 more, as |S| < n/2 < cap), its clock,
-    parent uniforms and offsets (32 bytes per proposal of a refill), 2 KB of
-    objects, and ``_select``'s windows (33 bytes per proposal measured); a
-    block holds no cached per-torus table."""
+    most ``cap`` sites, or of meeting runs in their first room.  A run holds its
+    sides (a byte per site of the torus), its keys and times (12 bytes per site
+    it holds), the keys of S if it can pass n/2 (4 more, as |S| < n/2 < cap),
+    its clock, parent uniforms and offsets (32 bytes per proposal of a refill),
+    2 KB of objects, and ``_select``'s windows (33 bytes per proposal measured);
+    a block holds no cached per-torus table.  A later, larger room of meeting
+    runs is charged as one-sided runs: at most 4 bytes per site too many."""
     n = cfg.n
     cap = min(cap, n, MEETING_SPAN * math.isqrt(n)) if meeting else cap
     per_run = n + (16 if 2 * cap > n and not meeting else 12) * cap + 68 * THINNING_BATCH + 2048
@@ -466,22 +467,18 @@ def run_explorations(
     limit = np.array([n if len(e) == 2 else 0 if stop.site is not None
                       else n - 1 if stop.k is None else stop.k for e, stop in zip(ends, stops)])
     for sides in sorted({len(e) for e in ends}):
-        group = np.flatnonzero([len(e) == sides for e in ends])
-        cap = min(n, MEETING_SPAN * math.isqrt(n)) if sides == 2 else int(limit[group].max()) + 1
+        group, meeting = np.flatnonzero([len(e) == sides for e in ends]), sides == 2
+        cap = min(n, MEETING_SPAN * math.isqrt(n)) if meeting else int(limit[group].max()) + 1
         if cap > n:
             raise ConfigError(f"count {cap - 1} exceeds n - 1 = {n - 1}")
-        limit[group] = np.minimum(limit[group], cap - 1 if cap < n else n)
-        for part in np.array_split(group, block_count(cfg, cap, group.size, sides == 2)):
-            for i, rec in zip(part, _run_block(cfg, [seeds[i] for i in part],
-                                               [ends[i] for i in part], cap, limit[part])):
-                records[i] = rec
-    # A run that outgrew its meeting block runs again alone in four times the room.
-    for i in [i for i, rec in enumerate(records) if rec is None]:
-        cap = min(n, MEETING_SPAN * math.isqrt(n))
-        while records[i] is None:
-            cap = min(n, 4 * cap)
-            records[i] = _run_block(cfg, [seeds[i]], [ends[i]], cap,
-                                    np.array([cap - 1 if cap < n else n]))[0]
+        while group.size:
+            for part in np.array_split(group, block_count(cfg, cap, group.size, meeting)):
+                for i, rec in zip(part, _run_block(
+                        cfg, [seeds[i] for i in part], [ends[i] for i in part], cap,
+                        np.minimum(limit[part], cap - 1 if cap < n else n))):
+                    records[i] = rec
+            group = group[[records[i] is None for i in group]]
+            cap, meeting = min(n, 4 * cap), False
     return records
 
 

@@ -95,6 +95,8 @@ def origin(cfg: TorusConfig) -> Site:
 
 
 def _check_canonical(u: Site, cfg: TorusConfig) -> None:
+    if not isinstance(u, Site):
+        raise ConfigError(f"expected a Site, got {u!r}")
     if len(u.coords) != cfg.d:
         raise ConfigError(f"site has {len(u.coords)} coordinates, expected {cfg.d}")
     lo, hi = -cfg.half, (cfg.m + 1) // 2 - 1

@@ -86,6 +86,10 @@ def test_stop_target_and_self_target():
     rec = run_exploration(origin(cfg), StopRule.target(v), cfg, 2)
     assert rec.site_indices[-1] == torus.site_to_index(v, cfg)
     assert run_exploration(origin(cfg), StopRule.target(origin(cfg)), cfg, 3).times[-1] == 0.0
+    # A source or a target that is not a Site is a configuration error.
+    for u, stop in (((0, 0), StopRule.target(v)), (origin(cfg), StopRule.target((1, 2)))):
+        with pytest.raises(ConfigError, match="expected a Site"):
+            run_explorations(cfg, [3], [u], [stop])
 
 
 def test_count_stop_is_the_prefix_of_the_full_run():
@@ -441,10 +445,12 @@ def test_largest_default_meeting_block_peaks_within_the_budget():
     assert peak <= explore.BLOCK_BYTES, (size, peak / explore.BLOCK_BYTES)
 
 
-def test_runs_that_outgrow_a_meeting_block_run_again_alone(monkeypatch):
-    # A meeting block holds runs of up to MEETING_SPAN * sqrt(n) sites; a run
-    # that outgrows it runs again alone on its own stream, so a smaller block
-    # leaves every record as it was.
+def test_runs_that_outgrow_a_meeting_block_run_again_together(monkeypatch):
+    # A meeting block holds runs of up to MEETING_SPAN * sqrt(n) sites; the
+    # runs that outgrow it run again together, each on its own stream, with
+    # four times the room, so a smaller block leaves every record as it was.
+    # Here 60 runs take room 32, 33 of them room 128 and one room n = 256:
+    # three blocks, where one block per rerun would take 35.
     cfg = TorusConfig(2, 16, 2.0, 1.0)
     sources = [torus.index_to_site(r, cfg) for r in range(60)]
     stops = [StopRule.target(torus.index_to_site((7 * r + 3) % cfg.n, cfg)) for r in range(60)]
@@ -452,15 +458,18 @@ def test_runs_that_outgrow_a_meeting_block_run_again_alone(monkeypatch):
     wide = run_explorations(cfg, seeds, sources, stops)
     monkeypatch.setattr(explore, "MEETING_SPAN", 2)
     assert sum(rec.n_born >= 2 * math.isqrt(cfg.n) for rec in wide) >= 10
+    calls, run_block = [], explore._run_block
+    monkeypatch.setattr(explore, "_run_block", lambda *args: calls.append(args) or run_block(*args))
     for a, b in zip(wide, run_explorations(cfg, seeds, sources, stops)):
         assert (a.n_born, a.proposals) == (b.n_born, b.proposals)
         assert np.array_equal(a.site_indices, b.site_indices) and np.array_equal(a.times, b.times)
+    assert len(calls) <= 3, [len(args[1]) for args in calls]
 
 
 def test_outgrown_meeting_runs_run_again_within_the_budget(monkeypatch):
     # Runs that outgrow a meeting block of sqrt(n) = 256 sites at n = 2**16,
     # the first four of seeds (50, s) whose run passes 4 sqrt(n) births, run
-    # again alone with four times the room until they fit, within
+    # again together with four times the room until they fit, within
     # BLOCK_BYTES, not with room for all n sites.  Their records equal those
     # of a wide block.
     cfg = TorusConfig(2, 256, 2.0, 1.0)

@@ -100,6 +100,12 @@ def test_noncanonical_input_rejected():
         torus_norm(Site((4, 0)), cfg)
     with pytest.raises(ConfigError):
         torus_norm(Site((0,)), cfg)
+    # Only a Site is a site: a tuple or a string of coordinates is refused.
+    for u in ((0, 0), "00"):
+        with pytest.raises(ConfigError, match="expected a Site"):
+            torus_norm(u, cfg)
+        with pytest.raises(ConfigError, match="expected a Site"):
+            torus.site_to_index(u, cfg)
 
 
 def _nearest_sites(cfg):
